@@ -240,15 +240,19 @@ def cmd_evaluate(args) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part and not part.startswith("-"):
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part and not part.startswith("-"):
+                lo, hi = part.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise ConfigError(f"--n-train must list integers or lo-hi ranges, "
+                          f"got {text!r}") from None
     if not out:
-        raise ConfigError(f"empty integer list {text!r}")
+        raise ConfigError(f"--n-train lists no values: {text!r}")
     return out
 
 

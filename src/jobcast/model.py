@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import encoding
 from .encoding import Normalizer, PropertyValue, encode_property
 from .errors import ModelFileError, NumericsError, SchemaError
-from .nn import TwoLayerBlock, huber_grad, huber_loss
+from .nn import ACTIVATIONS, TwoLayerBlock, huber_grad, huber_loss
 
 SCALE_FEATURES = 3
 F_HIDDEN = 16
@@ -75,85 +76,94 @@ class PropertySchema:
                 raise SchemaError(f"{where}: essential property {name!r} missing")
 
 
-class ModelState:
-    """All weights plus the normalization bounds and the schema."""
+_ACTIVATIONS = {c: ("selu", "tanh" if c == "h" else "selu") for c in COMPONENTS}
 
-    def __init__(self, f, g, h, z, normalizer, schema):
-        self.f = f
-        self.g = g
-        self.h = h
-        self.z = z
+
+def _block_dims(schema: PropertySchema) -> dict:
+    """``component -> (in, hidden, out, bias)``, in vector order."""
+    return {
+        "f": (SCALE_FEATURES, F_HIDDEN, F_DIM, True),
+        "g": (encoding.VECTOR_SIZE, AE_HIDDEN, CODE_DIM, False),
+        "h": (CODE_DIM, AE_HIDDEN, encoding.VECTOR_SIZE, False),
+        "z": (schema.combined_width, Z_HIDDEN, 1, True),
+    }
+
+
+def _weight_count(schema: PropertySchema) -> int:
+    return sum(TwoLayerBlock.size(*d) for d in _block_dims(schema).values())
+
+
+class ModelState:
+    """All weights in one flat vector, plus the normalization bounds and the schema.
+
+    ``vector`` holds every weight, float64, in ``_WEIGHT_ORDER``; the blocks
+    ``f``, ``g``, ``h``, ``z`` are views into it and ``segments[c]`` is the
+    slice component ``c`` owns. Copies, snapshots, optimizer steps and
+    serialization each work on the whole vector at once.
+    """
+
+    def __init__(self, vector, normalizer, schema, activations=None,
+                 dropout=None):
+        count = _weight_count(schema)
+        if (vector.dtype != np.float64 or vector.shape != (count,)
+                or not vector.flags.c_contiguous):
+            raise SchemaError(f"weight vector is {vector.dtype}{list(vector.shape)}, "
+                              f"schema requires a contiguous float64[{count}]")
+        self.vector = vector
         self.normalizer = normalizer
         self.schema = schema
-        self.trainable = {c: True for c in COMPONENTS}
-        self._validate()
-
-    def _validate(self):
-        expect = {
-            "f": (SCALE_FEATURES, F_DIM),
-            "g": (encoding.VECTOR_SIZE, CODE_DIM),
-            "h": (CODE_DIM, encoding.VECTOR_SIZE),
-            "z": (self.schema.combined_width, 1),
-        }
-        for name, (d_in, d_out) in expect.items():
-            block = getattr(self, name)
-            if block.in_dim != d_in or block.out_dim != d_out:
-                raise SchemaError(
-                    f"block {name} is {block.in_dim}->{block.out_dim}, "
-                    f"schema requires {d_in}->{d_out}"
-                )
+        activations, dropout = activations or _ACTIVATIONS, dropout or {}
+        self.segments, pos = {}, 0
+        for c, dims in _block_dims(schema).items():
+            self.segments[c] = sl = slice(pos, pos + TwoLayerBlock.size(*dims))
+            phi, sigma = activations[c]
+            setattr(self, c, TwoLayerBlock.over(vector[sl], *dims, phi=phi, sigma=sigma,
+                                                dropout_rate=dropout.get(c, 0.0)))
+            pos = sl.stop
 
     @classmethod
     def new(cls, schema: PropertySchema, normalizer: Normalizer, rng,
             dropout_rate: float = 0.0) -> "ModelState":
-        """Fresh He-initialized state.
+        """Fresh He-initialized state, drawn block by block in vector order.
 
         ``dropout_rate`` lands on the autoencoder blocks only; the
         scale-out block and the predictor never use dropout. ``g`` and
         ``h`` carry no biases, and the decoder's final activation is tanh
         to match the range of the property vectors.
         """
-        f = TwoLayerBlock.new(SCALE_FEATURES, F_HIDDEN, F_DIM, rng, bias=True)
-        g = TwoLayerBlock.new(encoding.VECTOR_SIZE, AE_HIDDEN, CODE_DIM, rng,
-                              bias=False, dropout_rate=dropout_rate)
-        h = TwoLayerBlock.new(CODE_DIM, AE_HIDDEN, encoding.VECTOR_SIZE, rng,
-                              sigma="tanh", bias=False, dropout_rate=dropout_rate)
-        z = TwoLayerBlock.new(schema.combined_width, Z_HIDDEN, 1, rng, bias=True)
-        return cls(f, g, h, z, normalizer, schema)
+        state = cls(np.zeros(_weight_count(schema)), normalizer, schema,
+                    dropout={"g": dropout_rate, "h": dropout_rate})
+        for c in COMPONENTS:
+            state.reset(c, rng)
+        return state
 
     def copy(self) -> "ModelState":
-        out = ModelState(self.f.copy(), self.g.copy(), self.h.copy(),
-                         self.z.copy(), self.normalizer, self.schema)
-        out.trainable = dict(self.trainable)
-        return out
+        return ModelState(self.vector.copy(), self.normalizer, self.schema,
+                          *self._block_settings())
+
+    def __reduce__(self):
+        # Pickle the vector once; unpickling rebuilds the block views into it.
+        return ModelState, (self.vector, self.normalizer, self.schema,
+                            *self._block_settings())
 
     def blocks(self) -> dict:
         return {c: getattr(self, c) for c in COMPONENTS}
 
-    def parameters(self, only_trainable=False) -> dict:
-        """Flat ``"block.param" -> array`` view of all weights."""
-        out = {}
-        for cname, block in self.blocks().items():
-            if only_trainable and not self.trainable[cname]:
-                continue
-            for pname, arr in block.params().items():
-                out[f"{cname}.{pname}"] = arr
-        return out
+    def _block_settings(self) -> tuple[dict, dict]:
+        """``(activations, dropout)`` per component, as the blocks hold them."""
+        blocks = self.blocks().items()
+        return ({c: (b.phi, b.sigma) for c, b in blocks},
+                {c: b.dropout_rate for c, b in blocks})
 
-    def set_trainable(self, component: str, trainable: bool) -> None:
-        if component not in COMPONENTS:
-            raise ValueError(f"unknown component {component!r}")
-        self.trainable[component] = trainable
+    def param_name(self, index: int) -> str:
+        """Name in ``_WEIGHT_ORDER`` of the array holding ``vector[index]``."""
+        stops = np.cumsum([getattr(getattr(self, n[0]), n[2:]).size
+                           for n in _WEIGHT_ORDER])
+        return _WEIGHT_ORDER[int(np.searchsorted(stops, index, side="right"))]
 
     def reset(self, component: str, rng) -> None:
-        """Re-run He initialization for one component with a fresh rng."""
-        old = getattr(self, component)
-        fresh = TwoLayerBlock.new(
-            old.in_dim, old.w1.shape[0], old.out_dim, rng,
-            phi=old.phi, sigma=old.sigma, bias=old.bias_enabled,
-            dropout_rate=old.dropout_rate,
-        )
-        setattr(self, component, fresh)
+        """Re-run He initialization for one component, in its slice of the vector."""
+        getattr(self, component).init(rng)
 
     def fingerprint(self) -> str:
         """Hex content hash; changes iff weights, bounds, or schema change."""
@@ -255,7 +265,8 @@ def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
     Returns ``(outputs, detail)`` where ``detail`` carries intermediate
     values and caches for :func:`backward_batch`. ``cached_codes`` /
     ``cached_e`` skip the autoencoder / scale-out block when their weights
-    are known not to have changed (frozen fine-tuning).
+    are known not to have changed (frozen fine-tuning). The blocks read
+    their weights straight from views into ``state.vector``.
     """
     if cached_e is None:
         e, f_cache = state.f.forward(batch.sfeat, train=train, rng=rng)
@@ -279,19 +290,19 @@ def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
     return y, detail
 
 
-def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy,
-                   drecons=None) -> dict:
-    """Gradients of the loss w.r.t. every parameter that was forwarded live.
+def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
+                   drecons=None) -> np.ndarray:
+    """Fill ``grad``, a flat buffer aligned with ``state.vector``, and return it.
 
     ``dy`` is dLoss/d(outputs), shape (B,). ``drecons`` is
     dLoss/d(reconstructions) over the unique vectors, or None when the
-    reconstruction term is absent. Blocks that ran from a cache (frozen
-    during fine-tuning) are skipped and contribute no gradient keys.
+    reconstruction term is absent. Only the segments of blocks that were
+    forwarded live are written; blocks that ran from a cache (frozen during
+    fine-tuning) leave their segments as they were.
     """
-    schema = state.schema
-    m = schema.essential_count
-    dr, z_grads = state.z.backward(detail["z_cache"], dy[:, None])
-    grads = {f"z.{k}": v for k, v in z_grads.items()}
+    seg = state.segments
+    m = state.schema.essential_count
+    dr = state.z.backward(detail["z_cache"], dy[:, None], grad[seg["z"]])
     if detail["g_cache"] is not None:
         dcodes = np.zeros_like(detail["codes"])
         for j in range(m):
@@ -299,15 +310,11 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy,
                       dr[:, F_DIM + j * CODE_DIM : F_DIM + (j + 1) * CODE_DIM])
         dcodes += batch.opt_weights.T @ dr[:, F_DIM + m * CODE_DIM :]
         if drecons is not None:
-            dcodes_h, h_grads = state.h.backward(detail["h_cache"], drecons)
-            dcodes += dcodes_h
-            grads.update({f"h.{k}": v for k, v in h_grads.items()})
-        _, g_grads = state.g.backward(detail["g_cache"], dcodes)
-        grads.update({f"g.{k}": v for k, v in g_grads.items()})
+            dcodes += state.h.backward(detail["h_cache"], drecons, grad[seg["h"]])
+        state.g.backward(detail["g_cache"], dcodes, grad[seg["g"]])
     if detail["f_cache"] is not None:
-        _, f_grads = state.f.backward(detail["f_cache"], dr[:, :F_DIM])
-        grads.update({f"f.{k}": v for k, v in f_grads.items()})
-    return grads
+        state.f.backward(detail["f_cache"], dr[:, :F_DIM], grad[seg["f"]])
+    return grad
 
 
 def joint_loss(state: ModelState, records, huber_delta: float = 1.0,
@@ -344,15 +351,16 @@ def _recon_loss(batch: EncodedBatch, detail):
 
 def joint_loss_grads(state: ModelState, records, huber_delta: float = 1.0,
                      recon_weight: float = 1.0, train=False, rng=None):
-    """Loss terms plus gradients; the training-loop building block."""
+    """Loss terms plus the flat gradient; the training-loop building block."""
     batch = encode_batch(state.schema, state.normalizer, list(records))
     y, detail = forward_batch(state, batch, train=train, rng=rng)
     runtime_term = huber_loss(y, batch.runtimes, huber_delta)
     recon_term, drecons = _recon_loss(batch, detail)
     dy = huber_grad(y, batch.runtimes, huber_delta)
-    grads = backward_batch(state, batch, detail, dy, recon_weight * drecons)
+    grad = backward_batch(state, batch, detail, dy, np.zeros_like(state.vector),
+                          recon_weight * drecons)
     total = runtime_term + recon_weight * recon_term
-    return total, runtime_term, recon_term, grads
+    return total, runtime_term, recon_term, grad
 
 
 def forward(state: ModelState, scale_out: int, props: dict, train=False,
@@ -405,22 +413,19 @@ _WEIGHT_ORDER = ("f.w1", "f.b1", "f.w2", "f.b2", "g.w1", "g.w2",
                  "h.w1", "h.w2", "z.w1", "z.b1", "z.w2", "z.b2")
 
 
+def _dims(schema: PropertySchema) -> dict:
+    return dict(scale_features=SCALE_FEATURES, f_hidden=F_HIDDEN, f_dim=F_DIM,
+                ae_hidden=AE_HIDDEN, code_dim=CODE_DIM, z_hidden=Z_HIDDEN,
+                vector_size=encoding.VECTOR_SIZE, combined_width=schema.combined_width)
+
+
 def _header(state: ModelState) -> dict:
     return {
         "schema": {
             "essential": [list(p) for p in state.schema.essential],
             "optional": [list(p) for p in state.schema.optional],
         },
-        "dims": {
-            "scale_features": SCALE_FEATURES,
-            "f_hidden": F_HIDDEN,
-            "f_dim": F_DIM,
-            "ae_hidden": AE_HIDDEN,
-            "code_dim": CODE_DIM,
-            "vector_size": encoding.VECTOR_SIZE,
-            "z_hidden": Z_HIDDEN,
-            "combined_width": state.schema.combined_width,
-        },
+        "dims": _dims(state.schema),
         "activations": {c: [b.phi, b.sigma] for c, b in state.blocks().items()},
         "dropout": {c: b.dropout_rate for c, b in state.blocks().items()},
         "normalizer": {"lo": list(state.normalizer.lo), "hi": list(state.normalizer.hi)},
@@ -429,13 +434,9 @@ def _header(state: ModelState) -> dict:
 
 def serialize(state: ModelState) -> bytes:
     header = json.dumps(_header(state), sort_keys=True).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", _FORMAT_VERSION),
-             struct.pack("<I", len(header)), header]
-    params = state.parameters()
-    for name in _WEIGHT_ORDER:
-        if name in params:
-            parts.append(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
-    return b"".join(parts)
+    return b"".join([_MAGIC, struct.pack("<I", _FORMAT_VERSION),
+                     struct.pack("<I", len(header)), header,
+                     np.ascontiguousarray(state.vector, dtype="<f8").tobytes()])
 
 
 def save(state: ModelState, path) -> None:
@@ -465,51 +466,55 @@ def load(path) -> ModelState:
             f"{path}: format version {version} unsupported (expected {_FORMAT_VERSION})"
         )
     pos += 8
-    header = json.loads(payload[pos : pos + header_len].decode("utf-8"))
+    schema, normalizer, activations, dropout = _parse_header(
+        payload[pos : pos + header_len], path)
     pos += header_len
+    count = _weight_count(schema)
+    if len(payload) - pos != 8 * count:
+        raise ModelFileError(f"{path}: {len(payload) - pos} bytes of weight data, "
+                             f"expected {8 * count}")
+    vector = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
+    return ModelState(vector.astype(np.float64), normalizer, schema,
+                      activations, dropout)
 
+
+def _parse_header(raw: bytes, path):
+    """Schema, normalizer, activations and dropout from a checked JSON header.
+
+    A missing or bad value raises :class:`ModelFileError`, a ``z`` width
+    that contradicts the schema :class:`SchemaError`: a file that loads predicts.
+    """
     try:
+        header = json.loads(raw.decode("utf-8"))
         schema = PropertySchema(
             tuple(tuple(p) for p in header["schema"]["essential"]),
             tuple(tuple(p) for p in header["schema"]["optional"]),
         )
-        dims = header["dims"]
-        acts = header["activations"]
-        dropout = header["dropout"]
-        normalizer = Normalizer(tuple(header["normalizer"]["lo"]),
-                                tuple(header["normalizer"]["hi"]))
-    except (KeyError, TypeError) as exc:
-        raise ModelFileError(f"{path}: malformed header: {exc}") from exc
-    if dims["vector_size"] != encoding.VECTOR_SIZE:
-        raise SchemaError(f"{path}: vector size {dims['vector_size']} unsupported")
-    if dims["combined_width"] != schema.combined_width:
+        dims = dict(header["dims"])
+        activations = {c: tuple(header["activations"][c]) for c in COMPONENTS}
+        dropout = {c: header["dropout"][c] for c in COMPONENTS}
+        bounds = [tuple(header["normalizer"][side]) for side in ("lo", "hi")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: malformed header: {exc!r}") from exc
+    if dims.get("combined_width") != schema.combined_width:
         raise SchemaError(
-            f"{path}: stored width {dims['combined_width']} conflicts with "
+            f"{path}: stored width {dims.get('combined_width')!r} conflicts with "
             f"{schema.essential_count} essential properties"
         )
+    bad = [f"dims.{k}={dims.get(k)!r}" for k, v in _dims(schema).items()
+           if dims.get(k) != v]
+    bad += [f"activations.{c}={list(a)!r}" for c, a in activations.items()
+            if len(a) != 2 or not all(name in ACTIVATIONS for name in a)]
+    bad += [f"dropout.{c}={d!r}" for c, d in dropout.items()
+            if not (_is_real(d) and 0.0 <= d < 1.0)]
+    bad += [f"normalizer.{side}={list(values)!r}"
+            for side, values in zip(("lo", "hi"), bounds)
+            if len(values) != SCALE_FEATURES
+            or not all(_is_real(v) and math.isfinite(v) for v in values)]
+    if bad:
+        raise ModelFileError(f"{path}: invalid header values: {', '.join(bad)}")
+    return schema, Normalizer(*bounds), activations, dropout
 
-    def read(shape):
-        nonlocal pos
-        n = int(np.prod(shape)) * 8
-        if pos + n > len(payload):
-            raise ModelFileError(f"{path}: truncated weight data")
-        arr = np.frombuffer(payload[pos : pos + n], dtype="<f8").reshape(shape)
-        pos += n
-        return arr.astype(np.float64)
 
-    def block(name, d_in, hidden, d_out, bias):
-        w1 = read((hidden, d_in))
-        b1 = read((hidden,)) if bias else None
-        w2 = read((d_out, hidden))
-        b2 = read((d_out,)) if bias else None
-        phi, sigma = acts[name]
-        return TwoLayerBlock(w1, b1, w2, b2, phi=phi, sigma=sigma,
-                             dropout_rate=dropout[name])
-
-    f = block("f", dims["scale_features"], dims["f_hidden"], dims["f_dim"], True)
-    g = block("g", dims["vector_size"], dims["ae_hidden"], dims["code_dim"], False)
-    h = block("h", dims["code_dim"], dims["ae_hidden"], dims["vector_size"], False)
-    z = block("z", dims["combined_width"], dims["z_hidden"], 1, True)
-    if pos != len(payload):
-        raise ModelFileError(f"{path}: trailing bytes after weight data")
-    return ModelState(f, g, h, z, normalizer, schema)
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

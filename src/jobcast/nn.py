@@ -5,6 +5,10 @@ two-layer blocks this package needs: explicit forward/backward passes, SELU
 and tanh activations, alpha-dropout, He initialization, Huber/MSE losses,
 and an Adam optimizer with decoupled weight decay. Inputs may be a single
 vector ``(D,)`` or a batch ``(B, D)``.
+
+A block's weights are views into one flat buffer laid out ``w1, b1, w2, b2``;
+its backward pass writes gradients in that layout, and Adam updates one flat
+parameter vector cut into named segments.
 """
 
 from __future__ import annotations
@@ -124,7 +128,9 @@ class TwoLayerBlock:
 
     Alpha-dropout (when ``dropout_rate > 0``) is applied after each
     activation in training mode only. Biases exist only when the block was
-    built with ``bias=True``.
+    built with ``bias=True``. :meth:`over` cuts the four arrays out of one
+    flat buffer, so their shapes agree by construction; the constructor
+    takes arrays as given.
     """
 
     def __init__(self, w1, b1, w2, b2, phi="selu", sigma="selu", dropout_rate=0.0):
@@ -135,30 +141,25 @@ class TwoLayerBlock:
         self.phi = phi
         self.sigma = sigma
         self.dropout_rate = float(dropout_rate)
-        m, d = self.w1.shape
-        k, m2 = self.w2.shape
-        if m2 != m:
-            raise ValueError(f"layer widths disagree: w1 is {m}x{d}, w2 is {k}x{m2}")
-        if (self.b1 is None) != (self.b2 is None):
-            raise ValueError("biases must be present for both layers or neither")
-        if self.b1 is not None and (self.b1.shape != (m,) or self.b2.shape != (k,)):
-            raise ValueError("bias shapes do not match layer widths")
+
+    @staticmethod
+    def size(in_dim, hidden_dim, out_dim, bias=True) -> int:
+        """Number of weights in a block of these dimensions."""
+        return hidden_dim * (in_dim + out_dim) + (hidden_dim + out_dim if bias else 0)
 
     @classmethod
-    def new(cls, in_dim, hidden_dim, out_dim, rng, phi="selu", sigma="selu",
-            bias=True, dropout_rate=0.0):
-        """He-initialized block; biases start at zero."""
-        if min(in_dim, hidden_dim, out_dim) < 1:
-            raise ValueError("all block dimensions must be >= 1")
-        w1 = he_init((hidden_dim, in_dim), in_dim, rng)
-        w2 = he_init((out_dim, hidden_dim), hidden_dim, rng)
-        b1 = np.zeros(hidden_dim) if bias else None
-        b2 = np.zeros(out_dim) if bias else None
-        return cls(w1, b1, w2, b2, phi=phi, sigma=sigma, dropout_rate=dropout_rate)
+    def over(cls, flat, in_dim, hidden_dim, out_dim, bias=True, **kwargs):
+        """Block whose weights are views into the 1-D buffer ``flat``."""
+        w1, b1, w2, b2 = _split(flat, in_dim, hidden_dim, out_dim, bias)
+        return cls(w1, b1, w2, b2, **kwargs)
 
-    @property
-    def bias_enabled(self) -> bool:
-        return self.b1 is not None
+    def init(self, rng) -> None:
+        """He-initialize in place, drawing ``w1`` then ``w2``; zero the biases."""
+        self.w1[...] = he_init(self.w1.shape, self.in_dim, rng)
+        self.w2[...] = he_init(self.w2.shape, self.w1.shape[0], rng)
+        if self.b1 is not None:
+            self.b1[...] = 0.0
+            self.b2[...] = 0.0
 
     @property
     def in_dim(self) -> int:
@@ -167,22 +168,6 @@ class TwoLayerBlock:
     @property
     def out_dim(self) -> int:
         return self.w2.shape[0]
-
-    def copy(self) -> "TwoLayerBlock":
-        return TwoLayerBlock(
-            self.w1.copy(),
-            None if self.b1 is None else self.b1.copy(),
-            self.w2.copy(),
-            None if self.b2 is None else self.b2.copy(),
-            phi=self.phi, sigma=self.sigma, dropout_rate=self.dropout_rate,
-        )
-
-    def params(self) -> dict:
-        out = {"w1": self.w1, "w2": self.w2}
-        if self.b1 is not None:
-            out["b1"] = self.b1
-            out["b2"] = self.b2
-        return out
 
     def forward(self, x, train=False, rng=None):
         """Run the block; returns ``(out, cache)``.
@@ -217,61 +202,96 @@ class TwoLayerBlock:
         cache = (xb, pre1, act1, dmul1, pre2, dmul2, single)
         return (out[0] if single else out), cache
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, grad):
         """Backpropagate ``dout`` through the cached forward pass.
 
-        Returns ``(dx, grads)`` with ``grads`` keyed like :meth:`params`.
+        Writes the weight gradient into ``grad``, a flat buffer laid out like
+        the block's weights (``w1, b1, w2, b2``), and returns ``dx``.
         """
         xb, pre1, act1, dmul1, pre2, dmul2, single = cache
+        gw1, gb1, gw2, gb2 = _split(grad, self.in_dim, self.w1.shape[0],
+                                    self.out_dim, self.b1 is not None)
         d = np.asarray(dout, dtype=np.float64)
         if single:
             d = d[None, :]
         if dmul2 is not None:
             d = d * dmul2
         delta2 = d * activate_deriv(self.sigma, pre2)
-        grads = {"w1": None, "w2": delta2.T @ act1}
-        if self.b2 is not None:
-            grads["b2"] = delta2.sum(axis=0)
+        np.matmul(delta2.T, act1, out=gw2)
+        if gb2 is not None:
+            delta2.sum(axis=0, out=gb2)
         dact1 = delta2 @ self.w2
         if dmul1 is not None:
             dact1 = dact1 * dmul1
         delta1 = dact1 * activate_deriv(self.phi, pre1)
-        grads["w1"] = delta1.T @ xb
-        if self.b1 is not None:
-            grads["b1"] = delta1.sum(axis=0)
+        np.matmul(delta1.T, xb, out=gw1)
+        if gb1 is not None:
+            delta1.sum(axis=0, out=gb1)
         dx = delta1 @ self.w1
-        return (dx[0] if single else dx), grads
+        return dx[0] if single else dx
+
+
+def _split(flat, in_dim, hidden_dim, out_dim, bias):
+    """``(w1, b1, w2, b2)`` views into a flat block buffer; biases may be None."""
+    a = hidden_dim * in_dim
+    b = a + hidden_dim * bias
+    c = b + out_dim * hidden_dim
+    return (flat[:a].reshape(hidden_dim, in_dim), flat[a:b] if bias else None,
+            flat[b:c].reshape(out_dim, hidden_dim), flat[c : c + out_dim] if bias else None)
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay over one flat parameter vector.
 
-    Parameters are passed as name -> array dicts; moment estimates and the
-    per-parameter step counter are kept here, keyed by name, so a parameter
-    that joins late (e.g. after an unfreeze) starts with fresh moments.
-    Frozen parameters are simply never passed in.
+    ``segments`` maps names (e.g. model components) to slices of the vector.
+    Moments are two flat buffers; each segment has its own step counter, so
+    a segment that joins late (after an unfreeze) starts with fresh moments.
+    A step makes one vectorized update per run of adjacent live segments
+    that share a step count, and never touches frozen ones. ``name_of``
+    names the parameter at a vector index in non-finite gradient errors.
     """
 
-    def __init__(self, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr, segments: dict, name_of, weight_decay=0.0, beta1=0.9,
+                 beta2=0.999, eps=1e-8):
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._state = {}
+        self.segments = dict(segments)
+        size = max(s.stop for s in self.segments.values())
+        self.m, self.v = np.zeros((2, size))
+        self.steps = {name: 0 for name in self.segments}
+        self.name_of = name_of
 
-    def step(self, params: dict, grads: dict) -> None:
-        """Update ``params`` in place from ``grads``."""
-        for name in params:
-            p = params[name]
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            m, v, t = self._state.get(name, (np.zeros_like(p), np.zeros_like(p), 0))
+    def step(self, params, grads, live) -> None:
+        """Update the ``live`` segments of the flat ``params`` from ``grads``.
+
+        A non-finite live gradient raises :class:`TrainingError` before any update.
+        """
+        runs = []  # [start, stop, steps taken so far]
+        for name, sl in self.segments.items():
+            if name in live:
+                t = self.steps[name]
+                if runs and runs[-1][1:] == [sl.start, t]:
+                    runs[-1][1] = sl.stop
+                else:
+                    runs.append([sl.start, sl.stop, t])
+        for lo, hi, _ in runs:
+            finite = np.isfinite(grads[lo:hi])
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise TrainingError(
+                    f"non-finite gradient for parameter {self.name_of(bad)!r}")
+        for name in live:
+            self.steps[name] += 1
+        for lo, hi, t in runs:
             t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            p, g, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
             mhat = m / (1.0 - self.beta1**t)
             vhat = v / (1.0 - self.beta2**t)
             p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p)
-            self._state[name] = (m, v, t)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .encoding import Normalizer
 from .errors import DataError, NumericsError, SchemaError, TrainingError
-from .model import ModelState, PropertySchema, encode_batch, forward_batch, \
-    backward_batch, _recon_loss
+from .model import COMPONENTS, ModelState, PropertySchema, encode_batch, \
+    forward_batch, backward_batch, _recon_loss
 from .nn import Adam, huber_grad, huber_loss
 
 MAX_EPOCHS = 2500
@@ -122,8 +122,8 @@ def lr_at(epoch: int, schedule: CyclicalSchedule | float) -> float:
     return (1.0 - tri) * schedule.hi + tri * schedule.lo
 
 
-def _train_epoch(state, batch, optim, rng, config, order):
-    """One epoch over shuffled minibatches of the joint loss."""
+def _train_epoch(state, batch, optim, rng, config, order, grad):
+    """One epoch over shuffled minibatches of the joint loss, all blocks live."""
     rng.shuffle(order)
     total = 0.0
     for start in range(0, len(order), config.batch_size):
@@ -133,16 +133,10 @@ def _train_epoch(state, batch, optim, rng, config, order):
         runtime_term = huber_loss(y, sub.runtimes, config.huber_delta)
         recon_term, drecons = _recon_loss(sub, detail)
         dy = huber_grad(y, sub.runtimes, config.huber_delta)
-        grads = backward_batch(state, sub, detail, dy,
-                               config.recon_weight * drecons)
-        optim.step(state.parameters(only_trainable=True), _pick(grads, state))
+        backward_batch(state, sub, detail, dy, grad, config.recon_weight * drecons)
+        optim.step(state.vector, grad, COMPONENTS)
         total += (runtime_term + config.recon_weight * recon_term) * len(idx)
     return total / len(order)
-
-
-def _pick(grads, state):
-    return {k: v for k, v in grads.items()
-            if state.trainable[k.split(".", 1)[0]]}
 
 
 def _slice_batch(batch, idx):
@@ -207,7 +201,9 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
                            recon_weight=recon_weight)
         rng = np.random.default_rng(cseed)
         state = ModelState.new(schema, normalizer, rng, dropout_rate=dropout)
-        optim = Adam(lr, weight_decay=wd)
+        optim = Adam(lr, state.segments, weight_decay=wd,
+                     name_of=state.param_name)
+        grad = np.zeros_like(state.vector)
         order = np.arange(len(train_records))
         started = time.perf_counter()
         status = "ok"
@@ -217,7 +213,8 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
         ran = 0
         try:
             for _ in range(epochs):
-                final_loss = _train_epoch(state, train_batch, optim, rng, config, order)
+                final_loss = _train_epoch(state, train_batch, optim, rng, config,
+                                          order, grad)
                 ran += 1
                 if not np.isfinite(final_loss):
                     raise NumericsError("training loss is non-finite")
@@ -292,16 +289,13 @@ def finetune(state: ModelState | PropertySchema, samples,
     f_join = 0 if reuse in ("full-unfreeze", "full-reset") \
         else unfreeze_epoch(len(samples))
 
-    work.set_trainable("g", False)
-    work.set_trainable("h", False)
-    work.set_trainable("z", True)
-    work.set_trainable("f", False)
-
     batch = encode_batch(work.schema, work.normalizer, samples)
     codes, _ = work.g.forward(batch.pvecs, train=False)
     e_frozen, _ = work.f.forward(batch.sfeat, train=False)
 
-    optim = Adam(config.learning_rate, weight_decay=config.weight_decay)
+    optim = Adam(config.learning_rate, work.segments,
+                 weight_decay=config.weight_decay, name_of=work.param_name)
+    grad = np.zeros_like(work.vector)
     schedule = config.lr_schedule if config.lr_schedule is not None \
         else config.learning_rate
 
@@ -309,32 +303,31 @@ def finetune(state: ModelState | PropertySchema, samples,
                               cached_codes=codes, cached_e=e_frozen)
     best_mae = float(np.mean(np.abs(y - batch.runtimes)))
     best_epoch = 0
-    best_state = work.copy()
+    best = work.vector.copy()
     history = [best_mae]
     reason = "epoch_cap"
     epochs_run = 0
     budget = config.epochs
+    live = ("z",)  # the autoencoder never trains; f joins at f_join
     if best_mae <= MAE_TARGET_SECONDS:
         # the starting state already meets the target on these samples
         reason = "mae_threshold"
         budget = 0
     for epoch in range(budget):
         if epoch == f_join:
-            work.set_trainable("f", True)
-        f_live = work.trainable["f"]
-        if f_live and detail["f_cache"] is None:
+            live = ("f", "z")
             # first epoch after the unfreeze: redo the forward with f live
             y, detail = forward_batch(work, batch, need_recon=False,
                                       cached_codes=codes)
         dy = huber_grad(y, batch.runtimes, config.huber_delta)
-        grads = backward_batch(work, batch, detail, dy)
+        backward_batch(work, batch, detail, dy, grad)
         optim.lr = lr_at(epoch, schedule)
-        optim.step(work.parameters(only_trainable=True), _pick(grads, work))
+        optim.step(work.vector, grad, live)
         epochs_run = epoch + 1
 
         y, detail = forward_batch(work, batch, need_recon=False,
                                   cached_codes=codes,
-                                  cached_e=None if f_live else e_frozen)
+                                  cached_e=None if "f" in live else e_frozen)
         mae = float(np.mean(np.abs(y - batch.runtimes)))
         if not np.isfinite(mae):
             raise TrainingError("fine-tuning diverged (non-finite MAE)")
@@ -342,7 +335,7 @@ def finetune(state: ModelState | PropertySchema, samples,
         if mae < best_mae - PATIENCE_TOLERANCE:
             best_mae = mae
             best_epoch = epochs_run
-            best_state = work.copy()
+            np.copyto(best, work.vector)
         if best_mae <= MAE_TARGET_SECONDS:
             reason = "mae_threshold"
             break
@@ -350,7 +343,8 @@ def finetune(state: ModelState | PropertySchema, samples,
             reason = "patience"
             break
 
+    np.copyto(work.vector, best)
     report = FineTuneReport(epochs_run, best_epoch, best_mae, reason,
                             wall_time_s=time.perf_counter() - started,
                             mae_history=history)
-    return best_state, report
+    return work, report

@@ -25,6 +25,7 @@ from jobcast.encoding import PropertyValue, encode_property, clean_text
 from jobcast.errors import DataError, ModelFileError
 from jobcast.evalharness import ComparisonConfig, generate_splits, run_comparison
 from jobcast.model import ModelState, joint_loss_grads, load, predict, save
+from jobcast.nn import _split
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, make_contexts
 from jobcast.training import finetune, pretrain
 
@@ -127,17 +128,22 @@ class TestCriterion1:
                 Normalizer.fit(r.scale_out for r in records),
                 rng)
             _, _, _, grads = joint_loss_grads(state, records)
-            params = state.parameters()
 
             def loss():
                 from jobcast.model import joint_loss as jl
                 return jl(state, records)[0]
 
             for block in ("f", "g", "h", "z"):
-                block_params = [k for k in params if k.startswith(block + ".")]
-                name = block_params[int(rng.integers(len(block_params)))]
-                flat = params[name].ravel()
-                gflat = grads[name].ravel()
+                # one random array of the block (weights, then biases), with
+                # its gradient: both views into the flat vectors
+                blk = getattr(state, block)
+                gw1, gb1, gw2, gb2 = _split(grads[state.segments[block]], blk.in_dim,
+                                            blk.w1.shape[0], blk.out_dim,
+                                            blk.b1 is not None)
+                arrays = [(a.reshape(-1), g.reshape(-1)) for a, g in
+                          ((blk.w1, gw1), (blk.w2, gw2), (blk.b1, gb1), (blk.b2, gb2))
+                          if a is not None]
+                flat, gflat = arrays[int(rng.integers(len(arrays)))]
                 picks = rng.choice(flat.size, size=min(3, flat.size),
                                    replace=False)
                 for idx in picks:

@@ -196,6 +196,18 @@ class TestEvaluate:
             assert len(list(csv.DictReader(fh))) == 2
 
 
+    @pytest.mark.parametrize("n_train", ["x", "1-x", "2.5", "3-1", ","])
+    def test_bad_n_train_is_config_error(self, tmp_path, capsys, n_train):
+        code = cli.main([
+            "evaluate", "--data", str(DATA / "sort_runs.csv"),
+            "--manifest", str(DATA / "sort_manifest.txt"),
+            "--methods", "nnls", "--n-train", n_train,
+            "--out-dir", str(tmp_path / "results"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "--n-train" in capsys.readouterr().err
+
+
 class TestExitCodeMapping:
     def test_training_error_maps_to_4(self, monkeypatch, tmp_path):
         def boom(args):

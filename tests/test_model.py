@@ -2,6 +2,7 @@
 and the structural width law."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from jobcast.dataio import ContextKey, RunRecord
 from jobcast.encoding import Normalizer, PropertyValue, encode_property
 from jobcast.errors import SchemaError
-from jobcast.model import (CODE_DIM, F_DIM, ModelState, PropertySchema,
-                           forward, joint_loss, predict)
-from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, TwoLayerBlock
+from jobcast.errors import TrainingError
+from jobcast.model import (CODE_DIM, COMPONENTS, F_DIM, Z_HIDDEN, _WEIGHT_ORDER,
+                           ModelState, PropertySchema, joint_loss,
+                           joint_loss_grads, predict)
+from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, Adam, he_init
 
 SCHEMA = PropertySchema(
     essential=(("dataset_size", "natural"), ("node_type", "text")),
@@ -92,11 +95,11 @@ class TestForward:
         assert four.combined_width == 28
 
     def test_wrong_z_width_rejected_at_build(self):
+        """A weight vector sized for a z input four wider does not fit."""
         state = fresh_state()
-        bad_z = TwoLayerBlock.new(SCHEMA.combined_width + 4, 8, 1,
-                                  np.random.default_rng(0))
+        wider = np.zeros(state.vector.size + 4 * Z_HIDDEN)
         with pytest.raises(SchemaError):
-            ModelState(state.f, state.g, state.h, bad_z, state.normalizer, SCHEMA)
+            ModelState(wider, state.normalizer, SCHEMA)
 
     def test_matches_scalar_loop_oracle(self):
         state = fresh_state()
@@ -249,31 +252,35 @@ class TestJointLoss:
 
 class TestFreezeAndReset:
     def test_freeze_all_means_no_updates(self):
-        from jobcast.model import joint_loss_grads
-        from jobcast.nn import Adam
-
+        """With no component live, steps leave every weight in place."""
         state = fresh_state()
-        for c in ("f", "g", "h", "z"):
-            state.set_trainable(c, False)
         before = state.fingerprint()
-        optim = Adam(lr=1e-2)
+        optim = Adam(lr=1e-2, segments=state.segments, name_of=state.param_name,
+                     weight_decay=0.1)
         recs = [record(2, 300.0), record(8, 120.5)]
         for _ in range(100):
-            *_, grads = joint_loss_grads(state, recs)
-            optim.step(state.parameters(only_trainable=True),
-                       {k: g for k, g in grads.items()
-                        if state.trainable[k.split(".")[0]]})
+            *_, grad = joint_loss_grads(state, recs)
+            optim.step(state.vector, grad, ())
         assert state.fingerprint() == before
 
     def test_reset_z_only_touches_z(self):
         state = fresh_state()
-        snap = {name: arr.copy() for name, arr in state.parameters().items()}
+        snap = state.vector.copy()
         state.reset("z", np.random.default_rng(99))
-        after = state.parameters()
-        assert not np.array_equal(after["z.w1"], snap["z.w1"])
-        for name in snap:
-            if not name.startswith("z."):
-                np.testing.assert_array_equal(after[name], snap[name])
+        z = state.segments["z"]
+        assert not np.array_equal(state.vector[z], snap[z])
+        np.testing.assert_array_equal(state.vector[: z.start], snap[: z.start])
+
+    def test_reset_draws_like_a_fresh_block(self):
+        """reset() writes He draws for w1, then w2, into z's slice, and
+        zeroes its biases."""
+        state = fresh_state()
+        state.reset("z", np.random.default_rng(99))
+        rng = np.random.default_rng(99)
+        width = SCHEMA.combined_width
+        np.testing.assert_array_equal(state.z.w1, he_init((Z_HIDDEN, width), width, rng))
+        np.testing.assert_array_equal(state.z.w2, he_init((1, Z_HIDDEN), Z_HIDDEN, rng))
+        assert not state.z.b1.any() and not state.z.b2.any()
 
     def test_fingerprint_tracks_weights(self):
         state = fresh_state()
@@ -282,3 +289,77 @@ class TestFreezeAndReset:
         assert fp == state.copy().fingerprint()
         state.z.w2[0, 0] += 1e-9
         assert state.fingerprint() != fp
+
+
+class TestFlatStore:
+    def test_blocks_are_views_of_the_vector(self):
+        state = fresh_state()
+        for c in COMPONENTS:
+            block = getattr(state, c)
+            for arr in (block.w1, block.b1, block.w2, block.b2):
+                if arr is not None:
+                    assert np.shares_memory(arr, state.vector[state.segments[c]])
+        before = predict(state, 4, PROPS).runtime_seconds
+        state.vector[state.segments["z"]] *= 2.0
+        assert predict(state, 4, PROPS).runtime_seconds != before
+
+    def test_segments_tile_the_vector_in_weight_order(self):
+        state = fresh_state()
+        names = [state.param_name(i) for i in range(state.vector.size)]
+        expect = [name for name in _WEIGHT_ORDER
+                  for _ in range(getattr(getattr(state, name[0]), name[2:]).size)]
+        assert names == expect
+        starts = [state.segments[c].start for c in COMPONENTS]
+        stops = [state.segments[c].stop for c in COMPONENTS]
+        assert starts == [0] + stops[:-1] and stops[-1] == state.vector.size
+
+    def test_pickle_keeps_blocks_as_views(self):
+        state = ModelState.new(SCHEMA, Normalizer.fit([2, 4]),
+                               np.random.default_rng(1), dropout_rate=0.1)
+        back = pickle.loads(pickle.dumps(state))
+        np.testing.assert_array_equal(back.vector, state.vector)
+        assert np.shares_memory(back.z.w1, back.vector)
+        assert back.g.dropout_rate == 0.1
+        assert back.fingerprint() == state.fingerprint()
+
+    @pytest.mark.parametrize("make", [
+        lambda n: np.zeros(2 * n)[::2],  # strided: block views would be copies
+        lambda n: np.zeros(n, dtype=np.float32),
+    ], ids=["strided", "float32"])
+    def test_vector_must_be_contiguous_float64(self, make):
+        state = fresh_state()
+        with pytest.raises(SchemaError):
+            ModelState(make(state.vector.size), state.normalizer, SCHEMA)
+
+    def test_copy_is_independent(self):
+        state = fresh_state()
+        twin = state.copy()
+        twin.vector[:] = 0.0
+        assert state.vector.any()
+        assert twin.z.w1.sum() == 0.0
+
+    def test_f_joins_with_fresh_moments_while_z_keeps_count(self):
+        """When f goes live after five z-only steps, its update is the first
+        step of a fresh Adam and z's is the sixth of its own count."""
+        state = fresh_state()
+        twin = state.vector.copy()
+        seg = state.segments
+        optim = Adam(1e-2, seg, state.param_name, weight_decay=1e-3)
+        z_only = Adam(1e-2, {"z": seg["z"]}, state.param_name, weight_decay=1e-3)
+        fresh_f = Adam(1e-2, {"f": seg["f"]}, state.param_name, weight_decay=1e-3)
+        recs = [record(2, 300.0), record(8, 120.5)]
+        for epoch in range(6):
+            *_, grad = joint_loss_grads(state, recs)
+            optim.step(state.vector, grad, ("z",) if epoch < 5 else ("f", "z"))
+            z_only.step(twin, grad, ("z",))
+        fresh_f.step(twin, grad, ("f",))
+        np.testing.assert_array_equal(state.vector, twin)
+        assert optim.steps == {"f": 1, "g": 0, "h": 0, "z": 6}
+
+    def test_nan_gradient_names_the_model_parameter(self):
+        state = fresh_state()
+        optim = Adam(1e-2, state.segments, name_of=state.param_name)
+        grad = np.zeros_like(state.vector)
+        grad[state.segments["z"].stop - 1] = np.nan  # z.b2
+        with pytest.raises(TrainingError, match="'z.b2'"):
+            optim.step(state.vector, grad, COMPONENTS)

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from jobcast.errors import TrainingError
-from jobcast.nn import (SELU_ALPHA, SELU_LAMBDA, Adam, TwoLayerBlock,
+from jobcast.nn import (SELU_ALPHA, SELU_LAMBDA, Adam, TwoLayerBlock, _split,
                         alpha_dropout, he_init, huber_grad, huber_loss,
                         mse_loss, selu)
+
+
+def new_block(in_dim, hidden_dim, out_dim, rng, bias=True, **kwargs):
+    """He-initialized block over a fresh flat buffer."""
+    flat = np.zeros(TwoLayerBlock.size(in_dim, hidden_dim, out_dim, bias))
+    block = TwoLayerBlock.over(flat, in_dim, hidden_dim, out_dim, bias, **kwargs)
+    block.init(rng)
+    return block, flat
 
 
 class TestActivations:
@@ -139,7 +147,7 @@ class TestTwoLayerBlock:
         """He-initialized block output equals an explicit scalar-loop
         evaluation of the two-layer formula over the same weights."""
         rng = np.random.default_rng(11)
-        block = TwoLayerBlock.new(4, 6, 3, rng, bias=True)
+        block, _ = new_block(4, 6, 3, rng, bias=True)
         x = rng.normal(size=4)
         out, _ = block.forward(x)
 
@@ -163,14 +171,14 @@ class TestTwoLayerBlock:
 
     def test_infer_mode_deterministic(self):
         rng = np.random.default_rng(3)
-        block = TwoLayerBlock.new(5, 8, 2, rng, dropout_rate=0.3)
+        block, _ = new_block(5, 8, 2, rng, dropout_rate=0.3)
         x = rng.normal(size=(4, 5))
         a, _ = block.forward(x)
         b, _ = block.forward(x)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
-        block = TwoLayerBlock.new(3, 4, 2, np.random.default_rng(0))
+        block, _ = new_block(3, 4, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             block.forward(np.zeros(5))
 
@@ -185,7 +193,7 @@ class TestTwoLayerBlock:
         """Analytic gradients match central finite differences for each
         block configuration used by the model (dropout disabled)."""
         rng = np.random.default_rng(sum(dim))
-        block = TwoLayerBlock.new(*dim, rng, phi=phi, sigma=sigma, bias=bias)
+        block, flat = new_block(*dim, rng, bias=bias, phi=phi, sigma=sigma)
         x = rng.normal(size=(5, dim[0]))
         target = rng.normal(size=(5, dim[2]))
 
@@ -195,21 +203,26 @@ class TestTwoLayerBlock:
 
         out, cache = block.forward(x)
         dout = 2.0 * (out - target) / out.size
-        dx, grads = block.backward(cache, dout)
+        grad = np.full_like(flat, np.nan)
+        dx = block.backward(cache, dout, grad)
+        assert np.all(np.isfinite(grad))  # every weight gets a gradient
 
         h = 1e-5
         check_rng = np.random.default_rng(0)
-        for name, arr in block.params().items():
-            flat = arr.ravel()
-            gflat = grads[name].ravel()
-            idxs = check_rng.choice(flat.size, size=min(10, flat.size), replace=False)
+        views = zip(("w1", "b1", "w2", "b2"), _split(flat, *dim, bias),
+                    _split(grad, *dim, bias))
+        for name, arr, garr in views:
+            if arr is None:
+                continue
+            warr, gflat = arr.reshape(-1), garr.reshape(-1)  # views, not copies
+            idxs = check_rng.choice(warr.size, size=min(10, warr.size), replace=False)
             for i in idxs:
-                orig = flat[i]
-                flat[i] = orig + h
+                orig = warr[i]
+                warr[i] = orig + h
                 lp = loss()
-                flat[i] = orig - h
+                warr[i] = orig - h
                 lm = loss()
-                flat[i] = orig
+                warr[i] = orig
                 num = (lp - lm) / (2 * h)
                 rel = abs(gflat[i] - num) / max(1.0, abs(gflat[i]), abs(num))
                 assert rel < 1e-4, f"{name}[{i}]: analytic {gflat[i]} vs fd {num}"
@@ -226,53 +239,103 @@ class TestTwoLayerBlock:
             rel = abs(dx.ravel()[i] - num) / max(1.0, abs(dx.ravel()[i]), abs(num))
             assert rel < 1e-4
 
+    def test_weights_are_views_of_the_flat_buffer(self):
+        """Layout is w1, b1, w2, b2; writing the buffer moves the block."""
+        flat = np.arange(TwoLayerBlock.size(2, 3, 1), dtype=np.float64)
+        block = TwoLayerBlock.over(flat, 2, 3, 1)
+        np.testing.assert_array_equal(block.w1.ravel(), flat[:6])
+        np.testing.assert_array_equal(block.b1, flat[6:9])
+        np.testing.assert_array_equal(block.w2.ravel(), flat[9:12])
+        np.testing.assert_array_equal(block.b2, flat[12:])
+        flat[12] = -7.0
+        assert block.b2[0] == -7.0
+
+    def test_init_draws_w1_then_w2(self):
+        """He draws come from the rng in the order w1, w2; biases are zero."""
+        block, _ = new_block(4, 6, 3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(block.w1, he_init((6, 4), 4, rng))
+        np.testing.assert_array_equal(block.w2, he_init((3, 6), 6, rng))
+        assert not block.b1.any() and not block.b2.any()
+
 
 class TestAdam:
     def test_zero_gradient_zero_decay_leaves_params(self):
         rng = np.random.default_rng(0)
-        p = rng.normal(size=(3, 3))
+        p = rng.normal(size=9)
         before = p.copy()
-        optim = Adam(lr=1e-2, weight_decay=0.0)
+        optim = Adam(lr=1e-2, segments={"p": slice(0, 9)}, name_of=str,
+                     weight_decay=0.0)
         for _ in range(10):
-            optim.step({"p": p}, {"p": np.zeros_like(p)})
+            optim.step(p, np.zeros_like(p), ("p",))
         np.testing.assert_array_equal(p, before)
 
     def test_frozen_params_untouched(self):
-        """Parameters never passed to the optimizer stay bitwise equal."""
+        """Segments that are never live stay bitwise equal."""
         rng = np.random.default_rng(1)
-        frozen = rng.normal(size=(4, 4))
-        live = rng.normal(size=(4, 4))
-        snapshot = frozen.copy()
-        optim = Adam(lr=1e-2)
+        p = rng.normal(size=32)
+        snapshot = p.copy()
+        optim = Adam(lr=1e-2, segments={"frozen": slice(0, 16),
+                                        "live": slice(16, 32)}, name_of=str)
         for _ in range(100):
-            optim.step({"live": live}, {"live": rng.normal(size=(4, 4))})
-        np.testing.assert_array_equal(frozen, snapshot)
+            optim.step(p, rng.normal(size=32), ("live",))
+        np.testing.assert_array_equal(p[:16], snapshot[:16])
+        assert not np.array_equal(p[16:], snapshot[16:])
+        assert optim.steps == {"frozen": 0, "live": 100}
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        optim = Adam(lr=1e-2)
-        bad = np.array([[np.nan]])
-        with pytest.raises(TrainingError, match="w1"):
-            optim.step({"w1": np.ones((1, 1))}, {"w1": bad})
+        """The error names the offending parameter, and nothing moves."""
+        p = np.ones(4)
+        optim = Adam(lr=1e-2, segments={"b1": slice(0, 2), "w1": slice(2, 4)},
+                     name_of=lambda i: f"p[{i}]")
+        bad = np.array([0.5, 0.5, 0.5, np.nan])
+        with pytest.raises(TrainingError, match=r"'p\[3\]'"):
+            optim.step(p, bad, ("b1", "w1"))
+        np.testing.assert_array_equal(p, np.ones(4))
+        assert optim.steps == {"b1": 0, "w1": 0}
+        # a NaN in a frozen segment is never read
+        optim.step(p, bad, ("b1",))
 
     def test_decoupled_weight_decay_shrinks_weights(self):
         p = np.array([10.0])
-        optim = Adam(lr=0.1, weight_decay=0.5)
-        optim.step({"p": p}, {"p": np.zeros(1)})
+        optim = Adam(lr=0.1, segments={"p": slice(0, 1)}, name_of=str,
+                     weight_decay=0.5)
+        optim.step(p, np.zeros(1), ("p",))
         # pure decay step: p - lr*wd*p = 10 - 0.1*0.5*10
         assert p[0] == pytest.approx(9.5)
+
+    def test_late_segment_starts_fresh_while_others_keep_count(self):
+        """A segment that joins late takes the first step of a fresh Adam,
+        while a segment live all along continues its own count."""
+        rng = np.random.default_rng(3)
+        p = rng.normal(size=5)
+        twin = p.copy()
+        optim = Adam(1e-2, {"a": slice(0, 3), "b": slice(3, 5)}, str,
+                     weight_decay=1e-3)
+        b_only = Adam(1e-2, {"b": slice(3, 5)}, str, weight_decay=1e-3)
+        for _ in range(7):
+            g = rng.normal(size=5)
+            optim.step(p, g, ("b",))
+            b_only.step(twin, g, ("b",))
+        g = rng.normal(size=5)
+        optim.step(p, g, ("a", "b"))
+        b_only.step(twin, g, ("b",))
+        Adam(1e-2, {"a": slice(0, 3)}, str, weight_decay=1e-3).step(twin, g, ("a",))
+        np.testing.assert_array_equal(p, twin)
+        assert optim.steps == {"a": 1, "b": 8}
 
     def test_single_block_capacity(self):
         """A lone block fitted on 10 random pairs reaches MSE < 1e-3
         within 5000 Adam steps."""
         rng = np.random.default_rng(2024)
-        block = TwoLayerBlock.new(3, 16, 2, rng, bias=True)
+        block, flat = new_block(3, 16, 2, rng)
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=(10, 2))
-        optim = Adam(lr=1e-2)
+        optim = Adam(lr=1e-2, segments={"block": slice(0, flat.size)}, name_of=str)
+        grad = np.zeros_like(flat)
         for _ in range(5000):
             out, cache = block.forward(x)
-            dout = 2.0 * (out - y) / out.size
-            _, grads = block.backward(cache, dout)
-            optim.step(block.params(), grads)
+            block.backward(cache, 2.0 * (out - y) / out.size, grad)
+            optim.step(flat, grad, ("block",))
         out, _ = block.forward(x)
         assert mse_loss(out, y) < 1e-3

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -45,6 +46,22 @@ def rewrite_with_valid_checksum(blob: bytes) -> bytes:
     return payload + hashlib.sha256(payload).digest()
 
 
+def save_with_header(tmp_path, mutate):
+    """Save a model, apply ``mutate`` to its JSON header, and re-sign it."""
+    path = tmp_path / "model.jcm"
+    save(build_state(), path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, len(_MAGIC) + 4)[0]
+    start = len(_MAGIC) + 8
+    header = json.loads(blob[start : start + header_len])
+    mutate(header)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    patched = (blob[: len(_MAGIC) + 4] + struct.pack("<I", len(new_header))
+               + new_header + blob[start + header_len :])
+    path.write_bytes(rewrite_with_valid_checksum(patched))
+    return path
+
+
 class TestRoundTrip:
     def test_predictions_bitwise_identical(self, tmp_path):
         state = build_state()
@@ -61,8 +78,9 @@ class TestRoundTrip:
         path = tmp_path / "model.jcm"
         save(state, path)
         loaded = load(path)
-        for name, arr in state.parameters().items():
-            np.testing.assert_array_equal(arr, loaded.parameters()[name])
+        np.testing.assert_array_equal(loaded.vector, state.vector)
+        for c in ("f", "g", "h", "z"):
+            np.testing.assert_array_equal(getattr(loaded, c).w2, getattr(state, c).w2)
         assert loaded.normalizer == state.normalizer
         assert loaded.schema == state.schema
 
@@ -124,19 +142,47 @@ class TestRejection:
     def test_schema_inconsistent_width(self, tmp_path):
         """Dropping an essential property from the header must fail the
         width law (the stored z block no longer fits)."""
+        def drop_essential(header):
+            header["schema"]["essential"] = header["schema"]["essential"][:-1]
+
+        path = save_with_header(tmp_path, drop_essential)
+        with pytest.raises(SchemaError):
+            load(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["dims"].pop("vector_size"),
+        lambda h: h.pop("dims"),
+        lambda h: h["dims"].update(f_hidden=15),
+        lambda h: h["dims"].update(code_dim="4"),
+        lambda h: h["activations"].update(z=["relu", "selu"]),
+        lambda h: h["activations"].update(g=["selu"]),
+        lambda h: h["activations"].pop("h"),
+        lambda h: h["dropout"].update(g=1.0),
+        lambda h: h["dropout"].update(h="0.1"),
+        lambda h: h["dropout"].pop("f"),
+        lambda h: h["normalizer"].update(lo=h["normalizer"]["lo"][:2]),
+        lambda h: h["normalizer"].update(hi=[1.0, float("inf"), 2.0]),
+        lambda h: h["normalizer"].update(lo=[0.0, None, 1.0]),
+        lambda h: h["normalizer"].pop("hi"),
+    ], ids=["no-vector-size", "no-dims", "hidden-width", "dim-type",
+            "unknown-activation", "one-activation", "no-activation",
+            "dropout-range", "dropout-type", "no-dropout",
+            "two-bounds", "infinite-bound", "null-bound", "no-upper-bounds"])
+    def test_invalid_header_is_model_file_error(self, tmp_path, mutate):
+        """A re-signed file whose header holds a missing or bad value is
+        refused at load, never later at predict."""
+        path = save_with_header(tmp_path, mutate)
+        with pytest.raises(ModelFileError):
+            load(path)
+
+    def test_header_that_is_not_json(self, tmp_path):
         state = build_state()
         path = tmp_path / "model.jcm"
         save(state, path)
-        blob = path.read_bytes()
-        header_len = struct.unpack_from("<I", blob, len(_MAGIC) + 4)[0]
-        start = len(_MAGIC) + 8
-        header = json.loads(blob[start : start + header_len])
-        header["schema"]["essential"] = header["schema"]["essential"][:-1]
-        new_header = json.dumps(header, sort_keys=True).encode()
-        patched = (blob[: len(_MAGIC) + 4] + struct.pack("<I", len(new_header))
-                   + new_header + blob[start + header_len : -32])
-        path.write_bytes(rewrite_with_valid_checksum(patched))
-        with pytest.raises(SchemaError):
+        blob = bytearray(path.read_bytes())
+        blob[len(_MAGIC) + 8] = 0xFF  # not UTF-8
+        path.write_bytes(rewrite_with_valid_checksum(bytes(blob)))
+        with pytest.raises(ModelFileError):
             load(path)
 
 
@@ -157,3 +203,17 @@ class TestSerializeBytes:
     def test_serialized_stream_is_stable(self):
         state = build_state()
         assert serialize(state) == serialize(state)
+
+    def test_block_settings_are_what_is_saved_copied_and_pickled(self, tmp_path):
+        """Dropout and activations live only on the blocks; a change there
+        moves the fingerprint and survives save/load, copy and pickle."""
+        state = build_state()
+        before = state.fingerprint()
+        state.g.dropout_rate = 0.25
+        state.z.phi = "tanh"
+        assert state.fingerprint() != before
+        path = tmp_path / "model.jcm"
+        save(state, path)
+        for twin in (load(path), state.copy(), pickle.loads(pickle.dumps(state))):
+            assert (twin.g.dropout_rate, twin.z.phi) == (0.25, "tanh")
+            assert twin.fingerprint() == state.fingerprint()

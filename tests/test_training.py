@@ -7,6 +7,7 @@ from jobcast.dataio import ContextKey, RunRecord
 from jobcast.encoding import PropertyValue
 from jobcast.errors import DataError
 from jobcast.model import ModelState, joint_loss, predict
+from jobcast.nn import Adam
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, context_records, make_contexts
 from jobcast.training import (CyclicalSchedule, FitConfig, SearchSpace,
                               finetune, lr_at, pretrain, unfreeze_epoch)
@@ -140,6 +141,38 @@ class TestFinetune:
             np.testing.assert_array_equal(tuned.g.w2, state.g.w2)
             np.testing.assert_array_equal(tuned.h.w1, state.h.w1)
             np.testing.assert_array_equal(tuned.h.w2, state.h.w2)
+
+    @pytest.mark.parametrize("reuse", ["partial-unfreeze", "full-reset"])
+    def test_optimizer_steps_only_live_segments(self, small_pretrained,
+                                                target_context, monkeypatch,
+                                                reuse):
+        """Over a whole fine-tune the optimizer never takes a step on g or
+        h, z is live from the first epoch, f from its unfreeze epoch on, and
+        the frozen g/h slices come back bitwise equal: no weight decay."""
+        state, _, _ = small_pretrained
+        first = target_context[1][0]
+        # contradictory runtimes at one scale-out keep the MAE above target
+        samples = [first, RunRecord(first.scale_out, 3 * first.runtime_seconds,
+                                    first.properties, first.context)]
+        calls = []
+        step = Adam.step
+
+        def spy(optim, params, grads, live):
+            calls.append((tuple(live), dict(optim.steps)))
+            step(optim, params, grads, live)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        tuned, report = finetune(state, samples, reuse=reuse, seed=3,
+                                 config=_fast_config(260))
+        join = 0 if reuse == "full-reset" else unfreeze_epoch(2)
+        assert len(calls) == report.epochs_run > join
+        for epoch, (live, steps) in enumerate(calls):
+            assert live == (("f", "z") if epoch >= join else ("z",))
+            assert steps == {"f": max(0, epoch - join), "g": 0, "h": 0,
+                             "z": epoch}
+        for c in ("g", "h"):
+            seg = state.segments[c]
+            np.testing.assert_array_equal(tuned.vector[seg], state.vector[seg])
 
     def test_f_frozen_before_unfreeze_epoch(self, small_pretrained, target_context):
         """With k=2 samples the scale-out block may only move from epoch
