@@ -19,7 +19,7 @@ from .errors import (CapacityError, ConfigError, DataError, JobcastError,
 from .evalharness import (ComparisonConfig, EvalSplit, MetricsTable, ecdf,
                           generate_splits, run_comparison, validate_split)
 from .model import (ModelState, Prediction, PropertySchema, joint_loss, load,
-                    predict, save)
+                    predict, predict_batch, save)
 from .training import (FineTuneReport, FitConfig, SearchSpace, finetune,
                        lr_at, pretrain)
 
@@ -38,7 +38,7 @@ __all__ = [
     "ComparisonConfig", "EvalSplit", "MetricsTable", "ecdf",
     "generate_splits", "run_comparison", "validate_split",
     "ModelState", "Prediction", "PropertySchema", "joint_loss", "load",
-    "predict", "save",
+    "predict", "predict_batch", "save",
     "FineTuneReport", "FitConfig", "SearchSpace", "finetune", "lr_at",
     "pretrain",
 ]

@@ -72,7 +72,7 @@ def _coerce_props(schema, raw: dict) -> dict:
         if kinds.get(name) == "natural":
             try:
                 out[name] = PropertyValue.natural(int(float(value)))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ConfigError(f"property {name!r} needs a natural number, "
                                   f"got {value!r}")
         else:
@@ -159,8 +159,8 @@ def _write_search_log(log, path):
 
 def cmd_finetune(args) -> int:
     state = model.load(args.model)
-    records = load_dataset(args.samples, dataio.canonical_manifest_from_schema(
-        state.schema, algorithm=""))
+    records = load_dataset(args.samples,
+                           dataio.canonical_manifest_from_schema(state.schema))
     tuned, report = training.finetune(state, records, strategy="pretrained",
                                       reuse=args.reuse, seed=args.seed)
     _atomic_write(args.out, lambda tmp: model.save(tuned, tmp))
@@ -192,8 +192,7 @@ def cmd_recommend(args) -> int:
     if lo > hi or step < 1 or lo < 1:
         raise ConfigError(f"invalid candidate range {args.range!r}")
     candidates = list(range(lo, hi + 1, step))
-    curve = [(x, model.predict(state, x, props).runtime_seconds)
-             for x in candidates]
+    curve = list(zip(candidates, model.predict_batch(state, candidates, props)))
     print("scale_out,predicted_runtime_seconds")
     for x, runtime in curve:
         print(f"{x},{runtime:.3f}")

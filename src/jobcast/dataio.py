@@ -23,10 +23,11 @@ Property order in the schema follows first appearance in the manifest.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoding import PropertyValue
+from .encoding import PAYLOAD_BITS, PropertyValue
 from .errors import ConfigError, DataError
 
 RUNTIME_UNITS = {"s": 1.0, "ms": 1e-3, "min": 60.0}
@@ -170,8 +171,9 @@ def _context_of(manifest_props, values: dict) -> ContextKey:
 def load_dataset(csv_path, manifest: DatasetManifest) -> list[RunRecord]:
     """Load one CSV file into records, validating every cell.
 
-    Raises :class:`DataError` naming the row index for unparsable cells and
-    for non-positive runtimes.
+    Raises :class:`DataError` naming the row index for unparsable or
+    missing cells, non-finite or non-positive runtimes, and natural numbers
+    outside the binary encoder's range.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -198,16 +200,16 @@ def _parse_row(csv_path, manifest, i, row) -> RunRecord:
 
     try:
         scale_out = int(float(row[manifest.scale_out_column]))
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         fail(f"bad scale-out cell {row[manifest.scale_out_column]!r}")
     if scale_out < 1:
         fail(f"scale-out must be >= 1, got {scale_out}")
     try:
         runtime = float(row[manifest.runtime_column]) * manifest.runtime_unit
-    except ValueError:
+    except (TypeError, ValueError):
         fail(f"bad runtime cell {row[manifest.runtime_column]!r}")
-    if not runtime > 0:
-        fail(f"runtime must be positive, got {runtime}")
+    if not 0 < runtime < math.inf:
+        fail(f"runtime must be positive and finite, got {runtime}")
 
     values = {}
     for p in manifest.properties:
@@ -219,9 +221,13 @@ def _parse_row(csv_path, manifest, i, row) -> RunRecord:
         cell = cell.strip()
         if p.kind == "natural":
             try:
-                values[p.name] = PropertyValue.natural(int(round(float(cell) * p.unit)))
-            except ValueError:
+                n = int(round(float(cell) * p.unit))
+            except (ValueError, OverflowError):
                 fail(f"bad natural cell {cell!r} for property {p.name!r}")
+            if not 0 <= n < 1 << PAYLOAD_BITS:
+                fail(f"natural cell {cell!r} for property {p.name!r} is outside "
+                     f"[0, 2**{PAYLOAD_BITS} - 1]")
+            values[p.name] = PropertyValue.natural(n)
         else:
             values[p.name] = PropertyValue.text(cell)
     return RunRecord(
@@ -236,8 +242,8 @@ def _parse_row(csv_path, manifest, i, row) -> RunRecord:
 def write_records_csv(records, path) -> None:
     """Write records in the canonical format (units already normalized).
 
-    The output parses back with :func:`canonical_manifest`, and doubles as
-    the fine-tuning samples format for the CLI.
+    The output parses back with :func:`canonical_manifest_from_schema`, and
+    doubles as the fine-tuning samples format for the CLI.
     """
     records = list(records)
     if not records:
@@ -256,23 +262,6 @@ def write_records_csv(records, path) -> None:
                 value = r.properties.get(n)
                 row.append("" if value is None else value.value)
             writer.writerow(row)
-
-
-def canonical_manifest(records) -> DatasetManifest:
-    """Manifest matching :func:`write_records_csv` output for ``records``."""
-    sample = records[0]
-    props = []
-    essential_names = {name for name, _ in sample.context.items}
-    for name, value in sample.properties.items():
-        role = "essential" if name in essential_names else "optional"
-        props.append(PropertyMapping(name, role, value.kind, name, 1))
-    return DatasetManifest(
-        algorithm=sample.algorithm,
-        scale_out_column="scale_out",
-        runtime_column="runtime_seconds",
-        runtime_unit=1.0,
-        properties=tuple(props),
-    )
 
 
 def canonical_manifest_from_schema(schema, algorithm: str = "") -> DatasetManifest:

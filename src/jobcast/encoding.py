@@ -160,12 +160,9 @@ class Normalizer:
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        span = hi - lo
-        out = np.empty(3)
-        for i in range(3):
-            out[i] = 0.5 if span[i] == 0.0 else (features[i] - lo[i]) / span[i]
-        return out
+        span = np.asarray(self.hi) - lo
+        flat = span == 0.0
+        return np.where(flat, 0.5, (features - lo) / np.where(flat, 1.0, span))
 
     def transform(self, x: int) -> np.ndarray:
         return self.apply(scaleout_features(x))

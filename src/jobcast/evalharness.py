@@ -11,7 +11,6 @@ are recorded as excluded rows rather than dropped.
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -322,12 +321,6 @@ def _pretrain_variant(records, target, variant, schema, config):
         return None
 
 
-def _cell_seed(seed: int, label: str, n_train: int) -> int:
-    return int(np.random.SeedSequence(
-        (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
-    ).generate_state(1)[0])
-
-
 def _cell_task(args):
     (ctx_records, label, n_train, tokens, schema, states,
      reuse, finetune_cfg, max_splits, seed) = args
@@ -340,20 +333,17 @@ def _cell_task(args):
         else:
             methods.append(_model_method(token, schema, states.get(token),
                                          reuse, finetune_cfg))
-    cell_seed = _cell_seed(seed, label, n_train)
+    cell_seed = int(np.random.SeedSequence(
+        (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
+    ).generate_state(1)[0])
     splits = generate_splits(ctx_records, n_train, max_splits, seed=cell_seed)
     return evaluate_splits(ctx_records, splits, methods, seed=cell_seed,
                            context_label=label)
 
 
 def run_comparison(records, schema: PropertySchema,
-                   config: ComparisonConfig | None = None,
-                   extra_methods=None) -> MetricsTable:
-    """Run the full protocol over chosen contexts and sample counts.
-
-    ``extra_methods`` is a list of :class:`Method` objects evaluated next
-    to the built-in tokens (sequential mode only; they may not pickle).
-    """
+                   config: ComparisonConfig | None = None) -> MetricsTable:
+    """Run the full protocol over chosen contexts and sample counts."""
     config = config or ComparisonConfig()
     records = list(records)
     by_context = group_by_context(records)
@@ -365,8 +355,6 @@ def run_comparison(records, schema: PropertySchema,
     unknown = set(config.methods) - set(tokens)
     if unknown:
         raise DataError(f"unknown method tokens: {sorted(unknown)}")
-    if extra_methods and config.workers > 1:
-        raise DataError("extra methods require workers=1")
 
     tasks = []
     for ctx in chosen:
@@ -390,14 +378,6 @@ def run_comparison(records, schema: PropertySchema,
     else:
         for task in tasks:
             table.rows.extend(_cell_task(task))
-        if extra_methods:
-            for (ctx_records, label, n_train, *_rest) in tasks:
-                cell_seed = _cell_seed(config.seed, label, n_train)
-                splits = generate_splits(ctx_records, n_train,
-                                         config.max_splits, seed=cell_seed)
-                table.rows.extend(evaluate_splits(
-                    ctx_records, splits, extra_methods, seed=cell_seed,
-                    context_label=label))
     return table
 
 

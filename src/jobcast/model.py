@@ -6,6 +6,12 @@ reconstructs them, and ``z`` maps the concatenation of the scale-out
 embedding, the essential codes (in schema order), and the mean of the
 optional codes onto a runtime in seconds. Training minimizes Huber runtime
 error plus the autoencoder's reconstruction MSE.
+
+One batched path serves training and inference: :func:`encode_batch`
+encodes records once, with property vectors deduplicated, and
+:func:`forward_batch` runs the blocks over the whole batch.
+:func:`predict_batch` scores one property set at many scale-outs in one
+such pass, without the decoder ``h``; :func:`predict` is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -175,8 +182,6 @@ class Prediction:
     """Model output for one input configuration."""
 
     runtime_seconds: float
-    codes: list = field(default_factory=list)
-    reconstructions: list = field(default_factory=list)
     negative_output: bool = False
 
 
@@ -197,10 +202,6 @@ class EncodedBatch:
     usage: np.ndarray  # (B, U) occurrence counts
     runtimes: np.ndarray | None  # (B,)
 
-    @property
-    def size(self) -> int:
-        return self.sfeat.shape[0]
-
 
 def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
                  with_runtimes=True) -> EncodedBatch:
@@ -211,7 +212,8 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
     rows: dict[PropertyValue, int] = {}
     vecs: list[np.ndarray] = []
     ess_rows = np.empty((b, m), dtype=np.intp)
-    opt_hits: list[list[int]] = []
+    opt_records: list[int] = []  # one entry per optional property present
+    opt_rows: list[int] = []
 
     def row_of(value: PropertyValue) -> int:
         if value not in rows:
@@ -224,23 +226,22 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
         sfeat[i] = normalizer.transform(r.scale_out)
         for j, (name, _) in enumerate(schema.essential):
             ess_rows[i, j] = row_of(r.properties[name])
-        opt_hits.append([
-            row_of(r.properties[name])
-            for name, _ in schema.optional
-            if name in r.properties
-        ])
+        hits = [row_of(r.properties[name])
+                for name, _ in schema.optional if name in r.properties]
+        opt_records += [i] * len(hits)
+        opt_rows += hits
 
     pvecs = np.stack(vecs) if vecs else np.zeros((0, encoding.VECTOR_SIZE))
     u = pvecs.shape[0]
+    # add.at accumulates repeated cells one addend at a time, in hit order,
+    # so a vector shared by several optional properties sums as a loop would.
+    opt_cells = (np.array(opt_records, dtype=np.intp), np.array(opt_rows, dtype=np.intp))
+    opt_counts = np.bincount(opt_cells[0], minlength=b)
     opt_weights = np.zeros((b, u))
+    np.add.at(opt_weights, opt_cells, 1.0 / opt_counts[opt_cells[0]])
     usage = np.zeros((b, u))
-    for i in range(b):
-        for j in range(m):
-            usage[i, ess_rows[i, j]] += 1
-        hits = opt_hits[i]
-        for row in hits:
-            opt_weights[i, row] += 1.0 / len(hits)
-            usage[i, row] += 1
+    np.add.at(usage, (np.arange(b).repeat(m), ess_rows.ravel()), 1.0)
+    np.add.at(usage, opt_cells, 1.0)
     runtimes = None
     if with_runtimes:
         runtimes = np.array([r.runtime_seconds for r in records], dtype=np.float64)
@@ -329,13 +330,10 @@ def joint_loss(state: ModelState, records, huber_delta: float = 1.0,
     if not records:
         raise ValueError("joint_loss needs a nonempty batch")
     batch = encode_batch(state.schema, state.normalizer, records)
-    y, detail = forward_batch(state, batch, train=train, rng=rng)
-    runtime_term = huber_loss(y, batch.runtimes, huber_delta)
-    recon_term = _recon_loss(batch, detail)[0]
-    total = runtime_term + recon_weight * recon_term
-    if not np.isfinite(total):
+    terms = _joint_terms(state, batch, huber_delta, recon_weight, train, rng)
+    if not np.isfinite(terms[0]):
         raise NumericsError("joint loss is non-finite")
-    return total, runtime_term, recon_term
+    return terms
 
 
 def _recon_loss(batch: EncodedBatch, detail):
@@ -349,54 +347,48 @@ def _recon_loss(batch: EncodedBatch, detail):
     return loss, dgrad
 
 
+def _joint_terms(state: ModelState, batch: EncodedBatch, huber_delta, recon_weight,
+                 train=False, rng=None, grad=None):
+    """``(total, runtime, reconstruction)`` loss terms over an encoded batch.
+
+    Given a flat ``grad`` buffer, also backpropagates the total into it.
+    """
+    y, detail = forward_batch(state, batch, train=train, rng=rng)
+    runtime_term = huber_loss(y, batch.runtimes, huber_delta)
+    recon_term, drecons = _recon_loss(batch, detail)
+    if grad is not None:
+        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes, huber_delta),
+                       grad, recon_weight * drecons)
+    return runtime_term + recon_weight * recon_term, runtime_term, recon_term
+
+
 def joint_loss_grads(state: ModelState, records, huber_delta: float = 1.0,
                      recon_weight: float = 1.0, train=False, rng=None):
     """Loss terms plus the flat gradient; the training-loop building block."""
     batch = encode_batch(state.schema, state.normalizer, list(records))
-    y, detail = forward_batch(state, batch, train=train, rng=rng)
-    runtime_term = huber_loss(y, batch.runtimes, huber_delta)
-    recon_term, drecons = _recon_loss(batch, detail)
-    dy = huber_grad(y, batch.runtimes, huber_delta)
-    grad = backward_batch(state, batch, detail, dy, np.zeros_like(state.vector),
-                          recon_weight * drecons)
-    total = runtime_term + recon_weight * recon_term
-    return total, runtime_term, recon_term, grad
+    grad = np.zeros_like(state.vector)
+    return (*_joint_terms(state, batch, huber_delta, recon_weight, train, rng, grad),
+            grad)
 
 
-def forward(state: ModelState, scale_out: int, props: dict, train=False,
-            rng=None) -> Prediction:
-    """Predict the runtime for one configuration.
+def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
+    """Predicted runtimes in seconds, one per scale-out, for one property set.
 
     ``props`` maps property names to :class:`PropertyValue`; every
-    essential property must be present, optional ones may be missing.
+    essential property must be present, optional ones may be missing. The
+    whole batch is encoded once and forwarded once, in inference mode and
+    without the decoder ``h``.
     """
-    state.schema.check_properties(props)
-    sfeat = state.normalizer.transform(scale_out)
-    e, _ = state.f.forward(sfeat, train=train, rng=rng)
-    codes = []
-    recons = []
-    by_name = {}
-    for name, _kind in state.schema.essential + state.schema.optional:
-        if name not in props:
-            continue
-        pvec = encode_property(props[name])
-        code, _ = state.g.forward(pvec, train=train, rng=rng)
-        rec, _ = state.h.forward(code, train=train, rng=rng)
-        codes.append(code)
-        recons.append(rec)
-        by_name[name] = code
-    ess = [by_name[name] for name, _ in state.schema.essential]
-    opt = [by_name[name] for name, _ in state.schema.optional if name in by_name]
-    pooled = np.mean(opt, axis=0) if opt else np.zeros(CODE_DIM)
-    r = np.concatenate([e] + ess + [pooled])
-    y, _ = state.z.forward(r, train=train, rng=rng)
-    runtime = float(y[0])
-    return Prediction(runtime, codes, recons, negative_output=runtime < 0)
+    state.schema.check_properties(props)  # errors name the input, not "record 0"
+    queries = [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs]
+    batch = encode_batch(state.schema, state.normalizer, queries, with_runtimes=False)
+    return forward_batch(state, batch, need_recon=False)[0]
 
 
 def predict(state: ModelState, scale_out: int, props: dict) -> Prediction:
-    """Inference-mode forward pass; deterministic and side-effect free."""
-    return forward(state, scale_out, props, train=False)
+    """Predict the runtime for one configuration: a batch of one."""
+    runtime = float(predict_batch(state, [scale_out], props)[0])
+    return Prediction(runtime, negative_output=runtime < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from .encoding import Normalizer
 from .errors import DataError, NumericsError, SchemaError, TrainingError
-from .model import COMPONENTS, ModelState, PropertySchema, encode_batch, \
-    forward_batch, backward_batch, _recon_loss
-from .nn import Adam, huber_grad, huber_loss
+from .model import COMPONENTS, EncodedBatch, ModelState, PropertySchema, \
+    encode_batch, forward_batch, backward_batch, _joint_terms
+from .nn import Adam, huber_grad
 
 MAX_EPOCHS = 2500
 MAE_TARGET_SECONDS = 5.0
@@ -128,20 +128,14 @@ def _train_epoch(state, batch, optim, rng, config, order, grad):
     total = 0.0
     for start in range(0, len(order), config.batch_size):
         idx = order[start : start + config.batch_size]
-        sub = _slice_batch(batch, idx)
-        y, detail = forward_batch(state, sub, train=True, rng=rng)
-        runtime_term = huber_loss(y, sub.runtimes, config.huber_delta)
-        recon_term, drecons = _recon_loss(sub, detail)
-        dy = huber_grad(y, sub.runtimes, config.huber_delta)
-        backward_batch(state, sub, detail, dy, grad, config.recon_weight * drecons)
+        loss, _, _ = _joint_terms(state, _slice_batch(batch, idx), config.huber_delta,
+                                  config.recon_weight, train=True, rng=rng, grad=grad)
         optim.step(state.vector, grad, COMPONENTS)
-        total += (runtime_term + config.recon_weight * recon_term) * len(idx)
+        total += loss * len(idx)
     return total / len(order)
 
 
 def _slice_batch(batch, idx):
-    from .model import EncodedBatch
-
     return EncodedBatch(
         sfeat=batch.sfeat[idx],
         pvecs=batch.pvecs,

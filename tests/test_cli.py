@@ -103,6 +103,14 @@ class TestPredict:
                          "--props", "node_type=m5.xlarge"])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "lots"])
+    def test_bad_natural_prop_is_config_error(self, trained_model, capsys, value):
+        props = [p for p in PROPS if not p.startswith("dataset_size=")]
+        code = cli.main(["predict", "--model", str(trained_model),
+                         "--scale-out", "6", "--props", f"dataset_size={value}", *props])
+        assert code == cli.EXIT_CONFIG
+        assert "dataset_size" in capsys.readouterr().err
+
     def test_props_file(self, trained_model, tmp_path, capsys):
         pf = tmp_path / "ctx.props"
         pf.write_text("\n".join(p for p in PROPS) + "\n")
@@ -142,6 +150,26 @@ class TestRecommend:
         out = capsys.readouterr().out
         expect = min(x for x, r in curve if r <= target)
         assert int(_grab(out, "recommended_scale_out: ")) == expect
+
+    def test_curve_is_one_batched_prediction(self, trained_model, capsys):
+        """The printed curve is predict_batch over the range at 3 decimals,
+        and the recommendation is the one per-candidate predict gives."""
+        state = model.load(trained_model)
+        props = cli._coerce_props(state.schema, cli._parse_pairs(PROPS))
+        xs = list(range(2, 13, 2))
+        singles = [model.predict(state, x, props).runtime_seconds for x in xs]
+        # halfway between two curve points, so rounding cannot move the answer
+        low, high = sorted(singles)[len(xs) // 2 - 1: len(xs) // 2 + 1]
+        target = (low + high) / 2
+        code = cli.main(["recommend", "--model", str(trained_model),
+                         "--target", repr(target), "--range", "2:12:2",
+                         "--props", *PROPS])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert _parse_curve(out) == [
+            (x, float(f"{r:.3f}")) for x, r in zip(xs, model.predict_batch(state, xs, props))]
+        assert int(_grab(out, "recommended_scale_out: ")) == \
+            min(x for x, r in zip(xs, singles) if r <= target)
 
     def test_unachievable_target_still_emits_curve(self, trained_model, capsys):
         code = cli.main(["recommend", "--model", str(trained_model),

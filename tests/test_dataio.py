@@ -4,12 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from jobcast.dataio import (ContextKey, RunRecord, canonical_manifest,
+from jobcast.dataio import (ContextKey, RunRecord,
+                            canonical_manifest_from_schema,
                             filter_for_variant, group_by_context,
                             load_dataset, parse_manifest, summarize,
                             write_records_csv)
 from jobcast.encoding import PropertyValue
 from jobcast.errors import ConfigError, DataError
+from jobcast.model import PropertySchema
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +110,24 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="positive"):
             load_dataset(bad, manifest)
 
+    @pytest.mark.parametrize("row, match", [
+        ("2,inf,8000,u,p,t,1,1,sort", "runtime must be positive and finite"),
+        ("inf,10.5,8000,u,p,t,1,1,sort", "bad scale-out cell 'inf'"),
+        ("2,10.5,inf,u,p,t,1,1,sort", "bad natural cell 'inf'"),
+        ("2,10.5,8000,u,p,t,1e15,1,sort", "natural cell '1e15' .* outside"),
+        ("2,10.5,8000,u,p,t,-1,1,sort", "natural cell '-1' .* outside"),
+        ("2", "bad runtime cell None"),
+    ], ids=["runtime-inf", "scale-out-inf", "natural-inf", "natural-over-capacity",
+            "natural-negative", "short-row"])
+    def test_bad_cell_rejected_naming_row(self, tmp_path, manifest, row, match):
+        header = ("machine_count,gross_runtime_s,data_size_mb,"
+                  "data_characteristics,job_args,instance_type,memory_mb,"
+                  "cpu_cores,job\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "2,10.5,8000,u,p,t,1,1,sort\n" + row + "\n")
+        with pytest.raises(DataError, match=f"row 1: {match}"):
+            load_dataset(bad, manifest)
+
     def test_empty_optional_cells_mean_absent(self, tmp_path, manifest):
         header = ("machine_count,gross_runtime_s,data_size_mb,"
                   "data_characteristics,job_args,instance_type,memory_mb,"
@@ -118,10 +138,12 @@ class TestLoadDataset:
         assert "memory_mb" not in rec.properties
         assert rec.properties["cpu_cores"].value == 4
 
-    def test_round_trip_preserves_record_multiset(self, tmp_path, records):
+    def test_round_trip_preserves_record_multiset(self, tmp_path, manifest, records):
         path = tmp_path / "canonical.csv"
         write_records_csv(records, path)
-        back = load_dataset(path, canonical_manifest(records))
+        schema = PropertySchema(tuple((p.name, p.kind) for p in manifest.essential),
+                                tuple((p.name, p.kind) for p in manifest.optional))
+        back = load_dataset(path, canonical_manifest_from_schema(schema, algorithm="sort"))
         assert sorted(back, key=lambda r: (str(r.context), r.scale_out,
                                            r.runtime_seconds)) == \
             sorted(records, key=lambda r: (str(r.context), r.scale_out,

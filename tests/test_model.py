@@ -13,7 +13,7 @@ from jobcast.errors import SchemaError
 from jobcast.errors import TrainingError
 from jobcast.model import (CODE_DIM, COMPONENTS, F_DIM, Z_HIDDEN, _WEIGHT_ORDER,
                            ModelState, PropertySchema, joint_loss,
-                           joint_loss_grads, predict)
+                           joint_loss_grads, predict, predict_batch)
 from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, Adam, he_init
 
 SCHEMA = PropertySchema(
@@ -103,9 +103,12 @@ class TestForward:
 
     def test_matches_scalar_loop_oracle(self):
         state = fresh_state()
-        for x in (2, 3, 5, 8):
-            got = predict(state, x, PROPS).runtime_seconds
-            assert got == pytest.approx(scalar_forward(state, x, PROPS), rel=1e-10)
+        xs = (2, 3, 5, 8)
+        batched = predict_batch(state, xs, PROPS)
+        for x, in_batch in zip(xs, batched, strict=True):
+            want = scalar_forward(state, x, PROPS)
+            assert predict(state, x, PROPS).runtime_seconds == pytest.approx(want, rel=1e-10)
+            assert in_batch == pytest.approx(want, rel=1e-10)
 
     def test_golden_scalar(self):
         """Frozen value guards against drift in any encoding/forward step."""
@@ -165,12 +168,14 @@ class TestForward:
         runs = {predict(state, 7, PROPS).runtime_seconds for _ in range(5)}
         assert len(runs) == 1
 
-    def test_codes_and_reconstructions_per_property(self):
+    def test_inference_skips_the_decoder(self):
+        """Predictions never run h: a decoder full of NaNs changes nothing."""
         state = fresh_state()
-        p = predict(state, 4, PROPS)
-        assert len(p.codes) == 4 and len(p.reconstructions) == 4
-        assert all(c.shape == (CODE_DIM,) for c in p.codes)
-        assert all(r.shape == (40,) for r in p.reconstructions)
+        before = predict_batch(state, (2, 5), PROPS)
+        single = predict(state, 5, PROPS).runtime_seconds
+        state.vector[state.segments["h"]] = np.nan
+        np.testing.assert_array_equal(predict_batch(state, (2, 5), PROPS), before)
+        assert predict(state, 5, PROPS).runtime_seconds == single
 
     def test_codes_separate_node_types(self):
         """Realistic node-type strings map to pairwise distinct codes."""
