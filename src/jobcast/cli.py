@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dataio, evalharness, model, training
 from .dataio import load_dataset, parse_manifest
-from .encoding import PropertyValue
+from .encoding import PAYLOAD_BITS, PropertyValue
 from .errors import ConfigError, DataError, SchemaError, TrainingError
 
 EXIT_CONFIG = 2
@@ -65,16 +65,22 @@ def _parse_pairs(pairs, props_file=None) -> dict:
 
 
 def _coerce_props(schema, raw: dict) -> dict:
-    """Interpret raw strings according to the schema's property kinds."""
+    """Interpret raw strings according to the schema's property kinds.
+
+    A natural must lie in the binary encoder's range, [0, 2**PAYLOAD_BITS - 1].
+    """
     kinds = dict(schema.essential + schema.optional)
     out = {}
     for name, value in raw.items():
         if kinds.get(name) == "natural":
             try:
-                out[name] = PropertyValue.natural(int(float(value)))
+                n = int(float(value))
             except (ValueError, OverflowError):
-                raise ConfigError(f"property {name!r} needs a natural number, "
-                                  f"got {value!r}")
+                n = None
+            if n is None or not 0 <= n < 1 << PAYLOAD_BITS:
+                raise ConfigError(f"property {name!r} needs a natural number in "
+                                  f"[0, 2**{PAYLOAD_BITS} - 1], got {value!r}")
+            out[name] = PropertyValue.natural(n)
         else:
             out[name] = PropertyValue.text(value)
     return out
@@ -208,9 +214,11 @@ def cmd_evaluate(args) -> int:
     manifest = parse_manifest(args.manifest)
     records = load_dataset(args.data, manifest)
     schema = _schema_from_manifest(manifest)
+    # No context can train on more scale-outs than its grid has minus one.
+    widest = max(len(grid) for grid in dataio.summarize(records).scale_out_grid.values())
     config = evalharness.ComparisonConfig(
         methods=tuple(args.methods.split(",")),
-        n_train_values=tuple(_parse_int_list(args.n_train)),
+        n_train_values=tuple(_parse_int_list(args.n_train, widest - 1)),
         contexts=args.contexts,
         max_splits=args.max_splits,
         seed=args.seed,
@@ -237,19 +245,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, limit: int) -> list[int]:
+    """Comma-separated integers and ``lo-hi`` ranges, each within [0, limit];
+    a range is checked before it is expanded."""
     out = []
-    try:
-        for part in text.split(","):
-            part = part.strip()
+    for part in (p.strip() for p in text.split(",")):
+        if not part:
+            continue
+        try:
             if "-" in part and not part.startswith("-"):
-                lo, hi = part.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                out.append(int(part))
-    except ValueError:
-        raise ConfigError(f"--n-train must list integers or lo-hi ranges, "
-                          f"got {text!r}") from None
+                lo, hi = (int(p) for p in part.split("-", 1))
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise ConfigError(f"--n-train must list integers or lo-hi ranges, "
+                              f"got {text!r}") from None
+        if not 0 <= lo <= hi <= limit:
+            raise ConfigError(f"--n-train value {part!r} must lie in [0, {limit}], "
+                              f"low to high: no scale-out grid here serves more")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ConfigError(f"--n-train lists no values: {text!r}")
     return out

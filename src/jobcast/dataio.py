@@ -67,9 +67,15 @@ def parse_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
     entries: dict[str, str] = {}
     order: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -21,8 +21,8 @@ from . import training
 from .baselines import bell_fit, bell_predict, ernest_fit, ernest_predict
 from .dataio import ContextKey, filter_for_variant, group_by_context
 from .encoding import fnv1a_64
-from .errors import DataError, TrainingError
-from .model import ModelState, PropertySchema, predict as model_predict
+from .errors import ConfigError, DataError, TrainingError
+from .model import ModelState, PropertySchema, predict_batch as model_predict_batch
 from .training import SearchSpace, finetune, pretrain
 
 MODEL_METHOD = "model"
@@ -137,7 +137,8 @@ class Method:
 
     ``fit(train_records, seed)`` returns a :class:`MethodResult` or raises
     :class:`DataError` when the method is inapplicable at this sample
-    count; ``predict(predictor, record)`` returns seconds.
+    count; ``predict(predictor, records)`` returns seconds for each record,
+    in one call per split.
     """
 
     name: str
@@ -226,7 +227,8 @@ def _nnls_method() -> Method:
         flag = "degenerate" if len(pts) < 2 else "ok"
         return MethodResult(ernest_fit(pts), flag=flag)
 
-    return Method("nnls", fit, lambda m, rec: ernest_predict(m, rec.scale_out))
+    return Method("nnls", fit,
+                  lambda m, recs: [ernest_predict(m, r.scale_out) for r in recs])
 
 
 def _bell_method() -> Method:
@@ -234,7 +236,8 @@ def _bell_method() -> Method:
         return MethodResult(bell_fit(
             [(r.scale_out, r.runtime_seconds) for r in train]))
 
-    return Method("bell", fit, lambda m, rec: bell_predict(m, rec.scale_out))
+    return Method("bell", fit,
+                  lambda m, recs: [bell_predict(m, r.scale_out) for r in recs])
 
 
 def _model_method(variant: str, schema: PropertySchema,
@@ -252,8 +255,12 @@ def _model_method(variant: str, schema: PropertySchema,
         return MethodResult(state, epochs=report.epochs_run,
                             wall_time_s=report.wall_time_s)
 
-    def predict(state, rec):
-        return model_predict(state, rec.scale_out, rec.properties).runtime_seconds
+    def predict(state, recs):
+        props = recs[0].properties
+        if any(r.properties != props for r in recs):  # optional properties differ
+            return [model_predict_batch(state, [r.scale_out], r.properties)[0]
+                    for r in recs]
+        return model_predict_batch(state, [r.scale_out for r in recs], props)
 
     return Method(MODEL_METHOD, fit, predict, variant=variant)
 
@@ -280,9 +287,10 @@ def evaluate_splits(records, splits, methods, seed: int = 0,
                         actual=records[idx].runtime_seconds,
                         flag=f"excluded: {exc}"))
                 continue
-            for task, idx in tests:
+            preds = method.predict(result.predictor, [records[idx] for _, idx in tests])
+            for (task, idx), pred in zip(tests, preds):
                 rec = records[idx]
-                pred = float(method.predict(result.predictor, rec))
+                pred = float(pred)
                 rows.append(MetricRow(
                     method.name, method.variant, context_label,
                     split.n_train, task,
@@ -355,6 +363,13 @@ def run_comparison(records, schema: PropertySchema,
     unknown = set(config.methods) - set(tokens)
     if unknown:
         raise DataError(f"unknown method tokens: {sorted(unknown)}")
+    # Check every cell's n_train against its grid before any pre-training.
+    for ctx in chosen:
+        grid = len({r.scale_out for r in by_context[ctx]})
+        bad = [n for n in config.n_train_values if not 0 <= n <= grid - 1]
+        if bad:
+            raise ConfigError(f"n_train {bad} leaves no test scale-out on the "
+                              f"{grid}-point grid of context {context_id(ctx)}")
 
     tasks = []
     for ctx in chosen:

@@ -12,6 +12,7 @@ encodes records once, with property vectors deduplicated, and
 :func:`forward_batch` runs the blocks over the whole batch.
 :func:`predict_batch` scores one property set at many scale-outs in one
 such pass, without the decoder ``h``; :func:`predict` is a batch of one.
+Training may run the same path over a stack of models (see :class:`ModelState`).
 """
 
 from __future__ import annotations
@@ -107,15 +108,21 @@ class ModelState:
     ``f``, ``g``, ``h``, ``z`` are views into it and ``segments[c]`` is the
     slice component ``c`` owns. Copies, snapshots, optimizer steps and
     serialization each work on the whole vector at once.
+
+    A stacked state holds S models as the rows of an ``(S, n)`` matrix, with
+    stacked block views (see :class:`~jobcast.nn.TwoLayerBlock`) and, per
+    component, one dropout rate or one per row. Pre-training trains a stack;
+    :meth:`take` copies rows out of it. Only single states are saved.
     """
 
     def __init__(self, vector, normalizer, schema, activations=None,
                  dropout=None):
         count = _weight_count(schema)
-        if (vector.dtype != np.float64 or vector.shape != (count,)
-                or not vector.flags.c_contiguous):
+        if (vector.dtype != np.float64 or vector.ndim not in (1, 2)
+                or vector.shape[-1] != count or not vector.flags.c_contiguous):
             raise SchemaError(f"weight vector is {vector.dtype}{list(vector.shape)}, "
-                              f"schema requires a contiguous float64[{count}]")
+                              f"schema requires a contiguous float64[{count}] "
+                              f"or a stack of them")
         self.vector = vector
         self.normalizer = normalizer
         self.schema = schema
@@ -124,7 +131,7 @@ class ModelState:
         for c, dims in _block_dims(schema).items():
             self.segments[c] = sl = slice(pos, pos + TwoLayerBlock.size(*dims))
             phi, sigma = activations[c]
-            setattr(self, c, TwoLayerBlock.over(vector[sl], *dims, phi=phi, sigma=sigma,
+            setattr(self, c, TwoLayerBlock.over(vector[..., sl], *dims, phi=phi, sigma=sigma,
                                                 dropout_rate=dropout.get(c, 0.0)))
             pos = sl.stop
 
@@ -148,6 +155,13 @@ class ModelState:
         return ModelState(self.vector.copy(), self.normalizer, self.schema,
                           *self._block_settings())
 
+    def take(self, rows) -> "ModelState":
+        """A copy of some rows of a stacked state; an int row gives a single state."""
+        activations, dropout = self._block_settings()
+        return ModelState(self.vector[rows].copy(), self.normalizer, self.schema,
+                          activations,
+                          {c: d[rows] if np.ndim(d) else d for c, d in dropout.items()})
+
     def __reduce__(self):
         # Pickle the vector once; unpickling rebuilds the block views into it.
         return ModelState, (self.vector, self.normalizer, self.schema,
@@ -163,8 +177,9 @@ class ModelState:
                 {c: b.dropout_rate for c, b in blocks})
 
     def param_name(self, index: int) -> str:
-        """Name in ``_WEIGHT_ORDER`` of the array holding ``vector[index]``."""
-        stops = np.cumsum([getattr(getattr(self, n[0]), n[2:]).size
+        """Name in ``_WEIGHT_ORDER`` of the array holding ``vector[..., index]``."""
+        rows = self.vector.size // self.vector.shape[-1]  # S for a stack, else 1
+        stops = np.cumsum([getattr(getattr(self, n[0]), n[2:]).size // rows
                            for n in _WEIGHT_ORDER])
         return _WEIGHT_ORDER[int(np.searchsorted(stops, index, side="right"))]
 
@@ -193,6 +208,11 @@ class EncodedBatch:
     rows each record uses. ``usage`` counts, per record and unique vector,
     how many of the record's properties map onto that vector, which weights
     the reconstruction loss by actual occurrences.
+
+    A stacked batch gives each row of a model stack its own records: every
+    per-record array gains a leading ``S`` axis, ``pvecs`` stays shared, and
+    ``ess_rows`` of row ``s`` are offset by ``s * U``, so they index all rows'
+    codes flattened to ``(S * U, CODE_DIM)``.
     """
 
     sfeat: np.ndarray  # (B, 3) normalized scale-out features
@@ -249,13 +269,18 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
 
 
 def _assemble(schema, e, codes, ess_rows, opt_weights):
-    b = e.shape[0]
+    """``z``'s input: embedding, essential codes, pooled optional codes.
+
+    ``ess_rows`` index ``codes`` flattened to ``(-1, CODE_DIM)``, which for a
+    stack is all rows' codes one after another (see ``EncodedBatch``).
+    """
+    lead = e.shape[:-1]
     m = schema.essential_count
-    r = np.empty((b, schema.combined_width))
-    r[:, :F_DIM] = e
-    for j in range(m):
-        r[:, F_DIM + j * CODE_DIM : F_DIM + (j + 1) * CODE_DIM] = codes[ess_rows[:, j]]
-    r[:, F_DIM + m * CODE_DIM :] = opt_weights @ codes
+    r = np.empty((*lead, schema.combined_width))
+    r[..., :F_DIM] = e
+    r[..., F_DIM : F_DIM + m * CODE_DIM] = \
+        codes.reshape(-1, CODE_DIM)[ess_rows].reshape(*lead, m * CODE_DIM)
+    r[..., F_DIM + m * CODE_DIM :] = opt_weights @ codes
     return r
 
 
@@ -268,6 +293,10 @@ def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
     ``cached_e`` skip the autoencoder / scale-out block when their weights
     are known not to have changed (frozen fine-tuning). The blocks read
     their weights straight from views into ``state.vector``.
+
+    A stacked state runs every row at once on a stacked batch (one
+    minibatch per row, see ``EncodedBatch``) and raises nothing
+    for a row gone non-finite; :func:`diverged_rows` tells them apart.
     """
     if cached_e is None:
         e, f_cache = state.f.forward(batch.sfeat, train=train, rng=rng)
@@ -282,20 +311,39 @@ def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
         recons, h_cache = state.h.forward(codes, train=train, rng=rng)
     r = _assemble(state.schema, e, codes, batch.ess_rows, batch.opt_weights)
     y2, z_cache = state.z.forward(r, train=train, rng=rng)
-    y = y2[:, 0]
+    y = y2[..., 0]
     detail = {
-        "e": e, "codes": codes, "recons": recons, "r": r,
+        "e": e, "codes": codes, "recons": recons, "r": r, "y": y,
         "f_cache": f_cache, "g_cache": g_cache, "h_cache": h_cache,
         "z_cache": z_cache,
     }
     return y, detail
 
 
+def diverged_rows(detail, loss, grad) -> np.ndarray | None:
+    """The rows of a stack with a non-finite block output or gradient, as a
+    boolean mask, or None when every row is finite.
+
+    A single-state forward pass raises on a non-finite block output; these
+    are the same outputs. ``y`` and ``recons`` reach the rows' ``loss`` by
+    elementwise arithmetic and sums alone, so a non-finite one leaves its
+    loss non-finite; and a sum is finite only if its terms are. So finite
+    sums of ``loss``, ``e``, ``codes`` and ``grad`` clear every row, and
+    rows are told apart only otherwise.
+    """
+    if math.isfinite(sum([float(np.add.reduce(a, axis=None))
+                          for a in (loss, detail["e"], detail["codes"], grad)])):
+        return None
+    outputs = [detail[k] for k in ("e", "codes", "recons", "y") if detail[k] is not None]
+    return ~np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=1)
+                                   for a in outputs + [grad]])
+
+
 def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
                    drecons=None) -> np.ndarray:
     """Fill ``grad``, a flat buffer aligned with ``state.vector``, and return it.
 
-    ``dy`` is dLoss/d(outputs), shape (B,). ``drecons`` is
+    ``dy`` is dLoss/d(outputs), shape (B,) or (S, B). ``drecons`` is
     dLoss/d(reconstructions) over the unique vectors, or None when the
     reconstruction term is absent. Only the segments of blocks that were
     forwarded live are written; blocks that ran from a cache (frozen during
@@ -303,18 +351,23 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
     """
     seg = state.segments
     m = state.schema.essential_count
-    dr = state.z.backward(detail["z_cache"], dy[:, None], grad[seg["z"]])
+    dr = state.z.backward(detail["z_cache"], dy[..., None], grad[..., seg["z"]])
     if detail["g_cache"] is not None:
-        dcodes = np.zeros_like(detail["codes"])
-        for j in range(m):
-            np.add.at(dcodes, batch.ess_rows[:, j],
-                      dr[:, F_DIM + j * CODE_DIM : F_DIM + (j + 1) * CODE_DIM])
-        dcodes += batch.opt_weights.T @ dr[:, F_DIM + m * CODE_DIM :]
+        codes = detail["codes"]
+        # Scatter-add the essential codes' gradients onto their unique
+        # vectors. bincount adds in index order: property by property, each
+        # in record order, as repeated vectors would accumulate in a loop.
+        dess = dr[..., F_DIM : F_DIM + m * CODE_DIM].reshape(*dr.shape[:-1], m, CODE_DIM)
+        cells = batch.ess_rows.swapaxes(-1, -2)[..., None] * CODE_DIM + np.arange(CODE_DIM)
+        dcodes = np.bincount(cells.ravel(), weights=dess.swapaxes(-2, -3).ravel(),
+                             minlength=codes.size).reshape(codes.shape)
+        dcodes += batch.opt_weights.swapaxes(-1, -2) @ dr[..., F_DIM + m * CODE_DIM :]
         if drecons is not None:
-            dcodes += state.h.backward(detail["h_cache"], drecons, grad[seg["h"]])
-        state.g.backward(detail["g_cache"], dcodes, grad[seg["g"]])
+            dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]])
+        state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False)
     if detail["f_cache"] is not None:
-        state.f.backward(detail["f_cache"], dr[:, :F_DIM], grad[seg["f"]])
+        state.f.backward(detail["f_cache"], dr[..., :F_DIM], grad[..., seg["f"]],
+                         need_dx=False)
     return grad
 
 
@@ -330,26 +383,28 @@ def joint_loss(state: ModelState, records, huber_delta: float = 1.0,
     if not records:
         raise ValueError("joint_loss needs a nonempty batch")
     batch = encode_batch(state.schema, state.normalizer, records)
-    terms = _joint_terms(state, batch, huber_delta, recon_weight, train, rng)
-    if not np.isfinite(terms[0]):
+    total, runtime, recon, _ = _joint_terms(state, batch, huber_delta, recon_weight,
+                                            train, rng)
+    if not np.isfinite(total):
         raise NumericsError("joint loss is non-finite")
-    return terms
+    return total, runtime, recon
 
 
 def _recon_loss(batch: EncodedBatch, detail):
-    """Occurrence-weighted reconstruction MSE and its gradient."""
-    occ = batch.usage.sum(axis=0)
-    pairs = occ.sum()
+    """Occurrence-weighted reconstruction MSE and its gradient (per row of a stack)."""
+    occ = batch.usage.sum(axis=-2)
+    pairs = occ.sum(axis=-1)
     err = detail["recons"] - batch.pvecs
     denom = pairs * encoding.VECTOR_SIZE
-    loss = float(np.sum(occ * np.sum(err * err, axis=1)) / denom)
-    dgrad = (2.0 / denom) * occ[:, None] * err
-    return loss, dgrad
+    loss = np.sum(occ * np.sum(err * err, axis=-1), axis=-1) / denom
+    dgrad = (2.0 / denom)[..., None, None] * occ[..., None] * err
+    return (loss if loss.ndim else float(loss)), dgrad
 
 
 def _joint_terms(state: ModelState, batch: EncodedBatch, huber_delta, recon_weight,
                  train=False, rng=None, grad=None):
-    """``(total, runtime, reconstruction)`` loss terms over an encoded batch.
+    """``(total, runtime, reconstruction)`` loss terms over an encoded batch,
+    plus the forward pass's ``detail``; for a stack, one value per row.
 
     Given a flat ``grad`` buffer, also backpropagates the total into it.
     """
@@ -359,7 +414,7 @@ def _joint_terms(state: ModelState, batch: EncodedBatch, huber_delta, recon_weig
     if grad is not None:
         backward_batch(state, batch, detail, huber_grad(y, batch.runtimes, huber_delta),
                        grad, recon_weight * drecons)
-    return runtime_term + recon_weight * recon_term, runtime_term, recon_term
+    return runtime_term + recon_weight * recon_term, runtime_term, recon_term, detail
 
 
 def joint_loss_grads(state: ModelState, records, huber_delta: float = 1.0,
@@ -367,8 +422,9 @@ def joint_loss_grads(state: ModelState, records, huber_delta: float = 1.0,
     """Loss terms plus the flat gradient; the training-loop building block."""
     batch = encode_batch(state.schema, state.normalizer, list(records))
     grad = np.zeros_like(state.vector)
-    return (*_joint_terms(state, batch, huber_delta, recon_weight, train, rng, grad),
-            grad)
+    total, runtime, recon, _ = _joint_terms(state, batch, huber_delta, recon_weight,
+                                            train, rng, grad)
+    return total, runtime, recon, grad
 
 
 def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Pre-training with random hyperparameter search, and fine-tuning.
 
-Pre-training samples configurations from a fixed grid, trains each on the
-joint runtime+reconstruction loss for the full epoch budget, and keeps the
-state with the lowest held-out runtime MAE. Fine-tuning continues training
-on runtime error only, with the autoencoder always frozen, the predictor
-trainable from the start, and the scale-out block joining after an epoch
-threshold that grows with the number of samples. Fine-tuning stops early
-once the training MAE drops to the target or stalls past the patience
-window, and always returns the best snapshot seen.
+Pre-training samples configurations from a fixed grid, trains them all in
+lockstep on the joint runtime+reconstruction loss for the full epoch budget,
+and keeps the state with the lowest held-out runtime MAE. Fine-tuning
+continues training on runtime error only, with the autoencoder always
+frozen, the predictor trainable from the start, and the scale-out block
+joining after an epoch threshold that grows with the number of samples.
+Fine-tuning stops early once the training MAE drops to the target or
+stalls past the patience window, and always returns the best snapshot seen.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .encoding import Normalizer
 from .errors import DataError, NumericsError, SchemaError, TrainingError
 from .model import COMPONENTS, EncodedBatch, ModelState, PropertySchema, \
-    encode_batch, forward_batch, backward_batch, _joint_terms
+    encode_batch, diverged_rows, forward_batch, backward_batch, _joint_terms
 from .nn import Adam, huber_grad
 
 MAX_EPOCHS = 2500
@@ -47,25 +47,19 @@ class CyclicalSchedule:
 
 @dataclass
 class FitConfig:
-    batch_size: int = 64
+    """Fine-tuning hyperparameters (pre-training takes its own arguments)."""
+
     epochs: int = MAX_EPOCHS
     learning_rate: float = 1e-2
     weight_decay: float = 1e-3
-    dropout_rate: float = 0.0  # autoencoder blocks, pre-training only
     huber_delta: float = 1.0
-    recon_weight: float = 1.0
     seed: int = 0
     lr_schedule: CyclicalSchedule | None = None  # None = constant
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def finetune_config(seed: int = 0) -> FitConfig:
     """The fixed fine-tuning hyperparameters."""
-    return FitConfig(weight_decay=1e-3, dropout_rate=0.0, seed=seed,
-                     lr_schedule=CyclicalSchedule())
+    return FitConfig(weight_decay=1e-3, seed=seed, lr_schedule=CyclicalSchedule())
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,12 @@ class SearchSpace:
 
 @dataclass
 class SearchEntry:
-    """One row of the pre-training search log."""
+    """One row of the pre-training search log.
+
+    All configs train together, so ``wall_time_s`` is the time from the start
+    of the shared run (initialization included) until this config finished,
+    or left the run by diverging; it is not the config's own cost.
+    """
 
     config_id: int
     dropout_rate: float
@@ -122,28 +121,62 @@ def lr_at(epoch: int, schedule: CyclicalSchedule | float) -> float:
     return (1.0 - tri) * schedule.hi + tri * schedule.lo
 
 
-def _train_epoch(state, batch, optim, rng, config, order, grad):
-    """One epoch over shuffled minibatches of the joint loss, all blocks live."""
-    rng.shuffle(order)
-    total = 0.0
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start : start + config.batch_size]
-        loss, _, _ = _joint_terms(state, _slice_batch(batch, idx), config.huber_delta,
-                                  config.recon_weight, train=True, rng=rng, grad=grad)
-        optim.step(state.vector, grad, COMPONENTS)
-        total += loss * len(idx)
-    return total / len(order)
+class _Lockstep:
+    """The search's configs still training, one per row of a stacked model.
 
+    Row ``i`` trains config ``ids[i]`` on ``batch`` with that config's rng
+    stream, record order, learning rate, weight decay and dropout rate;
+    ``loss[i]`` is its last epoch loss and ``total[i]`` the current epoch's
+    running sum.
+    """
 
-def _slice_batch(batch, idx):
-    return EncodedBatch(
-        sfeat=batch.sfeat[idx],
-        pvecs=batch.pvecs,
-        ess_rows=batch.ess_rows[idx],
-        opt_weights=batch.opt_weights[idx],
-        usage=batch.usage[idx],
-        runtimes=None if batch.runtimes is None else batch.runtimes[idx],
-    )
+    def __init__(self, states, configs, rngs, batch: EncodedBatch):
+        size = len(states)
+        dropout, lr, wd = (np.array(column) for column in zip(*configs))
+        first = states[0]
+        self.state = ModelState(np.stack([s.vector for s in states]), first.normalizer,
+                                first.schema, dropout={"g": dropout, "h": dropout})
+        self.optim = Adam(lr[:, None], self.state.segments, self.state.param_name,
+                          weight_decay=wd[:, None])
+        self.grad = np.zeros_like(self.state.vector)
+        self.rngs = list(rngs)
+        self.batch = batch
+        self.ids = np.arange(size)
+        self.orders = np.tile(np.arange(len(batch.runtimes)), (size, 1))
+        self.offsets = len(batch.pvecs) * np.arange(size)[:, None, None]
+        self.loss = np.full(size, np.nan)
+        self.total = np.zeros(size)
+
+    def gradients(self, start: int, size: int, huber_delta, recon_weight):
+        """Joint loss and gradient (into ``grad``) of every row on the
+        records at positions ``start:start + size`` of its own order.
+
+        Returns each row's loss and :func:`~jobcast.model.diverged_rows`.
+        """
+        idx, b = self.orders[:, start : start + size], self.batch
+        minibatch = EncodedBatch(sfeat=b.sfeat[idx], pvecs=b.pvecs,
+                                 ess_rows=b.ess_rows[idx] + self.offsets,
+                                 opt_weights=b.opt_weights[idx], usage=b.usage[idx],
+                                 runtimes=b.runtimes[idx])
+        loss, _, _, detail = _joint_terms(self.state, minibatch, huber_delta,
+                                          recon_weight, train=True, rng=self.rngs,
+                                          grad=self.grad)
+        # Hold this step's arrays until the next step has made its own. Freed
+        # at once, these few MB (at S=12) would sit at the top of the heap,
+        # go back to the OS and be page-faulted in again every step: with
+        # glibc, about 1,050 minor faults per epoch of the 12-config search
+        # without the hold and about 330 with it.
+        self.held = (minibatch, detail)
+        return loss, diverged_rows(detail, loss, self.grad)
+
+    def keep(self, rows) -> None:
+        """Drop every row not in ``rows``; the kept rows carry on unchanged."""
+        self.state = self.state.take(rows)
+        self.optim.keep_rows(rows)
+        self.rngs = [self.rngs[i] for i in rows]
+        self.offsets = self.offsets[: len(rows)]
+        for name in ("grad", "ids", "orders", "loss", "total"):
+            setattr(self, name, getattr(self, name)[rows])
 
 
 def _mae(state, batch) -> float:
@@ -161,6 +194,13 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     selection takes the lowest runtime MAE on a held-out 20% split that is
     shared across configurations. Configurations that diverge are logged
     and skipped; if all diverge, :class:`TrainingError` is raised.
+
+    The configurations train in lockstep, as the rows of one stacked model
+    that takes one optimizer step per minibatch. Each keeps its own rng
+    stream (initialization, then per epoch the shuffle and per minibatch
+    the dropout masks of ``g`` and ``h``), so each row computes what it
+    would compute alone. A row whose block output, gradient or epoch loss
+    turns non-finite leaves the stack; the others carry on untouched.
     """
     records = list(records)
     if len(records) < 2:
@@ -185,50 +225,64 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     train_batch = encode_batch(schema, normalizer, train_records)
     val_batch = encode_batch(schema, normalizer, val_records)
 
-    log = []
-    best = None
-    for cid, (pick, cseed) in enumerate(zip(picks, config_seeds)):
-        dropout, lr, wd = grid[pick]
-        config = FitConfig(batch_size=batch_size, epochs=epochs,
-                           learning_rate=lr, weight_decay=wd,
-                           dropout_rate=dropout, huber_delta=huber_delta,
-                           recon_weight=recon_weight)
-        rng = np.random.default_rng(cseed)
-        state = ModelState.new(schema, normalizer, rng, dropout_rate=dropout)
-        optim = Adam(lr, state.segments, weight_decay=wd,
-                     name_of=state.param_name)
-        grad = np.zeros_like(state.vector)
-        order = np.arange(len(train_records))
-        started = time.perf_counter()
-        status = "ok"
-        final_loss = float("nan")
-        train_mae = float("nan")
-        val_mae = float("inf")
-        ran = 0
+    configs = [grid[pick] for pick in picks]
+    if not configs:
+        raise TrainingError("all pre-training configurations diverged")
+    log: list = [None] * k
+    started = time.perf_counter()
+
+    def enter(cid, ran, loss, train_mae=float("nan"), val_mae=float("inf"),
+              status="diverged"):
+        log[cid] = SearchEntry(cid, *configs[cid], ran, float(loss), train_mae, val_mae,
+                               time.perf_counter() - started, status=status)
+
+    rngs = [np.random.default_rng(cseed) for cseed in config_seeds]
+    run = _Lockstep([ModelState.new(schema, normalizer, rng, dropout_rate=dropout)
+                     for (dropout, _, _), rng in zip(configs, rngs)],
+                    configs, rngs, train_batch)
+
+    def leave(bad, ran):
+        for i in np.flatnonzero(bad):
+            enter(int(run.ids[i]), ran, run.loss[i])
+        run.keep(np.flatnonzero(~bad))
+
+    for epoch in range(epochs):
+        if not run.ids.size:
+            break
+        for rng, order in zip(run.rngs, run.orders):
+            rng.shuffle(order)
+        run.total[:] = 0.0
+        for start in range(0, len(train_records), batch_size):
+            loss, bad = run.gradients(start, batch_size, huber_delta, recon_weight)
+            if bad is not None:
+                leave(bad, epoch)
+                if not run.ids.size:
+                    break
+                loss = loss[~bad]
+            run.optim.step(run.state.vector, run.grad, COMPONENTS)
+            run.total += loss * min(batch_size, len(train_records) - start)
+        run.loss = run.total / len(train_records)
+        if not np.isfinite(run.loss).all():
+            leave(~np.isfinite(run.loss), epoch + 1)
+
+    states = {}
+    for i, cid in enumerate(run.ids.tolist()):
+        states[cid] = state = run.state.take(i)
+        train_mae, val_mae = float("nan"), float("inf")
         try:
-            for _ in range(epochs):
-                final_loss = _train_epoch(state, train_batch, optim, rng, config,
-                                          order, grad)
-                ran += 1
-                if not np.isfinite(final_loss):
-                    raise NumericsError("training loss is non-finite")
             train_mae = _mae(state, train_batch)
             val_mae = _mae(state, val_batch)
-            if not np.isfinite(val_mae):
-                raise NumericsError("validation MAE is non-finite")
-        except (NumericsError, TrainingError):
-            status = "diverged"
-        entry = SearchEntry(cid, dropout, lr, wd, ran, final_loss, train_mae,
-                            val_mae, time.perf_counter() - started,
-                            status=status)
-        log.append(entry)
-        if status == "ok" and (best is None or val_mae < best[0]):
-            best = (val_mae, cid, state)
+        except NumericsError:
+            pass
+        enter(cid, epochs, run.loss[i], train_mae, val_mae,
+              "ok" if np.isfinite(val_mae) else "diverged")
 
-    if best is None:
+    ok = [e for e in log if e.status == "ok"]
+    if not ok:
         raise TrainingError("all pre-training configurations diverged")
-    log[best[1]].chosen = True
-    return best[2], log
+    best = min(ok, key=lambda e: e.val_mae_seconds)  # the first of equals
+    best.chosen = True
+    return states[best.config_id], log
 
 
 def unfreeze_epoch(n_samples: int) -> int:

@@ -1,11 +1,12 @@
 """End-to-end CLI tests: command flow, exit codes, artifact hygiene."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from jobcast import cli, model
+from jobcast import cli, evalharness, model
 from jobcast.dataio import write_records_csv
 from jobcast.errors import TrainingError
 from jobcast.synthetic import context_records, make_contexts
@@ -103,7 +104,7 @@ class TestPredict:
                          "--props", "node_type=m5.xlarge"])
         assert code == cli.EXIT_SCHEMA
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "lots"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "lots", "-3", "1e15"])
     def test_bad_natural_prop_is_config_error(self, trained_model, capsys, value):
         props = [p for p in PROPS if not p.startswith("dataset_size=")]
         code = cli.main(["predict", "--model", str(trained_model),
@@ -180,6 +181,15 @@ class TestRecommend:
         assert "none (target not achievable)" in out
         assert len(_parse_curve(out)) == 6
 
+    @pytest.mark.parametrize("value", ["-3", "1e15"])
+    def test_out_of_range_natural_prop_is_config_error(self, trained_model, capsys,
+                                                        value):
+        props = [p for p in PROPS if not p.startswith("memory_mb=")]
+        code = cli.main(["recommend", "--model", str(trained_model), "--target", "100",
+                         "--range", "1:8:1", "--props", f"memory_mb={value}", *props])
+        assert code == cli.EXIT_CONFIG
+        assert "memory_mb" in capsys.readouterr().err
+
     def test_bad_range_is_config_error(self, trained_model):
         code = cli.main(["recommend", "--model", str(trained_model),
                          "--target", "100", "--range", "12:2:2",
@@ -224,12 +234,44 @@ class TestEvaluate:
             assert len(list(csv.DictReader(fh))) == 2
 
 
-    @pytest.mark.parametrize("n_train", ["x", "1-x", "2.5", "3-1", ","])
+    @pytest.mark.parametrize("n_train", ["x", "1-x", "2.5", "3-1", ",", "-1", "1-6"])
     def test_bad_n_train_is_config_error(self, tmp_path, capsys, n_train):
         code = cli.main([
             "evaluate", "--data", str(DATA / "sort_runs.csv"),
             "--manifest", str(DATA / "sort_manifest.txt"),
             "--methods", "nnls", "--n-train", n_train,
+            "--out-dir", str(tmp_path / "results"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "--n-train" in capsys.readouterr().err
+
+
+    def test_n_train_range_is_bounded_before_expansion(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "evaluate", "--data", str(DATA / "sort_runs.csv"),
+                "--manifest", str(DATA / "sort_manifest.txt"),
+                "--methods", "nnls", "--n-train", "1-2000000",
+                "--out-dir", str(tmp_path / "results"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        assert peak < 10 * 2**20  # two million ints would take about 80 MB
+
+    def test_unservable_n_train_fails_before_pretraining(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pre-training started")
+
+        monkeypatch.setattr(evalharness, "pretrain", no_pretraining)
+        # Every context of the sort corpus has a 6-point grid: at most 5.
+        code = cli.main([
+            "evaluate", "--data", str(DATA / "sort_runs.csv"),
+            "--manifest", str(DATA / "sort_manifest.txt"),
+            "--methods", "nnls,full", "--n-train", "2,6",
             "--out-dir", str(tmp_path / "results"),
         ])
         assert code == cli.EXIT_CONFIG

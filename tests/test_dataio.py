@@ -43,6 +43,14 @@ class TestManifest:
         with pytest.raises(ConfigError):
             parse_manifest(tmp_path / "absent.txt")
 
+    def test_unreadable_manifest_is_config_error(self, tmp_path):
+        bad = tmp_path / "m.txt"
+        bad.write_bytes("algorithm = x\n".encode("utf-16"))
+        with pytest.raises(ConfigError, match="UTF-8"):
+            parse_manifest(bad)
+        with pytest.raises(ConfigError, match="cannot read"):
+            parse_manifest(tmp_path)  # a directory
+
     def test_missing_required_key(self, tmp_path):
         bad = tmp_path / "m.txt"
         bad.write_text("algorithm = x\ncolumn.scale_out = a\n")

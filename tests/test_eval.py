@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from jobcast.errors import DataError
+from jobcast import evalharness
+from jobcast.errors import ConfigError, DataError
 from jobcast.evalharness import (ComparisonConfig, EvalSplit, Method,
                                  MethodResult, MetricsTable, choose_contexts,
                                  context_id, ecdf, evaluate_splits,
@@ -108,13 +109,13 @@ def oracle_method():
     """Knows the actual runtime of every test record."""
     return Method("oracle",
                   fit=lambda train, seed: MethodResult(None),
-                  predict=lambda _m, rec: rec.runtime_seconds)
+                  predict=lambda _m, recs: [r.runtime_seconds for r in recs])
 
 
 def constant_method(value):
     return Method("const",
                   fit=lambda train, seed: MethodResult(value),
-                  predict=lambda c, rec: c)
+                  predict=lambda c, recs: [c] * len(recs))
 
 
 class TestEvaluateSplits:
@@ -231,6 +232,20 @@ class TestRunComparison:
                       r.actual, r.predicted, r.rel_err, r.abs_err, r.epochs,
                       r.flag) for r in par.rows]
         assert strip == strip_par
+
+    def test_unservable_n_train_fails_before_pretraining(self, monkeypatch):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pre-training started")
+
+        monkeypatch.setattr(evalharness, "pretrain", no_pretraining)
+        wide, narrow = make_contexts(2, seed=9)
+        records = (context_records(wide, seed=9)
+                   + context_records(narrow, scale_outs=(2, 4, 6), seed=9))
+        # n_train 3 fits the 6-point grid of the first context only.
+        config = ComparisonConfig(methods=("nnls", "full"), n_train_values=(1, 3),
+                                  contexts=[records[0].context, records[-1].context])
+        with pytest.raises(ConfigError, match="3-point grid"):
+            run_comparison(records, SYNTH_SCHEMA, config)
 
     def test_unknown_method_token(self, ctx_records):
         with pytest.raises(DataError):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from jobcast.errors import TrainingError
+from jobcast.errors import NumericsError, TrainingError
 from jobcast.nn import (SELU_ALPHA, SELU_LAMBDA, Adam, TwoLayerBlock, _split,
                         alpha_dropout, he_init, huber_grad, huber_loss,
                         mse_loss, selu)
@@ -339,3 +339,63 @@ class TestAdam:
             optim.step(flat, grad, ("block",))
         out, _ = block.forward(x)
         assert mse_loss(out, y) < 1e-3
+
+
+class TestStack:
+    """A stack of S models, one per row of an (S, n) matrix, computes each
+    row's unstacked result bit for bit."""
+
+    def _stack(self, dims, rates, bias=True):
+        rng = np.random.default_rng(5)
+        flats = [new_block(*dims, rng, bias=bias)[1] for _ in rates]
+        stacked = TwoLayerBlock.over(np.stack(flats), *dims, bias,
+                                     dropout_rate=np.array(rates))
+        singles = [TwoLayerBlock.over(f, *dims, bias, dropout_rate=r)
+                   for f, r in zip(flats, rates)]
+        return stacked, singles
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_block_rows_match_single_blocks(self, shared):
+        dims, rates = (5, 7, 3), (0.2, 0.0, 0.1)
+        stacked, singles = self._stack(dims, rates)
+        x = np.random.default_rng(6).standard_normal((len(rates), 9, 5))
+        if shared:  # one batch fed to every row
+            x = np.broadcast_to(x[0], x.shape)
+        dout = np.random.default_rng(7).standard_normal((len(rates), 9, 3))
+        out, cache = stacked.forward(x[0] if shared else x, train=True,
+                                     rng=[np.random.default_rng(s) for s in range(3)])
+        grad = np.zeros((len(rates), TwoLayerBlock.size(*dims)))
+        dx = stacked.backward(cache, dout, grad)
+        for s, block in enumerate(singles):
+            o, c = block.forward(x[s], train=True, rng=np.random.default_rng(s))
+            g = np.zeros(TwoLayerBlock.size(*dims))
+            d = block.backward(c, dout[s], g)
+            assert np.array_equal(out[s], o) and np.array_equal(grad[s], g)
+            assert np.array_equal(dx[s], d)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_block_leaves_non_finite_rows_to_the_caller(self):
+        stacked, singles = self._stack((2, 3, 2), (0.0, 0.0))
+        stacked.w1[1] = singles[1].w1[...] = np.inf
+        out, _ = stacked.forward(np.ones((2, 4, 2)))
+        assert np.isfinite(out[0]).all() and not np.isfinite(out[1]).all()
+        with pytest.raises(NumericsError):
+            singles[1].forward(np.ones((4, 2)))
+
+    def test_adam_rows_match_single_optimizers_and_can_leave(self):
+        rng = np.random.default_rng(8)
+        params = rng.standard_normal((3, 6))
+        grads = [rng.standard_normal((3, 6)) for _ in range(4)]
+        lr, wd = np.array([1e-2, 1e-1, 1e-3]), np.array([0.0, 1e-2, 1e-3])
+        seg = {"a": slice(0, 2), "b": slice(2, 6)}
+        stacked = Adam(lr[:, None], seg, str, weight_decay=wd[:, None])
+        singles = [Adam(lr[s], seg, str, weight_decay=wd[s]) for s in range(3)]
+        alone = params.copy()
+        for t, g in enumerate(grads):
+            if t == 2:  # row 1 leaves the stack
+                stacked.keep_rows([0, 2])
+                params = params[[0, 2]]
+            stacked.step(params, g[[0, 2]] if t >= 2 else g, ("a", "b"))
+            for s in range(3):
+                singles[s].step(alone[s], g[s], ("a", "b"))
+        assert np.array_equal(params, alone[[0, 2]])

@@ -71,13 +71,45 @@ def test_coerce_props_on_arbitrary_text(sort_data, raw):
         pass
 
 
-# At most 7 characters, so the widest range a draw can spell ("0-99999")
-# stays small.
+# Ranges are bounded before they are expanded, so a draw may spell any.
 @FUZZ
-@given(text=st.one_of(st.text(CHAR, max_size=7), st.text("0123456789-, x.", max_size=7)))
+@given(text=st.one_of(st.text(CHAR, max_size=16), st.text("0123456789-, x.", max_size=16)))
 def test_parse_int_list_on_arbitrary_text(text):
     try:
-        values = cli._parse_int_list(text)
+        values = cli._parse_int_list(text, limit=20)
     except ConfigError:
         return
-    assert values and all(isinstance(v, int) for v in values)
+    assert values and all(isinstance(v, int) and 0 <= v <= 20 for v in values)
+
+
+# Manifest lines: mostly known keys with arbitrary or plausible values, so
+# that draws get past the first checks; sometimes arbitrary text.
+MANIFEST_KEY = st.one_of(
+    st.sampled_from(["algorithm", "column.scale_out", "column.runtime", "unit.runtime"]),
+    st.tuples(st.sampled_from(["size", "kind", "", "a.b"]),
+              st.sampled_from(["role", "kind", "column", "unit", "other"]))
+    .map(lambda t: f"property.{t[0]}.{t[1]}"),
+    st.text(CHAR, max_size=12),
+)
+MANIFEST_VALUE = st.one_of(
+    st.sampled_from(["essential", "optional", "natural", "text", "mb", "KiB", "s", "ms",
+                     "min", "hours", "x", ""]),
+    CELL,
+)
+MANIFEST_LINE = st.one_of(
+    st.tuples(MANIFEST_KEY, MANIFEST_VALUE).map(" = ".join),
+    st.text(CHAR, max_size=20),
+)
+
+
+@FUZZ
+@given(lines=st.lists(MANIFEST_LINE, max_size=12),
+       encoding=st.sampled_from(["utf-8", "latin-1", "utf-16"]))
+def test_parse_manifest_on_arbitrary_text(tmp_path_factory, lines, encoding):
+    path = tmp_path_factory.mktemp("manifest") / "m.txt"
+    path.write_bytes("\n".join(lines).encode(encoding, errors="replace"))
+    try:
+        manifest = parse_manifest(path)
+    except JobcastError:
+        return
+    assert manifest.essential
