@@ -119,7 +119,16 @@ def _schema_from_manifest(manifest) -> model.PropertySchema:
     )
 
 
+def _check_counts(args, *flags) -> None:
+    """Each named count flag is at least 1: checked before any work starts."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_pretrain(args) -> int:
+    _check_counts(args, "--epochs", "--search-samples")
     manifest = parse_manifest(args.manifest)
     if args.algo and manifest.algorithm != args.algo:
         raise ConfigError(
@@ -211,6 +220,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_counts(args, "--contexts", "--max-splits", "--pretrain-epochs",
+                  "--search-samples", "--workers")
     manifest = parse_manifest(args.manifest)
     records = load_dataset(args.data, manifest)
     schema = _schema_from_manifest(manifest)

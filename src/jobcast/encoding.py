@@ -6,6 +6,15 @@ method indicator (0 = binary expansion, 1 = hashed character n-grams) and
 whose remaining ``PAYLOAD_BITS`` entries carry the encoding. Scale-outs get
 the three-feature crafting ``[1/x, ln x, x]`` plus min-max normalization
 with bounds frozen at training time.
+
+Both payloads are computed with numpy, without a loop per bit or per
+n-gram. The binary expansion shifts the value by every bit position at
+once. The text hash runs FNV-1a over all n-grams together as a chain of
+``uint64`` arrays: one FNV step, ``h = (h ^ byte) * prime``, over every
+position gives the unigram hashes; one more step over the unigram hashes
+and the next bytes gives the bigram hashes, and one more over those the
+trigram hashes. numpy's ``uint64`` multiply wraps modulo ``2**64``, as the
+scalar :func:`fnv1a_64` masks, so every term hashes as it would alone.
 """
 
 from __future__ import annotations
@@ -30,6 +39,13 @@ VOCABULARY = frozenset("abcdefghijklmnopqrstuvwxyz0123456789.-_/ ")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# The same constants as uint64 scalars, so array arithmetic stays uint64
+# (and wraps) under every numpy version's promotion rules.
+_FNV_OFFSET_U64 = np.uint64(_FNV_OFFSET)
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
+# Every byte outside the vocabulary, for bytes.translate to delete.
+_NON_VOCABULARY = bytes(b for b in range(256) if chr(b) not in VOCABULARY)
 
 
 @dataclass(frozen=True)
@@ -68,11 +84,8 @@ def binarize(n: int, bits: int = PAYLOAD_BITS) -> np.ndarray:
         raise CapacityError(f"cannot binarize negative value {n}")
     if n >= 1 << bits:
         raise CapacityError(f"value {n} exceeds binarizer capacity 2**{bits} - 1")
-    out = np.zeros(bits)
-    for i in range(bits - 1, -1, -1):
-        out[i] = n & 1
-        n >>= 1
-    return out
+    shifts = np.arange(bits - 1, -1, -1)
+    return ((np.int64(n) >> shifts) & 1).astype(np.float64)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -86,34 +99,38 @@ def fnv1a_64(data: bytes) -> int:
 
 def clean_text(s: str) -> str:
     """Lowercase and drop every character outside the vocabulary."""
-    return "".join(c for c in s.lower() if c in VOCABULARY)
-
-
-def _ngrams(s: str):
-    for size in (1, 2, 3):
-        for i in range(len(s) - size + 1):
-            yield s[i : i + size]
+    # The vocabulary is ASCII, so every non-ASCII character goes, lone
+    # surrogates (from surrogate-escaped argv) included; a character that
+    # lowercases to ASCII is lowered before it is dropped, and kept.
+    kept = s.lower().encode("ascii", "ignore").translate(None, _NON_VOCABULARY)
+    return kept.decode("ascii")
 
 
 def hash_text(s: str, bits: int = PAYLOAD_BITS) -> np.ndarray:
     """Signed hashed character n-gram counts, projected onto the unit sphere.
 
     Unigrams, bigrams, and trigrams of the cleaned string are counted; each
-    unique term lands at index ``fnv1a_64(term) % bits`` with a sign taken
+    term lands at index ``fnv1a_64(term) % bits`` with a sign taken
     from the hash's top bit. Nonempty cleaned input yields a unit-L2 vector;
     empty input yields the zero vector.
+
+    The hashes of all terms come from one ``uint64`` FNV-1a chain (see the
+    module docstring). Each occurrence adds +-1, so every count is a small
+    integer and sums exactly in any order.
     """
-    out = np.zeros(bits)
-    cleaned = clean_text(s)
-    counts: dict[str, int] = {}
-    for term in _ngrams(cleaned):
-        counts[term] = counts.get(term, 0) + 1
-    for term, count in counts.items():
-        h = fnv1a_64(term.encode("utf-8"))
-        sign = -1.0 if h >> 63 else 1.0
-        out[h % bits] += sign * count
+    cleaned = clean_text(s).encode("ascii")
+    if not cleaned:
+        return np.zeros(bits)
+    b = np.frombuffer(cleaned, dtype=np.uint8).astype(np.uint64)
+    h1 = (b ^ _FNV_OFFSET_U64) * _FNV_PRIME_U64
+    h2 = (h1[:-1] ^ b[1:]) * _FNV_PRIME_U64
+    h3 = (h2[:-1] ^ b[2:]) * _FNV_PRIME_U64
+    h = np.concatenate((h1, h2, h3))
+    sign = (h.view(np.int64) >> 63) | 1  # -1 where the top bit is set, else 1
+    index = (h % np.uint64(bits)).view(np.int64)  # bincount takes no uint64
+    out = np.bincount(index, weights=sign, minlength=bits)
     norm = math.sqrt(float(np.dot(out, out)))
-    if norm > 0.0:
+    if norm > 0.0:  # +-1 terms may cancel to zero
         out /= norm
     return out
 

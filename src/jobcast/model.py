@@ -17,6 +17,7 @@ Training may run the same path over a stack of models (see :class:`ModelState`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -87,18 +88,25 @@ class PropertySchema:
 _ACTIVATIONS = {c: ("selu", "tanh" if c == "h" else "selu") for c in COMPONENTS}
 
 
-def _block_dims(schema: PropertySchema) -> dict:
-    """``component -> (in, hidden, out, bias)``, in vector order."""
-    return {
+@functools.lru_cache(maxsize=64)
+def _block_dims(schema: PropertySchema) -> tuple:
+    """``(component, (in, hidden, out, bias), slice of the vector)`` per
+    block, in vector order; computed once per (frozen) schema."""
+    dims = {
         "f": (SCALE_FEATURES, F_HIDDEN, F_DIM, True),
         "g": (encoding.VECTOR_SIZE, AE_HIDDEN, CODE_DIM, False),
         "h": (CODE_DIM, AE_HIDDEN, encoding.VECTOR_SIZE, False),
         "z": (schema.combined_width, Z_HIDDEN, 1, True),
     }
+    layout, pos = [], 0
+    for c, d in dims.items():
+        layout.append((c, d, slice(pos, pos + TwoLayerBlock.size(*d))))
+        pos = layout[-1][2].stop
+    return tuple(layout)
 
 
 def _weight_count(schema: PropertySchema) -> int:
-    return sum(TwoLayerBlock.size(*d) for d in _block_dims(schema).values())
+    return _block_dims(schema)[-1][2].stop
 
 
 class ModelState:
@@ -127,13 +135,12 @@ class ModelState:
         self.normalizer = normalizer
         self.schema = schema
         activations, dropout = activations or _ACTIVATIONS, dropout or {}
-        self.segments, pos = {}, 0
-        for c, dims in _block_dims(schema).items():
-            self.segments[c] = sl = slice(pos, pos + TwoLayerBlock.size(*dims))
+        self.segments = {}
+        for c, dims, sl in _block_dims(schema):
+            self.segments[c] = sl
             phi, sigma = activations[c]
             setattr(self, c, TwoLayerBlock.over(vector[..., sl], *dims, phi=phi, sigma=sigma,
                                                 dropout_rate=dropout.get(c, 0.0)))
-            pos = sl.stop
 
     @classmethod
     def new(cls, schema: PropertySchema, normalizer: Normalizer, rng,
@@ -558,7 +565,7 @@ def _parse_header(raw: bytes, path):
     bad += [f"normalizer.{side}={list(values)!r}"
             for side, values in zip(("lo", "hi"), bounds)
             if len(values) != SCALE_FEATURES
-            or not all(_is_real(v) and math.isfinite(v) for v in values)]
+            or not all(_is_finite(v) for v in values)]
     if bad:
         raise ModelFileError(f"{path}: invalid header values: {', '.join(bad)}")
     return schema, Normalizer(*bounds), activations, dropout
@@ -566,3 +573,11 @@ def _parse_header(raw: bytes, path):
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real that a float holds finitely; a JSON integer may exceed every float."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False

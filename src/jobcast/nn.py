@@ -37,9 +37,23 @@ ACTIVATIONS = ("identity", "selu", "tanh")
 
 
 def selu(x):
-    """SELU applied elementwise; scalar in, scalar out."""
+    """SELU applied elementwise; scalar in, scalar out.
+
+    Computed as ``lambda * (alpha * expm1(min(x, 0)) + max(x, -0.0))``
+    rather than by selecting between the two branches: for ``x > 0`` the
+    first term is +0.0 and adding ``x`` gives ``x``; for any other ``x`` the
+    second term is -0.0, which leaves every sum, signed zeros included, as
+    it was. So each element equals the branch the definition picks.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
+    if not x.ndim:
+        return selu(x[None])[0]
+    y = np.minimum(x, 0.0)
+    np.expm1(y, out=y)
+    y *= SELU_ALPHA
+    y += np.maximum(x, -0.0)
+    y *= SELU_LAMBDA
+    return y
 
 
 def tanh(x):
@@ -56,17 +70,33 @@ def activate(name: str, x):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activate_deriv(name: str, x):
-    """Derivative of the activation evaluated at pre-activation ``x``."""
+# alpha + (1 - alpha) is exactly 1.0, and 1 - alpha is exact (Sterbenz).
+_SELU_STEP = 1.0 - SELU_ALPHA
+
+
+def activate_deriv(name: str, x, y=None):
+    """Derivative of the activation evaluated at pre-activation ``x``.
+
+    ``y``, the activation's output at ``x``, spares tanh's derivative
+    ``1 - y*y`` from computing it again.
+    """
     x = np.asarray(x, dtype=np.float64)
     if name == "identity":
         return np.ones_like(x)
     if name == "selu":
-        return SELU_LAMBDA * np.where(
-            x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-        )
+        if not x.ndim:
+            return activate_deriv(name, x[None])[0]
+        # lambda * (alpha * exp(min(x, 0)) + [x > 0] * (1 - alpha)): the
+        # bracket turns alpha * exp(0) into exactly 1.0 for x > 0 and adds
+        # -0.0 elsewhere, as selu() does.
+        d = np.minimum(x, 0.0)
+        np.exp(d, out=d)
+        d *= SELU_ALPHA
+        d += (x > 0) * _SELU_STEP
+        d *= SELU_LAMBDA
+        return d
     if name == "tanh":
-        t = np.tanh(x)
+        t = np.tanh(x) if y is None else y
         return 1.0 - t * t
     raise ValueError(f"unknown activation {name!r}")
 
@@ -199,14 +229,22 @@ class TwoLayerBlock:
     """
 
     def __init__(self, w1, b1, w2, b2, phi="selu", sigma="selu", dropout_rate=0.0):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b1 = None if b1 is None else np.asarray(b1, dtype=np.float64)
-        self.b2 = None if b2 is None else np.asarray(b2, dtype=np.float64)
+        self._adopt(*(None if a is None else np.asarray(a, dtype=np.float64)
+                      for a in (w1, b1, w2, b2)), phi, sigma, dropout_rate)
+
+    def _adopt(self, w1, b1, w2, b2, phi, sigma, dropout_rate) -> None:
+        """Take float64 weight arrays as they are, without copies or new views."""
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.phi = phi
         self.sigma = sigma
-        self.dropout_rate = (np.asarray(dropout_rate, dtype=np.float64)
-                             if np.ndim(dropout_rate) else float(dropout_rate))
+        self.dropout_rate = (float(dropout_rate) if isinstance(dropout_rate, float)
+                             or not np.ndim(dropout_rate)
+                             else np.asarray(dropout_rate, dtype=np.float64))
+        # The forward pass's operands, as views: the weights change only in
+        # place (they are views into a parameter vector), so these follow.
+        self._w1t, self._w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+        self._b1 = None if b1 is None else b1[..., None, :]
+        self._b2 = None if b2 is None else b2[..., None, :]
 
     @staticmethod
     def size(in_dim, hidden_dim, out_dim, bias=True) -> int:
@@ -214,10 +252,14 @@ class TwoLayerBlock:
         return hidden_dim * (in_dim + out_dim) + (hidden_dim + out_dim if bias else 0)
 
     @classmethod
-    def over(cls, flat, in_dim, hidden_dim, out_dim, bias=True, **kwargs):
-        """Block whose weights are views into ``flat``: one buffer, or a stack ``(S, n)``."""
-        w1, b1, w2, b2 = _split(flat, in_dim, hidden_dim, out_dim, bias)
-        return cls(w1, b1, w2, b2, **kwargs)
+    def over(cls, flat, in_dim, hidden_dim, out_dim, bias=True, phi="selu",
+             sigma="selu", dropout_rate=0.0):
+        """Block whose weights are views into ``flat``: one float64 buffer, or
+        a stack ``(S, n)``."""
+        block = cls.__new__(cls)
+        block._adopt(*_split(flat, in_dim, hidden_dim, out_dim, bias), phi, sigma,
+                     dropout_rate)
+        return block
 
     def init(self, rng) -> None:
         """He-initialize in place, drawing ``w1`` then ``w2``; zero the biases."""
@@ -249,24 +291,30 @@ class TwoLayerBlock:
             raise ValueError(
                 f"input width {xb.shape[-1]} does not match block input {self.in_dim}"
             )
-        if train and rng is None and np.any(self.dropout_rate):
+        rate = self.dropout_rate
+        drop = train and bool(rate.any() if isinstance(rate, np.ndarray) else rate)
+        if drop and rng is None:
             raise ValueError("training with dropout requires an rng")
 
-        pre1 = xb @ self.w1.swapaxes(-1, -2)
-        if self.b1 is not None:
-            pre1 = pre1 + self.b1[..., None, :]
-        act1 = activate(self.phi, pre1)
-        act1, dmul1 = alpha_dropout(act1, self.dropout_rate, rng, train)
+        pre1 = xb @ self._w1t
+        if self._b1 is not None:
+            pre1 += self._b1
+        a1 = act1 = activate(self.phi, pre1)
+        dmul1 = None
+        if drop:
+            act1, dmul1 = alpha_dropout(a1, rate, rng, train)
 
-        pre2 = act1 @ self.w2.swapaxes(-1, -2)
-        if self.b2 is not None:
-            pre2 = pre2 + self.b2[..., None, :]
-        out = activate(self.sigma, pre2)
-        out, dmul2 = alpha_dropout(out, self.dropout_rate, rng, train)
+        pre2 = act1 @ self._w2t
+        if self._b2 is not None:
+            pre2 += self._b2
+        a2 = out = activate(self.sigma, pre2)
+        dmul2 = None
+        if drop:
+            out, dmul2 = alpha_dropout(a2, rate, rng, train)
 
-        if self.w1.ndim == 2 and not np.all(np.isfinite(out)):
+        if self.w1.ndim == 2 and not np.isfinite(out).all():
             raise NumericsError("two-layer block produced a non-finite output")
-        cache = (xb, pre1, act1, dmul1, pre2, dmul2, single)
+        cache = (xb, pre1, a1, act1, dmul1, pre2, a2, dmul2, single)
         return (out[0] if single else out), cache
 
     def backward(self, cache, dout, grad, need_dx=True):
@@ -276,7 +324,7 @@ class TwoLayerBlock:
         the block's weights (``w1, b1, w2, b2``), and returns ``dx``, or None
         with ``need_dx=False`` (the input is data, not a parameter's output).
         """
-        xb, pre1, act1, dmul1, pre2, dmul2, single = cache
+        xb, pre1, a1, act1, dmul1, pre2, a2, dmul2, single = cache
         gw1, gb1, gw2, gb2 = _split(grad, self.in_dim, self.w1.shape[-2],
                                     self.out_dim, self.b1 is not None)
         d = np.asarray(dout, dtype=np.float64)
@@ -284,14 +332,16 @@ class TwoLayerBlock:
             d = d[None, :]
         if dmul2 is not None:
             d = d * dmul2
-        delta2 = d * activate_deriv(self.sigma, pre2)
+        delta2 = activate_deriv(self.sigma, pre2, a2)
+        delta2 *= d
         np.matmul(delta2.swapaxes(-1, -2), act1, out=gw2)
         if gb2 is not None:
             delta2.sum(axis=-2, out=gb2)
         dact1 = delta2 @ self.w2
         if dmul1 is not None:
-            dact1 = dact1 * dmul1
-        delta1 = dact1 * activate_deriv(self.phi, pre1)
+            dact1 *= dmul1
+        delta1 = activate_deriv(self.phi, pre1, a1)
+        delta1 *= dact1
         np.matmul(delta1.swapaxes(-1, -2), xb, out=gw1)
         if gb1 is not None:
             delta1.sum(axis=-2, out=gb1)

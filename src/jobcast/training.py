@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import Normalizer
-from .errors import DataError, NumericsError, SchemaError, TrainingError
+from .errors import ConfigError, DataError, NumericsError, SchemaError, TrainingError
 from .model import COMPONENTS, EncodedBatch, ModelState, PropertySchema, \
     encode_batch, diverged_rows, forward_batch, backward_batch, _joint_terms
 from .nn import Adam, huber_grad
@@ -208,6 +208,9 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     space = space or SearchSpace()
     grid = space.grid()
     k = min(space.sample_count, len(grid))
+    if k < 1:
+        raise ConfigError(f"the search samples no configuration: sample_count "
+                          f"{space.sample_count}, {len(grid)} in the grid")
     split_seq, pick_seq, *config_seeds = np.random.SeedSequence(seed).spawn(2 + k)
 
     split_rng = np.random.default_rng(split_seq)
@@ -226,8 +229,6 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     val_batch = encode_batch(schema, normalizer, val_records)
 
     configs = [grid[pick] for pick in picks]
-    if not configs:
-        raise TrainingError("all pre-training configurations diverged")
     log: list = [None] * k
     started = time.perf_counter()
 

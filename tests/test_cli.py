@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from jobcast import cli, evalharness, model
+from jobcast import cli, evalharness, model, training
 from jobcast.dataio import write_records_csv
-from jobcast.errors import TrainingError
-from jobcast.synthetic import context_records, make_contexts
+from jobcast.errors import ConfigError, TrainingError
+from jobcast.synthetic import SYNTH_SCHEMA, context_records, make_contexts
 
 DATA = Path(__file__).parent / "data"
 
@@ -276,6 +276,44 @@ class TestEvaluate:
         ])
         assert code == cli.EXIT_CONFIG
         assert "--n-train" in capsys.readouterr().err
+
+
+COUNT_FLAG_CASES = [
+    ("pretrain", "--search-samples", "-1"),
+    ("pretrain", "--search-samples", "0"),
+    ("pretrain", "--epochs", "-5"),
+    ("pretrain", "--epochs", "0"),
+    ("evaluate", "--max-splits", "-3"),
+    ("evaluate", "--max-splits", "0"),
+    ("evaluate", "--contexts", "0"),
+    ("evaluate", "--workers", "0"),
+    ("evaluate", "--search-samples", "0"),
+    ("evaluate", "--pretrain-epochs", "-1"),
+]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command,flag,value", COUNT_FLAG_CASES)
+    def test_count_below_one_is_config_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "parse_manifest", no_work)
+        out = ["--out", str(tmp_path / "m.jcm")] if command == "pretrain" \
+            else ["--out-dir", str(tmp_path / "results")]
+        code = cli.main([command, "--data", str(DATA / "sort_runs.csv"),
+                         "--manifest", str(DATA / "sort_manifest.txt"),
+                         flag, value] + out)
+        assert code == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_pretrain_without_samples_is_config_error(self):
+        records = context_records(make_contexts(1, seed=0)[0], repetitions=1, seed=0)
+        with pytest.raises(ConfigError):
+            training.pretrain(records, SYNTH_SCHEMA,
+                              space=training.SearchSpace(sample_count=0), epochs=1)
 
 
 class TestExitCodeMapping:

@@ -1,23 +1,36 @@
 """Property tests for the input boundaries: whatever text arrives, only a
-:class:`JobcastError` escapes, and whatever loads can be encoded.
+:class:`JobcastError` escapes, and whatever loads can be encoded; and for
+the encoders, which must equal the plain loops of ``golden/gen_reference.py``
+byte for byte.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
 
 import csv
+import hashlib
+import importlib.util
+import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobcast import cli
+from jobcast import cli, model
 from jobcast.dataio import load_dataset, parse_manifest
-from jobcast.encoding import Normalizer
-from jobcast.errors import ConfigError, JobcastError
+from jobcast.encoding import (PAYLOAD_BITS, Normalizer, PropertyValue, binarize,
+                              encode_property, hash_text)
+from jobcast.errors import CapacityError, ConfigError, JobcastError
 from jobcast.model import encode_batch
 
 DATA = Path(__file__).parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "gen_reference", Path(__file__).parent / "golden" / "gen_reference.py")
+REFERENCE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(REFERENCE)
 
 FUZZ = settings(derandomize=True, max_examples=60, database=None, deadline=None)
 
@@ -113,3 +126,107 @@ def test_parse_manifest_on_arbitrary_text(tmp_path_factory, lines, encoding):
     except JobcastError:
         return
     assert manifest.essential
+
+
+# Encoder input: any code point, lone surrogates included (argv reaches
+# --props surrogate-escaped), with the characters whose lowercase is or holds
+# ASCII ('İ' -> 'i̇', Kelvin 'K' -> 'k') and short strings drawn often.
+ANY_CHAR = st.one_of(
+    st.integers(0, 0x7F).map(chr),
+    st.integers(0x80, 0x10FFFF).map(chr),
+    st.sampled_from(["\u0130", "\u212a", "\udcff", "\ud800", "\u00df", "A", "Z", "-"]),
+)
+TEXT = st.one_of(st.text(ANY_CHAR, max_size=2), st.text(ANY_CHAR, max_size=40))
+NATURAL = st.one_of(
+    st.integers(0, 2**PAYLOAD_BITS - 1),
+    st.integers(2**PAYLOAD_BITS - 3, 2**PAYLOAD_BITS + 3),
+    st.integers(2**PAYLOAD_BITS, 2**70),
+)
+
+
+@FUZZ
+@given(text=TEXT)
+def test_text_encoding_equals_reference_loops(text):
+    expect = np.array(REFERENCE.hashed_vector(text))
+    assert hash_text(text).tobytes() == expect.tobytes()
+    vec = encode_property(PropertyValue.text(text))
+    assert vec.tobytes() == np.concatenate(([1.0], expect)).tobytes()
+
+
+@FUZZ
+@given(n=NATURAL)
+def test_natural_encoding_equals_reference_loops(n):
+    try:
+        payload = binarize(n)
+    except CapacityError:
+        assert n >= 2**PAYLOAD_BITS
+        with pytest.raises(CapacityError):
+            encode_property(PropertyValue.natural(n))
+        return
+    expect = np.array(REFERENCE.binary_vector(n))
+    assert payload.tobytes() == expect.tobytes()
+    vec = encode_property(PropertyValue.natural(n))
+    assert vec.tobytes() == np.concatenate(([0.0], expect)).tobytes()
+
+
+# Model headers: a saved header with one value replaced by arbitrary JSON or
+# one key deleted, then re-signed, so that every check past the checksum runs.
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-2**70, 2**70),
+              st.text(CHAR, max_size=8), st.sampled_from(["selu", "tanh", "natural", "text"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(CHAR, max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+# Values on a boundary of some header check; JSON integers have no bound.
+EDGE = st.sampled_from([10**400, -10**400, float("nan"), float("inf"), -1, 0, 1, 1.5,
+                        True, "", [], {}])
+HEADER_PATHS = [
+    ("schema",), ("schema", "essential"), ("schema", "optional"),
+    ("schema", "essential", 0), ("schema", "essential", 0, 1),
+    ("dims",), ("dims", "combined_width"), ("dims", "vector_size"), ("dims", "f_hidden"),
+    ("activations",), ("activations", "h"), ("activations", "z", 0),
+    ("dropout",), ("dropout", "g"),
+    ("normalizer",), ("normalizer", "lo"), ("normalizer", "hi", 2),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    schema = model.PropertySchema(essential=(("size", "natural"), ("node", "text")),
+                                  optional=(("mem", "natural"),))
+    state = model.ModelState.new(schema, Normalizer.fit([2, 6, 12]),
+                                 np.random.default_rng(3), dropout_rate=0.1)
+    path = tmp_path_factory.mktemp("model") / "m.jcm"
+    model.save(state, path)
+    return path.read_bytes(), path.with_name("mutated.jcm")
+
+
+@settings(FUZZ, max_examples=300)
+@given(path=st.sampled_from(HEADER_PATHS), value=st.one_of(EDGE, JSON, st.just(KeyError)),
+       length_shift=st.sampled_from([0, 0, 0, -1, 1, 8]))
+def test_load_of_resigned_mutated_header(saved_model, path, value, length_shift):
+    blob, target = saved_model
+    start = len(model._MAGIC) + 8
+    header_len = struct.unpack_from("<I", blob, start - 4)[0]
+    header = json.loads(blob[start : start + header_len])
+    *parents, last = path
+    node = header
+    for key in parents:
+        node = node[key]
+    if value is KeyError:
+        del node[last]
+    else:
+        node[last] = value
+    raw = json.dumps(header, sort_keys=True).encode()
+    payload = (blob[: start - 4] + struct.pack("<I", len(raw) + length_shift) + raw
+               + blob[start + header_len : -32])
+    target.write_bytes(payload + hashlib.sha256(payload).digest())
+    try:
+        state = model.load(target)
+    except JobcastError:
+        return
+    # A file that loads predicts.
+    props = {name: PropertyValue.natural(5) if kind == "natural" else PropertyValue.text("x")
+             for name, kind in state.schema.essential + state.schema.optional}
+    model.predict(state, 4, props)
