@@ -20,8 +20,7 @@ from .evalharness import (ComparisonConfig, EvalSplit, MetricsTable, ecdf,
                           generate_splits, run_comparison, validate_split)
 from .model import (ModelState, Prediction, PropertySchema, joint_loss, load,
                     predict, predict_batch, save)
-from .training import (FineTuneReport, FitConfig, SearchSpace, finetune,
-                       lr_at, pretrain)
+from .training import FineTuneReport, SearchSpace, finetune, lr_at, pretrain
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,5 @@ __all__ = [
     "generate_splits", "run_comparison", "validate_split",
     "ModelState", "Prediction", "PropertySchema", "joint_loss", "load",
     "predict", "predict_batch", "save",
-    "FineTuneReport", "FitConfig", "SearchSpace", "finetune", "lr_at",
-    "pretrain",
+    "FineTuneReport", "SearchSpace", "finetune", "lr_at", "pretrain",
 ]

@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import DataError, TrainingError
 
+# Bound on the dual (KKT) residual, relative to max |A^T b|, that stops nnls.
 NNLS_TOLERANCE = 1e-10
+# nnls gives up after this many outer (and as many inner) iterations per column.
+NNLS_ITERATIONS_PER_COLUMN = 30
 
 
-def nnls(a, b, tol: float = NNLS_TOLERANCE, max_iter: int | None = None) -> np.ndarray:
-    """Lawson-Hanson active-set solve of ``min ||Ax - b||`` s.t. ``x >= 0``.
-
-    ``tol`` bounds the dual (KKT) residual used for the stopping test.
-    """
+def nnls(a, b) -> np.ndarray:
+    """Lawson-Hanson active-set solve of ``min ||Ax - b||`` s.t. ``x >= 0``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
@@ -31,8 +31,7 @@ def nnls(a, b, tol: float = NNLS_TOLERANCE, max_iter: int | None = None) -> np.n
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("nnls inputs must be finite")
     n = a.shape[1]
-    if max_iter is None:
-        max_iter = 30 * n
+    max_iter = NNLS_ITERATIONS_PER_COLUMN * n
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     scale = max(1.0, float(np.max(np.abs(a.T @ b))))
@@ -41,7 +40,7 @@ def nnls(a, b, tol: float = NNLS_TOLERANCE, max_iter: int | None = None) -> np.n
     for _ in range(max_iter):
         w = a.T @ (b - a @ x)
         active = ~passive
-        if not active.any() or np.max(w[active]) <= tol * scale:
+        if not active.any() or np.max(w[active]) <= NNLS_TOLERANCE * scale:
             return x
         passive[np.flatnonzero(active)[np.argmax(w[active])]] = True
         while True:
@@ -59,7 +58,7 @@ def nnls(a, b, tol: float = NNLS_TOLERANCE, max_iter: int | None = None) -> np.n
             ratio = x[blocking] / (x[blocking] - s[blocking])
             alpha = ratio.min()
             x = x + alpha * (s - x)
-            passive &= x > tol * max(1.0, float(np.max(np.abs(x))))
+            passive &= x > NNLS_TOLERANCE * max(1.0, float(np.max(np.abs(x))))
             x[~passive] = 0.0
     raise TrainingError(f"nnls failed to converge within {max_iter} iterations")
 
@@ -80,18 +79,12 @@ class ErnestModel:
             raise ValueError("coefficients must be nonnegative")
 
 
-def ernest_fit(points, dedupe: bool = False) -> ErnestModel:
-    """Fit the parametric model on ``(scale_out, runtime)`` pairs.
-
-    With ``dedupe`` the per-scale-out median replaces repeated
-    measurements; by default every point enters the fit individually.
-    """
+def ernest_fit(points) -> ErnestModel:
+    """Fit the parametric model on ``(scale_out, runtime)`` pairs; every
+    point enters the fit, repeated scale-outs included."""
     pts = list(points)
     if not pts:
         raise DataError("parametric fit needs at least one point")
-    if dedupe:
-        pts = [(x, float(np.median([r for q, r in pts if q == x])))
-               for x in sorted({x for x, _ in pts})]
     a = np.stack([ernest_features(x) for x, _ in pts])
     b = np.array([r for _, r in pts], dtype=np.float64)
     return ErnestModel(tuple(nnls(a, b)))

@@ -48,7 +48,13 @@ def _parse_pairs(pairs, props_file=None) -> dict:
     """Raw name -> string value map from tokens and/or a key=value file."""
     raw: dict[str, str] = {}
     if props_file:
-        for lineno, line in enumerate(Path(props_file).read_text().splitlines(), 1):
+        try:
+            text = Path(props_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"props file {props_file} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read props file {props_file}: {exc}") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

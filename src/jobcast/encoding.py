@@ -44,6 +44,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # (and wraps) under every numpy version's promotion rules.
 _FNV_OFFSET_U64 = np.uint64(_FNV_OFFSET)
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
+_PAYLOAD_BITS_U64 = np.uint64(PAYLOAD_BITS)
 # Every byte outside the vocabulary, for bytes.translate to delete.
 _NON_VOCABULARY = bytes(b for b in range(256) if chr(b) not in VOCABULARY)
 
@@ -74,18 +75,22 @@ class PropertyValue:
         return cls("text", s)
 
 
-def binarize(n: int, bits: int = PAYLOAD_BITS) -> np.ndarray:
+# Bit positions of the binary expansion, most significant first.
+_SHIFTS = np.arange(PAYLOAD_BITS - 1, -1, -1)
+
+
+def binarize(n: int) -> np.ndarray:
     """Zero-padded, most-significant-bit-first binary expansion of ``n``.
 
-    Injective over ``[0, 2**bits - 1]``; larger values raise
+    Injective over ``[0, 2**PAYLOAD_BITS - 1]``; larger values raise
     :class:`CapacityError`.
     """
     if n < 0:
         raise CapacityError(f"cannot binarize negative value {n}")
-    if n >= 1 << bits:
-        raise CapacityError(f"value {n} exceeds binarizer capacity 2**{bits} - 1")
-    shifts = np.arange(bits - 1, -1, -1)
-    return ((np.int64(n) >> shifts) & 1).astype(np.float64)
+    if n >= 1 << PAYLOAD_BITS:
+        raise CapacityError(
+            f"value {n} exceeds binarizer capacity 2**{PAYLOAD_BITS} - 1")
+    return ((np.int64(n) >> _SHIFTS) & 1).astype(np.float64)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -106,11 +111,11 @@ def clean_text(s: str) -> str:
     return kept.decode("ascii")
 
 
-def hash_text(s: str, bits: int = PAYLOAD_BITS) -> np.ndarray:
+def hash_text(s: str) -> np.ndarray:
     """Signed hashed character n-gram counts, projected onto the unit sphere.
 
     Unigrams, bigrams, and trigrams of the cleaned string are counted; each
-    term lands at index ``fnv1a_64(term) % bits`` with a sign taken
+    term lands at index ``fnv1a_64(term) % PAYLOAD_BITS`` with a sign taken
     from the hash's top bit. Nonempty cleaned input yields a unit-L2 vector;
     empty input yields the zero vector.
 
@@ -120,15 +125,15 @@ def hash_text(s: str, bits: int = PAYLOAD_BITS) -> np.ndarray:
     """
     cleaned = clean_text(s).encode("ascii")
     if not cleaned:
-        return np.zeros(bits)
+        return np.zeros(PAYLOAD_BITS)
     b = np.frombuffer(cleaned, dtype=np.uint8).astype(np.uint64)
     h1 = (b ^ _FNV_OFFSET_U64) * _FNV_PRIME_U64
     h2 = (h1[:-1] ^ b[1:]) * _FNV_PRIME_U64
     h3 = (h2[:-1] ^ b[2:]) * _FNV_PRIME_U64
     h = np.concatenate((h1, h2, h3))
     sign = (h.view(np.int64) >> 63) | 1  # -1 where the top bit is set, else 1
-    index = (h % np.uint64(bits)).view(np.int64)  # bincount takes no uint64
-    out = np.bincount(index, weights=sign, minlength=bits)
+    index = (h % _PAYLOAD_BITS_U64).view(np.int64)  # bincount takes no uint64
+    out = np.bincount(index, weights=sign, minlength=PAYLOAD_BITS)
     norm = math.sqrt(float(np.dot(out, out)))
     if norm > 0.0:  # +-1 terms may cancel to zero
         out /= norm

@@ -28,6 +28,8 @@ from .training import SearchSpace, finetune, pretrain
 MODEL_METHOD = "model"
 BASELINE_TOKENS = ("nnls", "bell")
 VARIANT_TOKENS = ("local", "filtered", "full")
+# choose_contexts covers every value of this property before filling up.
+STRATIFY_PROPERTY = "node_type"
 
 
 @dataclass(frozen=True)
@@ -193,20 +195,19 @@ def context_id(key: ContextKey) -> str:
     return f"{fnv1a_64(str(key).encode('utf-8')):016x}"[:8]
 
 
-def choose_contexts(records, count: int = 7, seed: int = 0,
-                    stratify: str = "node_type") -> list[ContextKey]:
-    """Pick evaluation contexts, covering every value of the stratification
-    property at least once before filling up uniformly."""
+def choose_contexts(records, count: int = 7, seed: int = 0) -> list[ContextKey]:
+    """Pick evaluation contexts, covering every value of
+    ``STRATIFY_PROPERTY`` at least once before filling up uniformly."""
     contexts = sorted(group_by_context(records), key=str)
     if count >= len(contexts):
         return contexts
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC7)))
     names = {name for ctx in contexts for name, _ in ctx.items}
     picked: list[ContextKey] = []
-    if stratify in names:
+    if STRATIFY_PROPERTY in names:
         groups: dict = {}
         for ctx in contexts:
-            groups.setdefault(ctx.get(stratify), []).append(ctx)
+            groups.setdefault(ctx.get(STRATIFY_PROPERTY), []).append(ctx)
         for value in sorted(groups, key=str):
             group = groups[value]
             if len(picked) < count:
@@ -242,16 +243,16 @@ def _bell_method() -> Method:
 
 def _model_method(variant: str, schema: PropertySchema,
                   pretrained: ModelState | None, reuse: str,
-                  config=None) -> Method:
+                  epochs: int) -> Method:
     def fit(train, seed):
         if variant == "local":
             state, report = finetune(schema, train, strategy="local",
-                                     reuse=reuse, seed=seed, config=config)
+                                     reuse=reuse, seed=seed, epochs=epochs)
         else:
             if pretrained is None:
                 raise DataError(f"no pre-trained model for variant {variant!r}")
             state, report = finetune(pretrained, train, strategy="pretrained",
-                                     reuse=reuse, seed=seed, config=config)
+                                     reuse=reuse, seed=seed, epochs=epochs)
         return MethodResult(state, epochs=report.epochs_run,
                             wall_time_s=report.wall_time_s)
 
@@ -312,7 +313,7 @@ class ComparisonConfig:
     reuse: str = "partial-unfreeze"
     pretrain_space: SearchSpace | None = None
     pretrain_epochs: int = training.MAX_EPOCHS
-    finetune_config: Any = None
+    finetune_epochs: int = training.MAX_EPOCHS
     workers: int = 1
 
 
@@ -331,7 +332,7 @@ def _pretrain_variant(records, target, variant, schema, config):
 
 def _cell_task(args):
     (ctx_records, label, n_train, tokens, schema, states,
-     reuse, finetune_cfg, max_splits, seed) = args
+     reuse, finetune_epochs, max_splits, seed) = args
     methods = []
     for token in tokens:
         if token == "nnls":
@@ -340,7 +341,7 @@ def _cell_task(args):
             methods.append(_bell_method())
         else:
             methods.append(_model_method(token, schema, states.get(token),
-                                         reuse, finetune_cfg))
+                                         reuse, finetune_epochs))
     cell_seed = int(np.random.SeedSequence(
         (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
     ).generate_state(1)[0])
@@ -382,7 +383,7 @@ def run_comparison(records, schema: PropertySchema,
                                                     schema, config)
         for n_train in config.n_train_values:
             tasks.append((ctx_records, label, n_train, tuple(tokens), schema,
-                          states, config.reuse, config.finetune_config,
+                          states, config.reuse, config.finetune_epochs,
                           config.max_splits, config.seed))
 
     table = MetricsTable()

@@ -378,20 +378,18 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
     return grad
 
 
-def joint_loss(state: ModelState, records, huber_delta: float = 1.0,
-               recon_weight: float = 1.0, train=False, rng=None):
+def joint_loss(state: ModelState, records, train=False, rng=None):
     """Total, runtime, and reconstruction loss terms over a batch of records.
 
     The runtime term is mean-reduced Huber error in seconds; the
     reconstruction term is the MSE over every (record, property)
-    reconstruction, weighted by occurrence.
+    reconstruction, weighted by occurrence. The total is their plain sum.
     """
     records = list(records)
     if not records:
         raise ValueError("joint_loss needs a nonempty batch")
     batch = encode_batch(state.schema, state.normalizer, records)
-    total, runtime, recon, _ = _joint_terms(state, batch, huber_delta, recon_weight,
-                                            train, rng)
+    total, runtime, recon, _ = _joint_terms(state, batch, train, rng)
     if not np.isfinite(total):
         raise NumericsError("joint loss is non-finite")
     return total, runtime, recon
@@ -408,30 +406,20 @@ def _recon_loss(batch: EncodedBatch, detail):
     return (loss if loss.ndim else float(loss)), dgrad
 
 
-def _joint_terms(state: ModelState, batch: EncodedBatch, huber_delta, recon_weight,
-                 train=False, rng=None, grad=None):
+def _joint_terms(state: ModelState, batch: EncodedBatch, train=False, rng=None,
+                 grad=None):
     """``(total, runtime, reconstruction)`` loss terms over an encoded batch,
     plus the forward pass's ``detail``; for a stack, one value per row.
 
     Given a flat ``grad`` buffer, also backpropagates the total into it.
     """
     y, detail = forward_batch(state, batch, train=train, rng=rng)
-    runtime_term = huber_loss(y, batch.runtimes, huber_delta)
+    runtime_term = huber_loss(y, batch.runtimes)
     recon_term, drecons = _recon_loss(batch, detail)
     if grad is not None:
-        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes, huber_delta),
-                       grad, recon_weight * drecons)
-    return runtime_term + recon_weight * recon_term, runtime_term, recon_term, detail
-
-
-def joint_loss_grads(state: ModelState, records, huber_delta: float = 1.0,
-                     recon_weight: float = 1.0, train=False, rng=None):
-    """Loss terms plus the flat gradient; the training-loop building block."""
-    batch = encode_batch(state.schema, state.normalizer, list(records))
-    grad = np.zeros_like(state.vector)
-    total, runtime, recon, _ = _joint_terms(state, batch, huber_delta, recon_weight,
-                                            train, rng, grad)
-    return total, runtime, recon, grad
+        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes), grad,
+                       drecons)
+    return runtime_term + recon_term, runtime_term, recon_term, detail
 
 
 def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything here operates on float64 numpy arrays and is sized for the tiny
 two-layer blocks this package needs: explicit forward/backward passes, SELU
-and tanh activations, alpha-dropout, He initialization, Huber/MSE losses,
+and tanh activations, alpha-dropout, He initialization, the Huber loss,
 and an Adam optimizer with decoupled weight decay. Inputs may be a single
 vector ``(D,)`` or a batch ``(B, D)``.
 
@@ -34,6 +34,14 @@ SELU_LAMBDA = 1.0507009873554804934193349852946
 _ALPHA_PRIME = -SELU_LAMBDA * SELU_ALPHA
 
 ACTIVATIONS = ("identity", "selu", "tanh")
+
+# Where the Huber runtime loss turns from quadratic to linear, in seconds.
+HUBER_DELTA = 1.0
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def selu(x):
@@ -177,39 +185,31 @@ def he_init(shape, fan_in: int, rng) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def mse_loss(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.mean(d * d))
-
-
-def huber_loss(pred, target, delta: float = 1.0):
-    """Mean-reduced Huber loss: quadratic inside ``|e| <= delta``, linear outside.
+def huber_loss(pred, target):
+    """Mean-reduced Huber loss: quadratic inside ``|e| <= HUBER_DELTA``,
+    linear outside.
 
     The mean runs over the last axis: a float for a batch, one loss per row
     for a stack ``(S, B)``.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     e = np.abs(pred - target)
-    per = np.where(e <= delta, 0.5 * e * e, delta * (e - 0.5 * delta))
+    per = np.where(e <= HUBER_DELTA, 0.5 * e * e,
+                   HUBER_DELTA * (e - 0.5 * HUBER_DELTA))
     loss = np.add.reduce(per, axis=-1) / per.shape[-1]  # np.mean, without its wrapper
     return loss if loss.ndim else float(loss)
 
 
-def huber_grad(pred, target, delta: float = 1.0) -> np.ndarray:
+def huber_grad(pred, target) -> np.ndarray:
     """d(huber_loss)/d(pred), including the 1/n mean factor of each row."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     e = pred - target
-    return np.minimum(np.maximum(e, -delta), delta) / e.shape[-1]  # np.clip, faster
+    # np.clip, faster
+    return np.minimum(np.maximum(e, -HUBER_DELTA), HUBER_DELTA) / e.shape[-1]
 
 
 class TwoLayerBlock:
@@ -379,13 +379,9 @@ class Adam:
     every row steps together.
     """
 
-    def __init__(self, lr, segments: dict, name_of, weight_decay=0.0, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    def __init__(self, lr, segments: dict, name_of, weight_decay=0.0):
         self.lr = lr if np.ndim(lr) else float(lr)
         self.weight_decay = weight_decay if np.ndim(weight_decay) else float(weight_decay)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.segments = dict(segments)
         size = max(s.stop for s in self.segments.values())
         self.m, self.v = np.zeros((2, *np.shape(lr)[:-1], size))
@@ -418,17 +414,17 @@ class Adam:
             p, g = params[..., lo:hi], grads[..., lo:hi]
             m, v = self.m[..., lo:hi], self.v[..., lo:hi]
             # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), in two buffers
-            tmp = (1.0 - self.beta1) * g
-            m *= self.beta1
+            tmp = (1.0 - ADAM_BETA1) * g
+            m *= ADAM_BETA1
             m += tmp
             np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - self.beta2
-            v *= self.beta2
+            tmp *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += tmp
-            step = m / (1.0 - self.beta1**t)  # mhat
-            np.divide(v, 1.0 - self.beta2**t, out=tmp)  # vhat
+            step = m / (1.0 - ADAM_BETA1**t)  # mhat
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)  # vhat
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += ADAM_EPS
             step /= tmp
             np.multiply(self.weight_decay, p, out=tmp)
             step += tmp

@@ -3,7 +3,8 @@
 Pre-training samples configurations from a fixed grid, trains them all in
 lockstep on the joint runtime+reconstruction loss for the full epoch budget,
 and keeps the state with the lowest held-out runtime MAE. Fine-tuning
-continues training on runtime error only, with the autoencoder always
+continues training on runtime error only, under a fixed recipe (a cyclical
+learning rate and a fixed weight decay), with the autoencoder always
 frozen, the predictor trainable from the start, and the scale-out block
 joining after an epoch threshold that grows with the number of samples.
 Fine-tuning stops early once the training MAE drops to the target or
@@ -31,35 +32,13 @@ PATIENCE_TOLERANCE = 1e-6
 REUSE_STRATEGIES = ("none", "partial-unfreeze", "full-unfreeze",
                     "partial-reset", "full-reset")
 
-
-@dataclass
-class CyclicalSchedule:
-    """Triangular learning-rate wave; starts at ``hi``, dips to ``lo``."""
-
-    lo: float = 1e-3
-    hi: float = 1e-2
-    period: int = 200
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("cyclical schedule needs lo < hi")
-
-
-@dataclass
-class FitConfig:
-    """Fine-tuning hyperparameters (pre-training takes its own arguments)."""
-
-    epochs: int = MAX_EPOCHS
-    learning_rate: float = 1e-2
-    weight_decay: float = 1e-3
-    huber_delta: float = 1.0
-    seed: int = 0
-    lr_schedule: CyclicalSchedule | None = None  # None = constant
-
-
-def finetune_config(seed: int = 0) -> FitConfig:
-    """The fixed fine-tuning hyperparameters."""
-    return FitConfig(weight_decay=1e-3, seed=seed, lr_schedule=CyclicalSchedule())
+# Fine-tuning's fixed recipe: a triangular learning-rate wave that starts at
+# LR_HIGH, dips to LR_LOW at half a period and climbs back, and decoupled
+# weight decay.
+LR_LOW = 1e-3
+LR_HIGH = 1e-2
+LR_PERIOD = 200
+FINETUNE_WEIGHT_DECAY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,15 +89,13 @@ class FineTuneReport:
     mae_history: list = field(default_factory=list)
 
 
-def lr_at(epoch: int, schedule: CyclicalSchedule | float) -> float:
-    """Learning rate at a (0-based) epoch under a schedule or constant."""
+def lr_at(epoch: int) -> float:
+    """Fine-tuning's learning rate at a (0-based) epoch."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if not isinstance(schedule, CyclicalSchedule):
-        return float(schedule)
-    frac = (epoch % schedule.period) / schedule.period
+    frac = (epoch % LR_PERIOD) / LR_PERIOD
     tri = 2.0 * frac if frac <= 0.5 else 2.0 * (1.0 - frac)
-    return (1.0 - tri) * schedule.hi + tri * schedule.lo
+    return (1.0 - tri) * LR_HIGH + tri * LR_LOW
 
 
 class _Lockstep:
@@ -147,7 +124,7 @@ class _Lockstep:
         self.loss = np.full(size, np.nan)
         self.total = np.zeros(size)
 
-    def gradients(self, start: int, size: int, huber_delta, recon_weight):
+    def gradients(self, start: int, size: int):
         """Joint loss and gradient (into ``grad``) of every row on the
         records at positions ``start:start + size`` of its own order.
 
@@ -158,9 +135,8 @@ class _Lockstep:
                                  ess_rows=b.ess_rows[idx] + self.offsets,
                                  opt_weights=b.opt_weights[idx], usage=b.usage[idx],
                                  runtimes=b.runtimes[idx])
-        loss, _, _, detail = _joint_terms(self.state, minibatch, huber_delta,
-                                          recon_weight, train=True, rng=self.rngs,
-                                          grad=self.grad)
+        loss, _, _, detail = _joint_terms(self.state, minibatch, train=True,
+                                          rng=self.rngs, grad=self.grad)
         # Hold this step's arrays until the next step has made its own. Freed
         # at once, these few MB (at S=12) would sit at the top of the heap,
         # go back to the OS and be page-faulted in again every step: with
@@ -185,8 +161,7 @@ def _mae(state, batch) -> float:
 
 
 def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
-             seed: int = 0, epochs: int = MAX_EPOCHS, batch_size: int = 64,
-             huber_delta: float = 1.0, recon_weight: float = 1.0):
+             seed: int = 0, epochs: int = MAX_EPOCHS, batch_size: int = 64):
     """Random-search pre-training over a historical corpus.
 
     Returns ``(best_state, search_log)``. Every sampled configuration is
@@ -254,7 +229,7 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
             rng.shuffle(order)
         run.total[:] = 0.0
         for start in range(0, len(train_records), batch_size):
-            loss, bad = run.gradients(start, batch_size, huber_delta, recon_weight)
+            loss, bad = run.gradients(start, batch_size)
             if bad is not None:
                 leave(bad, epoch)
                 if not run.ids.size:
@@ -293,15 +268,17 @@ def unfreeze_epoch(n_samples: int) -> int:
 
 def finetune(state: ModelState | PropertySchema, samples,
              strategy: str = "pretrained", reuse: str = "partial-unfreeze",
-             seed: int = 0, config: FitConfig | None = None):
+             seed: int = 0, epochs: int = MAX_EPOCHS):
     """Adapt a model to one concrete context.
 
     ``strategy="pretrained"`` continues from ``state``; ``strategy="local"``
     discards weights (keeping only the schema), re-initializes from
     ``seed``, and fits the normalizer on the samples themselves. The
     autoencoder is never updated. Training minimizes runtime Huber error
-    only and stops at the MAE target, the patience window, or the epoch
-    cap, returning the best snapshot rather than the last.
+    only, at the learning rate :func:`lr_at` gives each epoch and weight
+    decay ``FINETUNE_WEIGHT_DECAY``. It stops at the MAE target, the
+    patience window, or after ``epochs`` epochs, returning the best
+    snapshot rather than the last.
 
     With zero samples (or ``reuse="none"``) the input state is returned
     unchanged together with an inference-only report whose
@@ -312,7 +289,6 @@ def finetune(state: ModelState | PropertySchema, samples,
     if strategy not in ("local", "pretrained"):
         raise ValueError(f"unknown strategy {strategy!r}")
     samples = list(samples)
-    config = config or finetune_config(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     if strategy == "local":
@@ -342,11 +318,9 @@ def finetune(state: ModelState | PropertySchema, samples,
     codes, _ = work.g.forward(batch.pvecs, train=False)
     e_frozen, _ = work.f.forward(batch.sfeat, train=False)
 
-    optim = Adam(config.learning_rate, work.segments,
-                 weight_decay=config.weight_decay, name_of=work.param_name)
+    optim = Adam(lr_at(0), work.segments, weight_decay=FINETUNE_WEIGHT_DECAY,
+                 name_of=work.param_name)
     grad = np.zeros_like(work.vector)
-    schedule = config.lr_schedule if config.lr_schedule is not None \
-        else config.learning_rate
 
     y, detail = forward_batch(work, batch, need_recon=False,
                               cached_codes=codes, cached_e=e_frozen)
@@ -356,7 +330,7 @@ def finetune(state: ModelState | PropertySchema, samples,
     history = [best_mae]
     reason = "epoch_cap"
     epochs_run = 0
-    budget = config.epochs
+    budget = epochs
     live = ("z",)  # the autoencoder never trains; f joins at f_join
     if best_mae <= MAE_TARGET_SECONDS:
         # the starting state already meets the target on these samples
@@ -368,9 +342,9 @@ def finetune(state: ModelState | PropertySchema, samples,
             # first epoch after the unfreeze: redo the forward with f live
             y, detail = forward_batch(work, batch, need_recon=False,
                                       cached_codes=codes)
-        dy = huber_grad(y, batch.runtimes, config.huber_delta)
+        dy = huber_grad(y, batch.runtimes)
         backward_batch(work, batch, detail, dy, grad)
-        optim.lr = lr_at(epoch, schedule)
+        optim.lr = lr_at(epoch)
         optim.step(work.vector, grad, live)
         epochs_run = epoch + 1
 

@@ -24,12 +24,12 @@ from jobcast.dataio import filter_for_variant, load_dataset, \
 from jobcast.encoding import PropertyValue, encode_property, clean_text
 from jobcast.errors import DataError, ModelFileError
 from jobcast.evalharness import ComparisonConfig, generate_splits, run_comparison
-from jobcast.model import ModelState, joint_loss_grads, load, predict, save
+from jobcast.model import ModelState, _joint_terms, encode_batch, load, predict, save
 from jobcast.nn import _split
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, make_contexts
 from jobcast.training import finetune, pretrain
 
-from test_baselines import kkt_holds, objective, projected_gradient_nnls
+from test_baselines import enumerated_nnls, kkt_holds, objective
 from test_serialization import build_state, random_inputs
 
 C3O_DIR = os.environ.get("JOBCAST_C3O_DIR")
@@ -127,7 +127,9 @@ class TestCriterion1:
                 SYNTH_SCHEMA,
                 Normalizer.fit(r.scale_out for r in records),
                 rng)
-            _, _, _, grads = joint_loss_grads(state, records)
+            grads = np.zeros_like(state.vector)
+            _joint_terms(state, encode_batch(SYNTH_SCHEMA, state.normalizer, records),
+                         grad=grads)
 
             def loss():
                 from jobcast.model import joint_loss as jl
@@ -165,7 +167,8 @@ class TestCriterion1:
 class TestCriterion2:
     def test_nnls_oracle_equivalence(self):
         """On 500 random 4-column instances the active-set objective matches
-        a projected-gradient reference within 1e-6 and KKT holds."""
+        an exact reference (every support enumerated) within 1e-6 and KKT
+        holds."""
         from jobcast.baselines import nnls
         started = time.perf_counter()
         rng = np.random.default_rng(19)
@@ -176,7 +179,7 @@ class TestCriterion2:
             a = rng.normal(size=(k, 4)) * rng.uniform(0.5, 3.0)
             b = rng.normal(size=k) * 10
             x = nnls(a, b)
-            ref = projected_gradient_nnls(a, b, iters=4000)
+            ref = enumerated_nnls(a, b)
             scale = max(1.0, objective(a, b, np.zeros(4)))
             gap = (objective(a, b, x) - objective(a, b, ref)) / scale
             worst_gap = max(worst_gap, gap)

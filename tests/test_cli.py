@@ -316,6 +316,26 @@ class TestCountFlags:
                               space=training.SearchSpace(sample_count=0), epochs=1)
 
 
+class TestPropsFile:
+    @pytest.mark.parametrize("command", [
+        ["predict", "--scale-out", "6"],
+        ["recommend", "--target", "100", "--range", "2:12:2"],
+    ], ids=["predict", "recommend"])
+    @pytest.mark.parametrize("make", [
+        lambda path: None,  # never created
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"job_name=\xff\xfe\n"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_props_file_is_config_error(self, trained_model, tmp_path,
+                                                   capsys, command, make):
+        path = tmp_path / "ctx.props"
+        make(path)
+        code = cli.main([command[0], "--model", str(trained_model), *command[1:],
+                         "--props-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+
 class TestExitCodeMapping:
     def test_training_error_maps_to_4(self, monkeypatch, tmp_path):
         def boom(args):

@@ -14,7 +14,6 @@ from jobcast.evalharness import (ComparisonConfig, EvalSplit, Method,
                                  validate_split, write_ecdf_csv,
                                  write_metrics_csv)
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
-from jobcast.training import CyclicalSchedule, FitConfig
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +184,7 @@ def small_table(ctx_records):
         n_train_values=(1, 3),
         contexts=[ctx_records[0].context],
         max_splits=6, seed=1,
-        finetune_config=FitConfig(epochs=300,
-                                  lr_schedule=CyclicalSchedule()),
+        finetune_epochs=300,
     )
     return run_comparison(ctx_records, SYNTH_SCHEMA, config)
 
@@ -219,8 +217,7 @@ class TestRunComparison:
         also exercises pickling of model states and configs."""
         base = dict(methods=("nnls", "bell", "local"), n_train_values=(3,),
                     contexts=[ctx_records[0].context], max_splits=6, seed=2,
-                    finetune_config=FitConfig(epochs=40,
-                                              lr_schedule=CyclicalSchedule()))
+                    finetune_epochs=40)
         seq = run_comparison(ctx_records, SYNTH_SCHEMA,
                              ComparisonConfig(**base, workers=1))
         par = run_comparison(ctx_records, SYNTH_SCHEMA,
@@ -259,8 +256,7 @@ class TestRunComparison:
         config = ComparisonConfig(
             methods=("bell", "local"), n_train_values=(2, 3, 5),
             contexts=[ctx_records[0].context], max_splits=8, seed=3,
-            finetune_config=FitConfig(epochs=600,
-                                      lr_schedule=CyclicalSchedule()),
+            finetune_epochs=600,
         )
         table = run_comparison(ctx_records, SYNTH_SCHEMA, config)
         agg = table.aggregate()
@@ -275,8 +271,7 @@ class TestCsvOutput:
         config = ComparisonConfig(
             methods=("nnls", "local"), n_train_values=(2,),
             contexts=[ctx_records[0].context], max_splits=4, seed=0,
-            finetune_config=FitConfig(epochs=50,
-                                      lr_schedule=CyclicalSchedule()),
+            finetune_epochs=50,
         )
         table = run_comparison(ctx_records, SYNTH_SCHEMA, config)
         mpath = tmp_path / "metrics.csv"

@@ -9,8 +9,8 @@ from jobcast.errors import DataError
 from jobcast.model import ModelState, joint_loss, predict
 from jobcast.nn import Adam
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, context_records, make_contexts
-from jobcast.training import (CyclicalSchedule, FitConfig, SearchSpace,
-                              finetune, lr_at, pretrain, unfreeze_epoch)
+from jobcast.training import (SearchSpace, finetune, lr_at, pretrain,
+                              unfreeze_epoch)
 
 
 @pytest.fixture(scope="module")
@@ -32,27 +32,18 @@ def target_context():
 
 class TestLrSchedule:
     def test_starts_at_hi(self):
-        assert lr_at(0, CyclicalSchedule()) == pytest.approx(1e-2)
+        assert lr_at(0) == pytest.approx(1e-2)
 
     def test_trough_at_half_period(self):
-        assert lr_at(100, CyclicalSchedule(period=200)) == pytest.approx(1e-3)
+        assert lr_at(100) == pytest.approx(1e-3)
 
     def test_periodicity(self):
-        sched = CyclicalSchedule(period=200)
-        assert lr_at(200, sched) == pytest.approx(lr_at(0, sched))
-        assert lr_at(450, sched) == pytest.approx(lr_at(50, sched))
-
-    def test_constant_schedule(self):
-        assert lr_at(123, 5e-3) == 5e-3
+        assert lr_at(200) == pytest.approx(lr_at(0))
+        assert lr_at(450) == pytest.approx(lr_at(50))
 
     def test_bounds(self):
-        sched = CyclicalSchedule()
-        values = [lr_at(e, sched) for e in range(400)]
+        values = [lr_at(e) for e in range(400)]
         assert min(values) >= 1e-3 and max(values) <= 1e-2
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            CyclicalSchedule(lo=1e-2, hi=1e-3)
 
 
 class TestUnfreezeEpoch:
@@ -136,7 +127,7 @@ class TestFinetune:
         for reuse in ("partial-unfreeze", "full-unfreeze", "partial-reset",
                       "full-reset"):
             tuned, _ = finetune(state, samples[:2], reuse=reuse, seed=3,
-                                config=_fast_config(60))
+                                epochs=60)
             np.testing.assert_array_equal(tuned.g.w1, state.g.w1)
             np.testing.assert_array_equal(tuned.g.w2, state.g.w2)
             np.testing.assert_array_equal(tuned.h.w1, state.h.w1)
@@ -163,7 +154,7 @@ class TestFinetune:
 
         monkeypatch.setattr(Adam, "step", spy)
         tuned, report = finetune(state, samples, reuse=reuse, seed=3,
-                                 config=_fast_config(260))
+                                 epochs=260)
         join = 0 if reuse == "full-reset" else unfreeze_epoch(2)
         assert len(calls) == report.epochs_run > join
         for epoch, (live, steps) in enumerate(calls):
@@ -180,7 +171,7 @@ class TestFinetune:
         state, _, _ = small_pretrained
         _, samples = target_context
         tuned, report = finetune(state, samples[:2], seed=3,
-                                 config=_fast_config(150))
+                                 epochs=150)
         if report.epochs_run >= 150:  # did not stop before the cap
             np.testing.assert_array_equal(tuned.f.w1, state.f.w1)
             np.testing.assert_array_equal(tuned.f.w2, state.f.w2)
@@ -191,7 +182,7 @@ class TestFinetune:
         state, _, _ = small_pretrained
         _, samples = target_context
         tuned, report = finetune(state, samples[:2], reuse="full-unfreeze",
-                                 seed=3, config=_fast_config(20))
+                                 seed=3, epochs=20)
         if report.epochs_run > 0 and report.best_epoch > 0:
             assert not np.array_equal(tuned.f.w1, state.f.w1)
 
@@ -200,7 +191,7 @@ class TestFinetune:
         state, _, _ = small_pretrained
         _, samples = target_context
         tuned, report = finetune(state, samples[:2], reuse="partial-reset",
-                                 seed=3, config=_fast_config(10))
+                                 seed=3, epochs=10)
         assert not np.array_equal(tuned.z.w1, state.z.w1)
         np.testing.assert_array_equal(tuned.f.w1, state.f.w1)
 
@@ -209,7 +200,7 @@ class TestFinetune:
         state, _, _ = small_pretrained
         _, samples = target_context
         tuned, report = finetune(state, samples[:2], reuse="full-reset",
-                                 seed=3, config=_fast_config(10))
+                                 seed=3, epochs=10)
         assert not np.array_equal(tuned.z.w1, state.z.w1)
         assert not np.array_equal(tuned.f.w1, state.f.w1)
 
@@ -231,7 +222,7 @@ class TestFinetune:
     def test_epoch_cap_reason(self, small_pretrained, target_context):
         state, _, _ = small_pretrained
         _, samples = target_context
-        _, report = finetune(state, samples[:2], seed=3, config=_fast_config(3))
+        _, report = finetune(state, samples[:2], seed=3, epochs=3)
         assert report.stopping_reason in ("epoch_cap", "mae_threshold")
         assert report.epochs_run <= 3
 
@@ -251,7 +242,7 @@ class TestFinetune:
     def test_best_state_dominance(self, small_pretrained, target_context):
         state, _, _ = small_pretrained
         _, samples = target_context
-        _, report = finetune(state, samples[:3], seed=5, config=_fast_config(400))
+        _, report = finetune(state, samples[:3], seed=5, epochs=400)
         assert report.best_mae_seconds <= min(report.mae_history) + 1e-12
         assert report.best_epoch <= report.epochs_run <= 2500
 
@@ -303,7 +294,3 @@ class TestFinetune:
             finetune(state, [], strategy="remote")
         with pytest.raises(DataError):
             finetune(SYNTH_SCHEMA, [], strategy="local")
-
-
-def _fast_config(epochs):
-    return FitConfig(epochs=epochs, lr_schedule=CyclicalSchedule())
