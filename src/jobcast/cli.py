@@ -21,7 +21,7 @@ from pathlib import Path
 from . import dataio, evalharness, model, training
 from .dataio import load_dataset, parse_manifest
 from .encoding import PAYLOAD_BITS, PropertyValue
-from .errors import ConfigError, DataError, SchemaError, TrainingError
+from .errors import CapacityError, ConfigError, DataError, SchemaError, TrainingError
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -70,26 +70,21 @@ def _parse_pairs(pairs, props_file=None) -> dict:
     return raw
 
 
-def _coerce_props(schema, raw: dict) -> dict:
-    """Interpret raw strings according to the schema's property kinds.
+def _natural(name: str, value: str, unit: int = 1) -> int:
+    """:func:`dataio.parse_natural`, failing as a config error naming the property."""
+    try:
+        return dataio.parse_natural(value, unit)
+    except (ValueError, CapacityError):
+        raise ConfigError(f"property {name!r} needs a natural number in "
+                          f"[0, 2**{PAYLOAD_BITS} - 1], got {value!r}") from None
 
-    A natural must lie in the binary encoder's range, [0, 2**PAYLOAD_BITS - 1].
-    """
+
+def _coerce_props(schema, raw: dict) -> dict:
+    """Interpret raw strings according to the schema's property kinds."""
     kinds = dict(schema.essential + schema.optional)
-    out = {}
-    for name, value in raw.items():
-        if kinds.get(name) == "natural":
-            try:
-                n = int(float(value))
-            except (ValueError, OverflowError):
-                n = None
-            if n is None or not 0 <= n < 1 << PAYLOAD_BITS:
-                raise ConfigError(f"property {name!r} needs a natural number in "
-                                  f"[0, 2**{PAYLOAD_BITS} - 1], got {value!r}")
-            out[name] = PropertyValue.natural(n)
-        else:
-            out[name] = PropertyValue.text(value)
-    return out
+    return {name: PropertyValue.natural(_natural(name, value))
+            if kinds.get(name) == "natural" else PropertyValue.text(value)
+            for name, value in raw.items()}
 
 
 def _parse_context(spec: str, manifest) -> dataio.ContextKey:
@@ -104,18 +99,10 @@ def _parse_context(spec: str, manifest) -> dataio.ContextKey:
     if unknown:
         raise ConfigError(f"--target-context has non-essential properties: "
                           f"{sorted(unknown)}")
-    items = []
-    for p in manifest.essential:
-        value = raw[p.name]
-        if p.kind == "natural":
-            try:
-                items.append((p.name, int(round(float(value) * p.unit))))
-            except ValueError:
-                raise ConfigError(f"context property {p.name!r} needs a "
-                                  f"number, got {value!r}")
-        else:
-            items.append((p.name, value))
-    return dataio.ContextKey(tuple(items))
+    return dataio.ContextKey(tuple(
+        (p.name, _natural(p.name, raw[p.name], p.unit) if p.kind == "natural"
+         else raw[p.name])
+        for p in manifest.essential))
 
 
 def _schema_from_manifest(manifest) -> model.PropertySchema:
@@ -125,23 +112,29 @@ def _schema_from_manifest(manifest) -> model.PropertySchema:
     )
 
 
-def _check_counts(args, *flags) -> None:
-    """Each named count flag is at least 1: checked before any work starts."""
-    for flag in flags:
+def _check_flags(args, *counts) -> None:
+    """Each named count flag is at least 1 and ``--seed`` at least 0, which
+    numpy's seeding requires: checked before any work starts."""
+    for flag in counts:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
 
 
 def cmd_pretrain(args) -> int:
-    _check_counts(args, "--epochs", "--search-samples")
+    _check_flags(args, "--epochs", "--search-samples")
     manifest = parse_manifest(args.manifest)
     if args.algo and manifest.algorithm != args.algo:
         raise ConfigError(
             f"manifest is for {manifest.algorithm!r}, not {args.algo!r}")
     if args.variant == "local":
-        raise ConfigError("the local variant has no pre-training corpus; "
-                          "use finetune with strategy local instead")
+        raise ConfigError("the local variant has no pre-training corpus: it trains "
+                          "a fresh model on the target context's samples alone")
+    if args.variant == "filtered" and not args.target_context:
+        raise ConfigError("the filtered variant needs --target-context: it keeps "
+                          "only the records of contexts far from the target")
     records = load_dataset(args.data, manifest)
     print(dataio.summarize(records))
     if args.target_context:
@@ -179,11 +172,11 @@ def _write_search_log(log, path):
 
 
 def cmd_finetune(args) -> int:
+    _check_flags(args)
     state = model.load(args.model)
     records = load_dataset(args.samples,
                            dataio.canonical_manifest_from_schema(state.schema))
-    tuned, report = training.finetune(state, records, strategy="pretrained",
-                                      reuse=args.reuse, seed=args.seed)
+    tuned, report = training.finetune(state, records, reuse=args.reuse, seed=args.seed)
     _atomic_write(args.out, lambda tmp: model.save(tuned, tmp))
     print(f"epochs: {report.epochs_run} best_epoch: {report.best_epoch} "
           f"best_mae: {report.best_mae_seconds:.3f}s "
@@ -226,8 +219,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_counts(args, "--contexts", "--max-splits", "--pretrain-epochs",
-                  "--search-samples", "--workers")
+    _check_flags(args, "--contexts", "--max-splits", "--pretrain-epochs",
+                 "--search-samples", "--workers")
     manifest = parse_manifest(args.manifest)
     records = load_dataset(args.data, manifest)
     schema = _schema_from_manifest(manifest)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoding import PAYLOAD_BITS, PropertyValue
-from .errors import ConfigError, DataError
+from .errors import CapacityError, ConfigError, DataError
 
 RUNTIME_UNITS = {"s": 1.0, "ms": 1e-3, "min": 60.0}
 SIZE_UNITS = {
@@ -138,6 +138,22 @@ def parse_manifest(path) -> DatasetManifest:
     return DatasetManifest(algorithm, scale_out, runtime, RUNTIME_UNITS[unit_name], tuple(props))
 
 
+def parse_natural(text: str, unit: int = 1) -> int:
+    """The natural number ``text`` denotes in ``unit``: scaled, then rounded.
+
+    One rule for CSV cells, ``--props`` values and ``--target-context``
+    values. Raises ValueError for text that is not a finite number, and
+    :class:`CapacityError` for a result outside the binary encoder's range.
+    """
+    try:
+        n = round(float(text) * unit)
+    except (ValueError, OverflowError):  # not a number, nan or infinite
+        raise ValueError("not a finite number") from None
+    if not 0 <= n < 1 << PAYLOAD_BITS:
+        raise CapacityError(f"outside [0, 2**{PAYLOAD_BITS} - 1]")
+    return n
+
+
 @dataclass(frozen=True)
 class ContextKey:
     """Identity of an execution context: the essential property values."""
@@ -227,13 +243,11 @@ def _parse_row(csv_path, manifest, i, row) -> RunRecord:
         cell = cell.strip()
         if p.kind == "natural":
             try:
-                n = int(round(float(cell) * p.unit))
-            except (ValueError, OverflowError):
+                values[p.name] = PropertyValue.natural(parse_natural(cell, p.unit))
+            except ValueError:
                 fail(f"bad natural cell {cell!r} for property {p.name!r}")
-            if not 0 <= n < 1 << PAYLOAD_BITS:
-                fail(f"natural cell {cell!r} for property {p.name!r} is outside "
-                     f"[0, 2**{PAYLOAD_BITS} - 1]")
-            values[p.name] = PropertyValue.natural(n)
+            except CapacityError as exc:
+                fail(f"natural cell {cell!r} for property {p.name!r} is {exc}")
         else:
             values[p.name] = PropertyValue.text(cell)
     return RunRecord(

@@ -245,14 +245,10 @@ def _model_method(variant: str, schema: PropertySchema,
                   pretrained: ModelState | None, reuse: str,
                   epochs: int) -> Method:
     def fit(train, seed):
-        if variant == "local":
-            state, report = finetune(schema, train, strategy="local",
-                                     reuse=reuse, seed=seed, epochs=epochs)
-        else:
-            if pretrained is None:
-                raise DataError(f"no pre-trained model for variant {variant!r}")
-            state, report = finetune(pretrained, train, strategy="pretrained",
-                                     reuse=reuse, seed=seed, epochs=epochs)
+        if variant != "local" and pretrained is None:
+            raise DataError(f"no pre-trained model for variant {variant!r}")
+        start = schema if variant == "local" else pretrained  # picks the strategy
+        state, report = finetune(start, train, reuse=reuse, seed=seed, epochs=epochs)
         return MethodResult(state, epochs=report.epochs_run,
                             wall_time_s=report.wall_time_s)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import encoding
 from .encoding import Normalizer, PropertyValue, encode_property
 from .errors import ModelFileError, NumericsError, SchemaError
-from .nn import ACTIVATIONS, TwoLayerBlock, huber_grad, huber_loss
+from .nn import TwoLayerBlock, huber_grad, huber_loss
 
 SCALE_FEATURES = 3
 F_HIDDEN = 16
@@ -85,7 +85,16 @@ class PropertySchema:
                 raise SchemaError(f"{where}: essential property {name!r} missing")
 
 
-_ACTIVATIONS = {c: ("selu", "tanh" if c == "h" else "selu") for c in COMPONENTS}
+# Every block's (hidden, output) activation, as a model file's header lists
+# them: SELU throughout, except that the decoder h ends in tanh to match the
+# range of the property vectors. Fixed; a file listing others is refused.
+_ACTIVATIONS = {c: ["selu", "tanh" if c == "h" else "selu"] for c in COMPONENTS}
+
+
+def _dropout_table(rate) -> dict:
+    """Each block's dropout rate, as a model file's header lists them: the
+    autoencoder's one rate on ``g`` and ``h``, none on ``f`` and ``z``."""
+    return {c: rate if c in ("g", "h") else 0.0 for c in COMPONENTS}
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,14 +126,17 @@ class ModelState:
     slice component ``c`` owns. Copies, snapshots, optimizer steps and
     serialization each work on the whole vector at once.
 
+    ``dropout_rate`` is the autoencoder's alpha-dropout rate: ``g`` and ``h``
+    apply it in training mode, ``f`` and ``z`` never drop. Only pre-training
+    trains with dropout.
+
     A stacked state holds S models as the rows of an ``(S, n)`` matrix, with
-    stacked block views (see :class:`~jobcast.nn.TwoLayerBlock`) and, per
-    component, one dropout rate or one per row. Pre-training trains a stack;
-    :meth:`take` copies rows out of it. Only single states are saved.
+    stacked block views (see :class:`~jobcast.nn.TwoLayerBlock`) and one
+    dropout rate, or one per row. Pre-training trains a stack; :meth:`take`
+    copies rows out of it. Only single states are saved.
     """
 
-    def __init__(self, vector, normalizer, schema, activations=None,
-                 dropout=None):
+    def __init__(self, vector, normalizer, schema, dropout_rate=0.0):
         count = _weight_count(schema)
         if (vector.dtype != np.float64 or vector.ndim not in (1, 2)
                 or vector.shape[-1] != count or not vector.flags.c_contiguous):
@@ -134,54 +146,47 @@ class ModelState:
         self.vector = vector
         self.normalizer = normalizer
         self.schema = schema
-        activations, dropout = activations or _ACTIVATIONS, dropout or {}
         self.segments = {}
+        rates = _dropout_table(dropout_rate)
         for c, dims, sl in _block_dims(schema):
             self.segments[c] = sl
-            phi, sigma = activations[c]
-            setattr(self, c, TwoLayerBlock.over(vector[..., sl], *dims, phi=phi, sigma=sigma,
-                                                dropout_rate=dropout.get(c, 0.0)))
+            setattr(self, c, TwoLayerBlock(vector[..., sl], *dims,
+                                           tanh_out=_ACTIVATIONS[c][1] == "tanh",
+                                           dropout_rate=rates[c]))
 
     @classmethod
     def new(cls, schema: PropertySchema, normalizer: Normalizer, rng,
             dropout_rate: float = 0.0) -> "ModelState":
         """Fresh He-initialized state, drawn block by block in vector order.
 
-        ``dropout_rate`` lands on the autoencoder blocks only; the
-        scale-out block and the predictor never use dropout. ``g`` and
-        ``h`` carry no biases, and the decoder's final activation is tanh
-        to match the range of the property vectors.
+        ``g`` and ``h`` carry no biases.
         """
-        state = cls(np.zeros(_weight_count(schema)), normalizer, schema,
-                    dropout={"g": dropout_rate, "h": dropout_rate})
+        state = cls(np.zeros(_weight_count(schema)), normalizer, schema, dropout_rate)
         for c in COMPONENTS:
             state.reset(c, rng)
         return state
 
+    @property
+    def dropout_rate(self):
+        """The autoencoder's dropout rate, as its blocks hold it."""
+        return self.g.dropout_rate
+
     def copy(self) -> "ModelState":
         return ModelState(self.vector.copy(), self.normalizer, self.schema,
-                          *self._block_settings())
+                          self.dropout_rate)
 
     def take(self, rows) -> "ModelState":
         """A copy of some rows of a stacked state; an int row gives a single state."""
-        activations, dropout = self._block_settings()
+        rate = self.dropout_rate
         return ModelState(self.vector[rows].copy(), self.normalizer, self.schema,
-                          activations,
-                          {c: d[rows] if np.ndim(d) else d for c, d in dropout.items()})
+                          rate[rows] if np.ndim(rate) else rate)
 
     def __reduce__(self):
         # Pickle the vector once; unpickling rebuilds the block views into it.
-        return ModelState, (self.vector, self.normalizer, self.schema,
-                            *self._block_settings())
+        return ModelState, (self.vector, self.normalizer, self.schema, self.dropout_rate)
 
     def blocks(self) -> dict:
         return {c: getattr(self, c) for c in COMPONENTS}
-
-    def _block_settings(self) -> tuple[dict, dict]:
-        """``(activations, dropout)`` per component, as the blocks hold them."""
-        blocks = self.blocks().items()
-        return ({c: (b.phi, b.sigma) for c, b in blocks},
-                {c: b.dropout_rate for c, b in blocks})
 
     def param_name(self, index: int) -> str:
         """Name in ``_WEIGHT_ORDER`` of the array holding ``vector[..., index]``."""
@@ -469,8 +474,8 @@ def _header(state: ModelState) -> dict:
             "optional": [list(p) for p in state.schema.optional],
         },
         "dims": _dims(state.schema),
-        "activations": {c: [b.phi, b.sigma] for c, b in state.blocks().items()},
-        "dropout": {c: b.dropout_rate for c, b in state.blocks().items()},
+        "activations": _ACTIVATIONS,
+        "dropout": _dropout_table(state.dropout_rate),
         "normalizer": {"lo": list(state.normalizer.lo), "hi": list(state.normalizer.hi)},
     }
 
@@ -509,23 +514,24 @@ def load(path) -> ModelState:
             f"{path}: format version {version} unsupported (expected {_FORMAT_VERSION})"
         )
     pos += 8
-    schema, normalizer, activations, dropout = _parse_header(
-        payload[pos : pos + header_len], path)
+    schema, normalizer, dropout_rate = _parse_header(payload[pos : pos + header_len], path)
     pos += header_len
     count = _weight_count(schema)
     if len(payload) - pos != 8 * count:
         raise ModelFileError(f"{path}: {len(payload) - pos} bytes of weight data, "
                              f"expected {8 * count}")
     vector = np.frombuffer(payload, dtype="<f8", count=count, offset=pos)
-    return ModelState(vector.astype(np.float64), normalizer, schema,
-                      activations, dropout)
+    return ModelState(vector.astype(np.float64), normalizer, schema, dropout_rate)
 
 
 def _parse_header(raw: bytes, path):
-    """Schema, normalizer, activations and dropout from a checked JSON header.
+    """Schema, normalizer and the autoencoder's dropout rate from a checked
+    JSON header.
 
     A missing or bad value raises :class:`ModelFileError`, a ``z`` width
     that contradicts the schema :class:`SchemaError`: a file that loads predicts.
+    So do activations other than ``_ACTIVATIONS`` and dropout anywhere
+    but on ``g`` and ``h`` at one rate, which this package never writes.
     """
     try:
         header = json.loads(raw.decode("utf-8"))
@@ -534,7 +540,7 @@ def _parse_header(raw: bytes, path):
             tuple(tuple(p) for p in header["schema"]["optional"]),
         )
         dims = dict(header["dims"])
-        activations = {c: tuple(header["activations"][c]) for c in COMPONENTS}
+        activations = header["activations"]
         dropout = {c: header["dropout"][c] for c in COMPONENTS}
         bounds = [tuple(header["normalizer"][side]) for side in ("lo", "hi")]
     except (KeyError, TypeError, ValueError) as exc:
@@ -546,17 +552,18 @@ def _parse_header(raw: bytes, path):
         )
     bad = [f"dims.{k}={dims.get(k)!r}" for k, v in _dims(schema).items()
            if dims.get(k) != v]
-    bad += [f"activations.{c}={list(a)!r}" for c, a in activations.items()
-            if len(a) != 2 or not all(name in ACTIVATIONS for name in a)]
+    if activations != _ACTIVATIONS:
+        bad.append(f"activations={activations!r}")
+    expect = _dropout_table(dropout["g"])
     bad += [f"dropout.{c}={d!r}" for c, d in dropout.items()
-            if not (_is_real(d) and 0.0 <= d < 1.0)]
+            if not (_is_real(d) and 0.0 <= d < 1.0) or d != expect[c]]
     bad += [f"normalizer.{side}={list(values)!r}"
             for side, values in zip(("lo", "hi"), bounds)
             if len(values) != SCALE_FEATURES
             or not all(_is_finite(v) for v in values)]
     if bad:
         raise ModelFileError(f"{path}: invalid header values: {', '.join(bad)}")
-    return schema, Normalizer(*bounds), activations, dropout
+    return schema, Normalizer(*bounds), dropout["g"]
 
 
 def _is_real(value) -> bool:

@@ -1,10 +1,10 @@
 """Minimal dense-vector neural network core.
 
 Everything here operates on float64 numpy arrays and is sized for the tiny
-two-layer blocks this package needs: explicit forward/backward passes, SELU
-and tanh activations, alpha-dropout, He initialization, the Huber loss,
-and an Adam optimizer with decoupled weight decay. Inputs may be a single
-vector ``(D,)`` or a batch ``(B, D)``.
+two-layer blocks this package needs: explicit forward/backward passes, the
+SELU activation (with a tanh output for the decoder), alpha-dropout, He
+initialization, the Huber loss, and an Adam optimizer with decoupled weight
+decay. Inputs are a batch ``(B, D)``.
 
 A block's weights are views into one flat buffer laid out ``w1, b1, w2, b2``;
 its backward pass writes gradients in that layout, and Adam updates one flat
@@ -33,8 +33,6 @@ SELU_LAMBDA = 1.0507009873554804934193349852946
 # saturation point of SELU.
 _ALPHA_PRIME = -SELU_LAMBDA * SELU_ALPHA
 
-ACTIVATIONS = ("identity", "selu", "tanh")
-
 # Where the Huber runtime loss turns from quadratic to linear, in seconds.
 HUBER_DELTA = 1.0
 
@@ -45,7 +43,7 @@ ADAM_EPS = 1e-8
 
 
 def selu(x):
-    """SELU applied elementwise; scalar in, scalar out.
+    """SELU applied elementwise to an array.
 
     Computed as ``lambda * (alpha * expm1(min(x, 0)) + max(x, -0.0))``
     rather than by selecting between the two branches: for ``x > 0`` the
@@ -54,8 +52,6 @@ def selu(x):
     it was. So each element equals the branch the definition picks.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not x.ndim:
-        return selu(x[None])[0]
     y = np.minimum(x, 0.0)
     np.expm1(y, out=y)
     y *= SELU_ALPHA
@@ -64,49 +60,23 @@ def selu(x):
     return y
 
 
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def activate(name: str, x):
-    if name == "identity":
-        return np.asarray(x, dtype=np.float64)
-    if name == "selu":
-        return selu(x)
-    if name == "tanh":
-        return tanh(x)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 # alpha + (1 - alpha) is exactly 1.0, and 1 - alpha is exact (Sterbenz).
 _SELU_STEP = 1.0 - SELU_ALPHA
 
 
-def activate_deriv(name: str, x, y=None):
-    """Derivative of the activation evaluated at pre-activation ``x``.
+def selu_deriv(x):
+    """Derivative of SELU at the pre-activation array ``x``.
 
-    ``y``, the activation's output at ``x``, spares tanh's derivative
-    ``1 - y*y`` from computing it again.
+    ``lambda * (alpha * exp(min(x, 0)) + [x > 0] * (1 - alpha))``: the
+    bracket turns ``alpha * exp(0)`` into exactly 1.0 for ``x > 0`` and adds
+    -0.0 elsewhere, as :func:`selu` does.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if name == "identity":
-        return np.ones_like(x)
-    if name == "selu":
-        if not x.ndim:
-            return activate_deriv(name, x[None])[0]
-        # lambda * (alpha * exp(min(x, 0)) + [x > 0] * (1 - alpha)): the
-        # bracket turns alpha * exp(0) into exactly 1.0 for x > 0 and adds
-        # -0.0 elsewhere, as selu() does.
-        d = np.minimum(x, 0.0)
-        np.exp(d, out=d)
-        d *= SELU_ALPHA
-        d += (x > 0) * _SELU_STEP
-        d *= SELU_LAMBDA
-        return d
-    if name == "tanh":
-        t = np.tanh(x) if y is None else y
-        return 1.0 - t * t
-    raise ValueError(f"unknown activation {name!r}")
+    d = np.minimum(x, 0.0)
+    np.exp(d, out=d)
+    d *= SELU_ALPHA
+    d += (x > 0) * _SELU_STEP
+    d *= SELU_LAMBDA
+    return d
 
 
 def _alpha_affine(rate: float) -> tuple[float, float]:
@@ -213,13 +183,13 @@ def huber_grad(pred, target) -> np.ndarray:
 
 
 class TwoLayerBlock:
-    """A two-layer feed-forward block: ``out = sigma(W2 @ phi(W1 @ x + b1) + b2)``.
+    """A two-layer feed-forward block: ``out = sigma(W2 @ selu(W1 @ x + b1) + b2)``,
+    where ``sigma`` is SELU, or tanh with ``tanh_out=True`` (the decoder's).
 
-    Alpha-dropout (when ``dropout_rate > 0``) is applied after each
-    activation in training mode only. Biases exist only when the block was
-    built with ``bias=True``. :meth:`over` cuts the four arrays out of one
-    flat buffer, so their shapes agree by construction; the constructor
-    takes arrays as given.
+    The weights are views into one flat buffer, laid out ``w1, b1, w2, b2``,
+    so their shapes agree by construction; biases exist only with
+    ``bias=True``. Alpha-dropout (when ``dropout_rate > 0``) is applied after
+    each activation in training mode only.
 
     Over a stack ``(S, n)`` the block holds S blocks: ``w1`` is
     ``(S, H, D)``, inputs are ``(S, B, D)`` or one ``(B, D)`` batch shared by
@@ -228,15 +198,11 @@ class TwoLayerBlock:
     output; its caller decides row by row.
     """
 
-    def __init__(self, w1, b1, w2, b2, phi="selu", sigma="selu", dropout_rate=0.0):
-        self._adopt(*(None if a is None else np.asarray(a, dtype=np.float64)
-                      for a in (w1, b1, w2, b2)), phi, sigma, dropout_rate)
-
-    def _adopt(self, w1, b1, w2, b2, phi, sigma, dropout_rate) -> None:
-        """Take float64 weight arrays as they are, without copies or new views."""
+    def __init__(self, flat, in_dim, hidden_dim, out_dim, bias=True, tanh_out=False,
+                 dropout_rate=0.0):
+        w1, b1, w2, b2 = _split(flat, in_dim, hidden_dim, out_dim, bias)
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.phi = phi
-        self.sigma = sigma
+        self.tanh_out = tanh_out
         self.dropout_rate = (float(dropout_rate) if isinstance(dropout_rate, float)
                              or not np.ndim(dropout_rate)
                              else np.asarray(dropout_rate, dtype=np.float64))
@@ -250,16 +216,6 @@ class TwoLayerBlock:
     def size(in_dim, hidden_dim, out_dim, bias=True) -> int:
         """Number of weights in a block of these dimensions."""
         return hidden_dim * (in_dim + out_dim) + (hidden_dim + out_dim if bias else 0)
-
-    @classmethod
-    def over(cls, flat, in_dim, hidden_dim, out_dim, bias=True, phi="selu",
-             sigma="selu", dropout_rate=0.0):
-        """Block whose weights are views into ``flat``: one float64 buffer, or
-        a stack ``(S, n)``."""
-        block = cls.__new__(cls)
-        block._adopt(*_split(flat, in_dim, hidden_dim, out_dim, bias), phi, sigma,
-                     dropout_rate)
-        return block
 
     def init(self, rng) -> None:
         """He-initialize in place, drawing ``w1`` then ``w2``; zero the biases."""
@@ -278,44 +234,39 @@ class TwoLayerBlock:
         return self.w2.shape[-2]
 
     def forward(self, x, train=False, rng=None):
-        """Run the block; returns ``(out, cache)``.
+        """Run the block on a batch ``(B, D)``; returns ``(out, cache)``.
 
-        ``cache`` holds what :meth:`backward` needs. Output layout follows
-        the input: ``(D,) -> (K,)``, ``(B, D) -> (B, K)``, and ``(S, B, K)``
-        for a stacked block.
+        ``cache`` holds what :meth:`backward` needs. The output is
+        ``(B, K)``, or ``(S, B, K)`` for a stacked block.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if xb.shape[-1] != self.in_dim:
-            raise ValueError(
-                f"input width {xb.shape[-1]} does not match block input {self.in_dim}"
-            )
+        if x.ndim < 2 or x.shape[-1] != self.in_dim:
+            raise ValueError(f"input of shape {x.shape} is not a batch of "
+                             f"width {self.in_dim}")
         rate = self.dropout_rate
         drop = train and bool(rate.any() if isinstance(rate, np.ndarray) else rate)
         if drop and rng is None:
             raise ValueError("training with dropout requires an rng")
 
-        pre1 = xb @ self._w1t
+        pre1 = x @ self._w1t
         if self._b1 is not None:
             pre1 += self._b1
-        a1 = act1 = activate(self.phi, pre1)
+        act1 = selu(pre1)
         dmul1 = None
         if drop:
-            act1, dmul1 = alpha_dropout(a1, rate, rng, train)
+            act1, dmul1 = alpha_dropout(act1, rate, rng, train)
 
         pre2 = act1 @ self._w2t
         if self._b2 is not None:
             pre2 += self._b2
-        a2 = out = activate(self.sigma, pre2)
+        a2 = out = np.tanh(pre2) if self.tanh_out else selu(pre2)
         dmul2 = None
         if drop:
             out, dmul2 = alpha_dropout(a2, rate, rng, train)
 
         if self.w1.ndim == 2 and not np.isfinite(out).all():
             raise NumericsError("two-layer block produced a non-finite output")
-        cache = (xb, pre1, a1, act1, dmul1, pre2, a2, dmul2, single)
-        return (out[0] if single else out), cache
+        return out, (x, pre1, act1, dmul1, pre2, a2, dmul2)
 
     def backward(self, cache, dout, grad, need_dx=True):
         """Backpropagate ``dout`` through the cached forward pass.
@@ -324,15 +275,11 @@ class TwoLayerBlock:
         the block's weights (``w1, b1, w2, b2``), and returns ``dx``, or None
         with ``need_dx=False`` (the input is data, not a parameter's output).
         """
-        xb, pre1, a1, act1, dmul1, pre2, a2, dmul2, single = cache
+        x, pre1, act1, dmul1, pre2, a2, dmul2 = cache
         gw1, gb1, gw2, gb2 = _split(grad, self.in_dim, self.w1.shape[-2],
                                     self.out_dim, self.b1 is not None)
-        d = np.asarray(dout, dtype=np.float64)
-        if single:
-            d = d[None, :]
-        if dmul2 is not None:
-            d = d * dmul2
-        delta2 = activate_deriv(self.sigma, pre2, a2)
+        d = dout if dmul2 is None else dout * dmul2
+        delta2 = 1.0 - a2 * a2 if self.tanh_out else selu_deriv(pre2)
         delta2 *= d
         np.matmul(delta2.swapaxes(-1, -2), act1, out=gw2)
         if gb2 is not None:
@@ -340,15 +287,12 @@ class TwoLayerBlock:
         dact1 = delta2 @ self.w2
         if dmul1 is not None:
             dact1 *= dmul1
-        delta1 = activate_deriv(self.phi, pre1, a1)
+        delta1 = selu_deriv(pre1)
         delta1 *= dact1
-        np.matmul(delta1.swapaxes(-1, -2), xb, out=gw1)
+        np.matmul(delta1.swapaxes(-1, -2), x, out=gw1)
         if gb1 is not None:
             delta1.sum(axis=-2, out=gb1)
-        if not need_dx:
-            return None
-        dx = delta1 @ self.w1
-        return dx[0] if single else dx
+        return delta1 @ self.w1 if need_dx else None
 
 
 def _split(flat, in_dim, hidden_dim, out_dim, bias):

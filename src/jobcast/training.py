@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import Normalizer
-from .errors import ConfigError, DataError, NumericsError, SchemaError, TrainingError
+from .errors import ConfigError, DataError, NumericsError, TrainingError
 from .model import COMPONENTS, EncodedBatch, ModelState, PropertySchema, \
     encode_batch, diverged_rows, forward_batch, backward_batch, _joint_terms
 from .nn import Adam, huber_grad
@@ -112,7 +112,7 @@ class _Lockstep:
         dropout, lr, wd = (np.array(column) for column in zip(*configs))
         first = states[0]
         self.state = ModelState(np.stack([s.vector for s in states]), first.normalizer,
-                                first.schema, dropout={"g": dropout, "h": dropout})
+                                first.schema, dropout)
         self.optim = Adam(lr[:, None], self.state.segments, self.state.param_name,
                           weight_decay=wd[:, None])
         self.grad = np.zeros_like(self.state.vector)
@@ -267,18 +267,17 @@ def unfreeze_epoch(n_samples: int) -> int:
 
 
 def finetune(state: ModelState | PropertySchema, samples,
-             strategy: str = "pretrained", reuse: str = "partial-unfreeze",
-             seed: int = 0, epochs: int = MAX_EPOCHS):
+             reuse: str = "partial-unfreeze", seed: int = 0, epochs: int = MAX_EPOCHS):
     """Adapt a model to one concrete context.
 
-    ``strategy="pretrained"`` continues from ``state``; ``strategy="local"``
-    discards weights (keeping only the schema), re-initializes from
-    ``seed``, and fits the normalizer on the samples themselves. The
-    autoencoder is never updated. Training minimizes runtime Huber error
-    only, at the learning rate :func:`lr_at` gives each epoch and weight
-    decay ``FINETUNE_WEIGHT_DECAY``. It stops at the MAE target, the
-    patience window, or after ``epochs`` epochs, returning the best
-    snapshot rather than the last.
+    ``state`` picks the strategy. A pre-trained :class:`ModelState`
+    continues from its weights; a :class:`PropertySchema` trains locally:
+    a fresh state initialized from ``seed``, with the normalizer fitted on
+    the samples themselves. The autoencoder is never updated. Training
+    minimizes runtime Huber error only, at the learning rate :func:`lr_at`
+    gives each epoch and weight decay ``FINETUNE_WEIGHT_DECAY``. It stops at
+    the MAE target, the patience window, or after ``epochs`` epochs,
+    returning the best snapshot rather than the last.
 
     With zero samples (or ``reuse="none"``) the input state is returned
     unchanged together with an inference-only report whose
@@ -286,19 +285,13 @@ def finetune(state: ModelState | PropertySchema, samples,
     """
     if reuse not in REUSE_STRATEGIES:
         raise ValueError(f"unknown reuse strategy {reuse!r}")
-    if strategy not in ("local", "pretrained"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     samples = list(samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    if strategy == "local":
-        schema = state if isinstance(state, PropertySchema) else state.schema
+    if isinstance(state, PropertySchema):
         if not samples:
             raise DataError("the local strategy needs at least one sample")
-        normalizer = Normalizer.fit(r.scale_out for r in samples)
-        state = ModelState.new(schema, normalizer, rng)
-    elif isinstance(state, PropertySchema):
-        raise SchemaError("pretrained strategy requires a ModelState")
+        state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
 
     work = state.copy()
     if not samples or reuse == "none":

@@ -85,8 +85,7 @@ def synthetic_suite():
             seed_i = 1000 * n + i
             tuned = {"full": finetune(full_state, train, seed=seed_i)}
             if n >= 1:
-                tuned["local"] = finetune(SYNTH_SCHEMA, train,
-                                          strategy="local", seed=seed_i)
+                tuned["local"] = finetune(SYNTH_SCHEMA, train, seed=seed_i)
             for variant, (state, rep) in tuned.items():
                 for task, idx in (("interp", split.interp_test),
                                   ("extrap", split.extrap_test)):

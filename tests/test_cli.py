@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from jobcast import cli, evalharness, model, training
-from jobcast.dataio import write_records_csv
+from jobcast.dataio import load_dataset, parse_manifest, write_records_csv
+from jobcast.encoding import PropertyValue
 from jobcast.errors import ConfigError, TrainingError
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, make_contexts
 
@@ -309,6 +310,25 @@ class TestCountFlags:
         assert flag in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
+    def test_negative_seed_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "parse_manifest", no_work)
+        monkeypatch.setattr(cli.model, "load", no_work)
+        inputs = (["--model", str(tmp_path / "m.jcm"), "--samples", str(tmp_path / "s.csv")]
+                  if command == "finetune" else
+                  ["--data", str(DATA / "sort_runs.csv"),
+                   "--manifest", str(DATA / "sort_manifest.txt")])
+        out = ["--out-dir", str(tmp_path / "results")] if command == "evaluate" \
+            else ["--out", str(tmp_path / "out.jcm")]
+        code = cli.main([command, *inputs, "--seed", "-1", *out])
+        assert code == cli.EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_pretrain_without_samples_is_config_error(self):
         records = context_records(make_contexts(1, seed=0)[0], repetitions=1, seed=0)
         with pytest.raises(ConfigError):
@@ -334,6 +354,51 @@ class TestPropsFile:
                          "--props-file", str(path)])
         assert code == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+
+# The essential properties of the fixture's contexts but dataset_size.
+TARGET_REST = ("dataset_characteristics=uniform,job_parameters=--sort-buffer 64m,"
+               "node_type=m5.xlarge")
+
+
+def _pretrain_filtered(out, *flags):
+    return cli.main(["pretrain", "--data", str(DATA / "sort_runs.csv"),
+                     "--manifest", str(DATA / "sort_manifest.txt"),
+                     "--variant", "filtered", "--epochs", "1", "--search-samples", "1",
+                     "--out", str(out), *flags])
+
+
+class TestNaturalValues:
+    """A natural from the command line is parsed as a CSV cell is: scaled by
+    its unit, rounded, and held to the encoder's range, or a config error."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-5", "1e30", "lots"])
+    def test_bad_target_context_natural_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "m.jcm"
+        code = _pretrain_filtered(out, "--target-context",
+                                  f"dataset_size={value},{TARGET_REST}")
+        assert code == cli.EXIT_CONFIG
+        assert "dataset_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filtered_variant_needs_a_target_context(self, tmp_path, capsys):
+        out = tmp_path / "m.jcm"
+        assert _pretrain_filtered(out) == cli.EXIT_CONFIG
+        assert "--target-context" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,natural", [("2.6", 3), ("-0.4", 0)])
+    def test_props_natural_rounds_as_a_csv_cell_does(self, tmp_path, text, natural):
+        manifest = parse_manifest(DATA / "sort_manifest.txt")
+        rows = (DATA / "sort_runs.csv").read_text().splitlines()[:2]
+        cells = rows[1].split(",")
+        cells[6] = text  # memory_mb, in bytes
+        path = tmp_path / "one.csv"
+        path.write_text("\n".join([rows[0], ",".join(cells)]) + "\n")
+        from_csv = load_dataset(path, manifest)[0].properties["memory_mb"]
+        props = cli._coerce_props(cli._schema_from_manifest(manifest),
+                                  {"memory_mb": text})
+        assert props["memory_mb"] == from_csv == PropertyValue.natural(natural)
 
 
 class TestExitCodeMapping:

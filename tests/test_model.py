@@ -54,19 +54,19 @@ def scalar_selu(v):
 
 def scalar_block(block, x):
     """Plain-loop evaluation of a two-layer block (inference mode)."""
-    act = {"selu": scalar_selu, "tanh": math.tanh, "identity": lambda v: v}
+    out_act = math.tanh if block.tanh_out else scalar_selu
     hidden = []
     for j in range(block.w1.shape[0]):
         acc = block.b1[j] if block.b1 is not None else 0.0
         for i in range(block.w1.shape[1]):
             acc += block.w1[j, i] * x[i]
-        hidden.append(act[block.phi](acc))
+        hidden.append(scalar_selu(acc))
     out = []
     for k in range(block.w2.shape[0]):
         acc = block.b2[k] if block.b2 is not None else 0.0
         for j in range(block.w2.shape[1]):
             acc += block.w2[k, j] * hidden[j]
-        out.append(act[block.sigma](acc))
+        out.append(out_act(acc))
     return out
 
 
@@ -190,8 +190,8 @@ class TestForward:
         state = fresh_state()
         types = ["m5.xlarge", "m5.2xlarge", "c5.xlarge", "r5.large",
                  "i3.4xlarge", "t2.medium"]
-        codes = [state.g.forward(encode_property(PropertyValue.text(t)))[0]
-                 for t in types]
+        codes, _ = state.g.forward(np.stack([encode_property(PropertyValue.text(t))
+                                             for t in types]))
         for i in range(len(codes)):
             for j in range(i + 1, len(codes)):
                 assert not np.array_equal(codes[i], codes[j])

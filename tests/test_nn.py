@@ -20,23 +20,24 @@ def squared_error(a, b) -> float:
 def new_block(in_dim, hidden_dim, out_dim, rng, bias=True, **kwargs):
     """He-initialized block over a fresh flat buffer."""
     flat = np.zeros(TwoLayerBlock.size(in_dim, hidden_dim, out_dim, bias))
-    block = TwoLayerBlock.over(flat, in_dim, hidden_dim, out_dim, bias, **kwargs)
+    block = TwoLayerBlock(flat, in_dim, hidden_dim, out_dim, bias, **kwargs)
     block.init(rng)
     return block, flat
 
 
 class TestActivations:
     def test_selu_zero(self):
-        assert selu(0.0) == 0.0
+        assert selu(np.array([0.0]))[0] == 0.0
 
     def test_selu_positive_is_scaled_identity(self):
         # closed form for x > 0: lambda * x
-        assert float(selu(1.0)) == pytest.approx(SELU_LAMBDA, rel=1e-12)
-        assert float(selu(3.5)) == pytest.approx(SELU_LAMBDA * 3.5, rel=1e-12)
+        np.testing.assert_allclose(selu(np.array([1.0, 3.5])),
+                                   [SELU_LAMBDA, SELU_LAMBDA * 3.5], rtol=1e-12)
 
     def test_selu_negative_saturation(self):
         # lambda * alpha * (e^x - 1) -> -lambda*alpha as x -> -inf
-        assert float(selu(-50.0)) == pytest.approx(-SELU_LAMBDA * SELU_ALPHA, rel=1e-9)
+        assert selu(np.array([-50.0]))[0] == pytest.approx(-SELU_LAMBDA * SELU_ALPHA,
+                                                           rel=1e-9)
 
     def test_selu_published_constants(self):
         assert SELU_ALPHA == pytest.approx(1.67326, abs=1e-5)
@@ -127,19 +128,13 @@ class TestLosses:
 
 
 class TestTwoLayerBlock:
-    def test_identity_case(self):
-        """Identity weights, identity activations, no dropout: passthrough."""
-        eye = np.eye(3)
-        block = TwoLayerBlock(eye, None, eye, None, phi="identity", sigma="identity")
-        out, _ = block.forward(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-
     def test_selu_zero_input(self):
         w1 = np.array([[1.0, 0, 0], [0, 1.0, 0]])
         w2 = np.array([[1.0, 1.0]])
-        block = TwoLayerBlock(w1, None, w2, None)
-        out, _ = block.forward(np.zeros(3))
-        np.testing.assert_array_equal(out, [0.0])
+        block = TwoLayerBlock(np.concatenate([w1.ravel(), w2.ravel()]), 3, 2, 1,
+                              bias=False)
+        out, _ = block.forward(np.zeros((1, 3)))
+        np.testing.assert_array_equal(out, [[0.0]])
 
     def test_matches_scalar_loop_reference(self):
         """He-initialized block output equals an explicit scalar-loop
@@ -147,7 +142,7 @@ class TestTwoLayerBlock:
         rng = np.random.default_rng(11)
         block, _ = new_block(4, 6, 3, rng, bias=True)
         x = rng.normal(size=4)
-        out, _ = block.forward(x)
+        out, _ = block.forward(x[None, :])
 
         def ref_selu(v):
             lam, alpha = SELU_LAMBDA, SELU_ALPHA
@@ -165,7 +160,7 @@ class TestTwoLayerBlock:
             for j in range(6):
                 acc += block.w2[k, j] * hidden[j]
             expect.append(ref_selu(acc))
-        np.testing.assert_allclose(out, expect, rtol=1e-12)
+        np.testing.assert_allclose(out, [expect], rtol=1e-12)
 
     def test_infer_mode_deterministic(self):
         rng = np.random.default_rng(3)
@@ -176,22 +171,27 @@ class TestTwoLayerBlock:
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
+        """Only a batch of the block's input width goes in: not another
+        width, and not a lone vector."""
         block, _ = new_block(3, 4, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            block.forward(np.zeros(5))
+        for x in (np.zeros((2, 5)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                block.forward(x)
 
-    @pytest.mark.parametrize("bias,phi,sigma,dim", [
-        (True, "selu", "selu", (3, 16, 8)),
-        (False, "selu", "selu", (40, 8, 4)),
-        (False, "selu", "tanh", (4, 8, 40)),
-        (True, "selu", "selu", (28, 8, 1)),
-        (True, "identity", "identity", (5, 7, 2)),
+    # ``activations`` names the (hidden, output) pair: the decoder h alone
+    # ends in tanh.
+    @pytest.mark.parametrize("bias,activations,dim", [
+        (True, "selu-selu", (3, 16, 8)),
+        (False, "selu-selu", (40, 8, 4)),
+        (False, "selu-tanh", (4, 8, 40)),
+        (True, "selu-selu", (28, 8, 1)),
     ])
-    def test_gradcheck_every_block_shape(self, bias, phi, sigma, dim):
+    def test_gradcheck_every_block_shape(self, bias, activations, dim):
         """Analytic gradients match central finite differences for each
         block configuration used by the model (dropout disabled)."""
         rng = np.random.default_rng(sum(dim))
-        block, flat = new_block(*dim, rng, bias=bias, phi=phi, sigma=sigma)
+        block, flat = new_block(*dim, rng, bias=bias,
+                                tanh_out=activations == "selu-tanh")
         x = rng.normal(size=(5, dim[0]))
         target = rng.normal(size=(5, dim[2]))
 
@@ -240,7 +240,7 @@ class TestTwoLayerBlock:
     def test_weights_are_views_of_the_flat_buffer(self):
         """Layout is w1, b1, w2, b2; writing the buffer moves the block."""
         flat = np.arange(TwoLayerBlock.size(2, 3, 1), dtype=np.float64)
-        block = TwoLayerBlock.over(flat, 2, 3, 1)
+        block = TwoLayerBlock(flat, 2, 3, 1)
         np.testing.assert_array_equal(block.w1.ravel(), flat[:6])
         np.testing.assert_array_equal(block.b1, flat[6:9])
         np.testing.assert_array_equal(block.w2.ravel(), flat[9:12])
@@ -346,9 +346,8 @@ class TestStack:
     def _stack(self, dims, rates, bias=True):
         rng = np.random.default_rng(5)
         flats = [new_block(*dims, rng, bias=bias)[1] for _ in rates]
-        stacked = TwoLayerBlock.over(np.stack(flats), *dims, bias,
-                                     dropout_rate=np.array(rates))
-        singles = [TwoLayerBlock.over(f, *dims, bias, dropout_rate=r)
+        stacked = TwoLayerBlock(np.stack(flats), *dims, bias, dropout_rate=np.array(rates))
+        singles = [TwoLayerBlock(f, *dims, bias, dropout_rate=r)
                    for f, r in zip(flats, rates)]
         return stacked, singles
 

@@ -230,3 +230,67 @@ def test_load_of_resigned_mutated_header(saved_model, path, value, length_shift)
     props = {name: PropertyValue.natural(5) if kind == "natural" else PropertyValue.text("x")
              for name, kind in state.schema.essential + state.schema.optional}
     model.predict(state, 4, props)
+
+
+# Whole command lines on the sort fixture. Each flag value and each
+# name=value token is the good value or an edge case (or, for a token, a
+# missing '=' or nothing at all), so every parser and check between argparse
+# and the library sees them; the good value is drawn about as often as all
+# edge cases together, so that draws also get past the first check. Only
+# argparse's usage error may escape, and every exit code is a documented one.
+EDGE_TEXT = ["inf", "nan", "-1", "1e30", ""]
+GOOD = {"dataset_size": "8000", "dataset_characteristics": "uniform",
+        "job_parameters": "--sort-buffer 64m", "node_type": "m5.xlarge",
+        "memory_mb": "16384", "cpu_cores": "4", "job_name": "sort"}
+ESSENTIAL = ["dataset_size", "dataset_characteristics", "job_parameters", "node_type"]
+EXIT_CODES = {0, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_TRAINING, cli.EXIT_SCHEMA}
+
+
+def _pairs(names):
+    return st.tuples(*[st.sampled_from([f"{n}={GOOD[n]}"] * 7 + [f"{n}={e}" for e in EDGE_TEXT]
+                                       + [n, None]) for n in names]) \
+        .map(lambda tokens: [t for t in tokens if t is not None])
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line whose ``MODEL`` and ``OUT`` the test fills in."""
+    def flag(good):
+        return draw(st.sampled_from([good] * 5 + EDGE_TEXT))
+
+    command = draw(st.sampled_from(["pretrain", "predict", "recommend"]))
+    if command == "pretrain":
+        argv = ["pretrain", "--data", str(DATA / "sort_runs.csv"),
+                "--manifest", str(DATA / "sort_manifest.txt"), "--epochs", "1",
+                "--search-samples", "1", "--out", "OUT", "--seed", flag("0"),
+                "--variant", draw(st.sampled_from(["full", "filtered", "local"]))]
+        if draw(st.booleans()):
+            argv += ["--target-context", ",".join(draw(_pairs(ESSENTIAL)))]
+        return argv
+    argv = [command, "--model", "MODEL", "--props", *draw(_pairs(GOOD))]
+    if command == "predict":
+        return argv + ["--scale-out", flag("4")]
+    return argv + ["--target", flag("100"),
+                   "--range", ":".join(flag(good) for good in ("1", "8", "1"))]
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {"MODEL": str(root / "m.jcm"), "OUT": str(root / "out.jcm")}
+    assert cli.main(["pretrain", "--data", str(DATA / "sort_runs.csv"),
+                     "--manifest", str(DATA / "sort_manifest.txt"), "--epochs", "1",
+                     "--search-samples", "1", "--out", paths["MODEL"]]) == 0
+    return paths
+
+
+@settings(FUZZ, max_examples=120)
+@given(argv=cli_argv())
+def test_cli_main_on_edge_case_arguments(cli_paths, argv):
+    argv = [cli_paths.get(arg, arg) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        assert exc.code == 2
+        return
+    assert code in EXIT_CODES

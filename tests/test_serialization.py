@@ -175,6 +175,20 @@ class TestRejection:
         with pytest.raises(ModelFileError):
             load(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["activations"].update(z=["tanh", "selu"]),
+        lambda h: h["activations"].update(h=["selu", "selu"]),
+        lambda h: h["dropout"].update(f=0.1),
+        lambda h: h["dropout"].update(z=0.1),
+        lambda h: h["dropout"].update(g=0.1),  # h stays at 0.0
+    ], ids=["z-tanh-selu", "h-without-tanh", "f-dropout", "z-dropout", "g-not-h"])
+    def test_other_architecture_is_model_file_error(self, tmp_path, mutate):
+        """Activations and dropout rates that are valid values, but not the
+        fixed architecture this package writes, are refused at load."""
+        path = save_with_header(tmp_path, mutate)
+        with pytest.raises(ModelFileError):
+            load(path)
+
     def test_header_that_is_not_json(self, tmp_path):
         state = build_state()
         path = tmp_path / "model.jcm"
@@ -205,15 +219,29 @@ class TestSerializeBytes:
         assert serialize(state) == serialize(state)
 
     def test_block_settings_are_what_is_saved_copied_and_pickled(self, tmp_path):
-        """Dropout and activations live only on the blocks; a change there
-        moves the fingerprint and survives save/load, copy and pickle."""
+        """The autoencoder's dropout rate lives only on its blocks; a change
+        there moves the fingerprint and survives save/load, copy and pickle."""
         state = build_state()
         before = state.fingerprint()
-        state.g.dropout_rate = 0.25
-        state.z.phi = "tanh"
+        state.g.dropout_rate = state.h.dropout_rate = 0.25
+        assert state.dropout_rate == 0.25
         assert state.fingerprint() != before
         path = tmp_path / "model.jcm"
         save(state, path)
         for twin in (load(path), state.copy(), pickle.loads(pickle.dumps(state))):
-            assert (twin.g.dropout_rate, twin.z.phi) == (0.25, "tanh")
+            assert [twin.blocks()[c].dropout_rate for c in "fghz"] == [0.0, 0.25, 0.25, 0.0]
             assert twin.fingerprint() == state.fingerprint()
+
+    def test_header_lists_the_fixed_architecture(self, tmp_path):
+        """Every block's activations and dropout rate, as the file states
+        them: SELU but for the decoder's tanh output, and dropout on the
+        autoencoder alone."""
+        path = tmp_path / "model.jcm"
+        save(ModelState.new(SCHEMA, Normalizer.fit([2, 6, 12]),
+                            np.random.default_rng(5), dropout_rate=0.1), path)
+        blob = path.read_bytes()
+        header_len = struct.unpack_from("<I", blob, len(_MAGIC) + 4)[0]
+        header = json.loads(blob[len(_MAGIC) + 8 : len(_MAGIC) + 8 + header_len])
+        assert header["activations"] == {"f": ["selu", "selu"], "g": ["selu", "selu"],
+                                         "h": ["selu", "tanh"], "z": ["selu", "selu"]}
+        assert header["dropout"] == {"f": 0.0, "g": 0.1, "h": 0.1, "z": 0.0}

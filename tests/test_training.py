@@ -209,14 +209,14 @@ class TestFinetune:
         5-second MAE target within the epoch cap."""
         _, samples = target_context
         five = [samples[i] for i in range(0, 10, 2)]
-        tuned, report = finetune(SYNTH_SCHEMA, five, strategy="local", seed=11)
+        tuned, report = finetune(SYNTH_SCHEMA, five, seed=11)
         assert report.stopping_reason == "mae_threshold"
         assert report.best_mae_seconds <= 5.0
         assert report.epochs_run <= 2500
 
     def test_local_single_sample_totality(self, target_context):
         _, samples = target_context
-        _, report = finetune(SYNTH_SCHEMA, samples[:1], strategy="local", seed=2)
+        _, report = finetune(SYNTH_SCHEMA, samples[:1], seed=2)
         assert report.stopping_reason in ("mae_threshold", "patience", "epoch_cap")
 
     def test_epoch_cap_reason(self, small_pretrained, target_context):
@@ -235,7 +235,7 @@ class TestFinetune:
         ctx = ContextKey(tuple((n, props[n].value) for n, _ in SYNTH_SCHEMA.essential))
         samples = [RunRecord(4, 100.0, props, ctx),
                    RunRecord(4, 500.0, props, ctx)]
-        _, report = finetune(SYNTH_SCHEMA, samples, strategy="local", seed=0)
+        _, report = finetune(SYNTH_SCHEMA, samples, seed=0)
         assert report.stopping_reason == "patience"
         assert report.epochs_run - report.best_epoch >= 1000
 
@@ -268,8 +268,7 @@ class TestFinetune:
         five = [samples[i] for i in range(0, 10, 2)]
         reset_state, reset_rep = finetune(state, five, reuse="full-reset",
                                           seed=13)
-        local_state, local_rep = finetune(SYNTH_SCHEMA, five,
-                                          strategy="local", seed=13)
+        local_state, local_rep = finetune(SYNTH_SCHEMA, five, seed=13)
         assert reset_rep.stopping_reason == "mae_threshold"
         assert local_rep.stopping_reason == "mae_threshold"
         for rec in five:
@@ -290,7 +289,5 @@ class TestFinetune:
         state, _, _ = small_pretrained
         with pytest.raises(ValueError):
             finetune(state, [], reuse="sideways")
-        with pytest.raises(ValueError):
-            finetune(state, [], strategy="remote")
         with pytest.raises(DataError):
-            finetune(SYNTH_SCHEMA, [], strategy="local")
+            finetune(SYNTH_SCHEMA, [])

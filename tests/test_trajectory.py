@@ -46,7 +46,7 @@ def finetune_outcome(case):
     state, _, clean, noisy = _setup()
     samples = {"clean": clean, "noisy": noisy}[which][:n]
     start = state if strategy == "pretrained" else SYNTH_SCHEMA
-    tuned, rep = finetune(start, samples, strategy=strategy, reuse=reuse, seed=3)
+    tuned, rep = finetune(start, samples, reuse=reuse, seed=3)
     return (rep.epochs_run, rep.best_epoch, rep.stopping_reason,
             rep.best_mae_seconds.hex(), tuned.fingerprint())
 
