@@ -20,7 +20,8 @@ from .evalharness import (ComparisonConfig, EvalSplit, MetricsTable, ecdf,
                           generate_splits, run_comparison, validate_split)
 from .model import (ModelState, Prediction, PropertySchema, joint_loss, load,
                     predict, predict_batch, save)
-from .training import FineTuneReport, SearchSpace, finetune, lr_at, pretrain
+from .training import (FineTuneReport, SearchSpace, finetune, lr_at, pretrain,
+                       pretrain_corpora)
 
 __version__ = "0.1.0"
 
@@ -39,4 +40,5 @@ __all__ = [
     "ModelState", "Prediction", "PropertySchema", "joint_loss", "load",
     "predict", "predict_batch", "save",
     "FineTuneReport", "SearchSpace", "finetune", "lr_at", "pretrain",
+    "pretrain_corpora",
 ]

@@ -196,16 +196,30 @@ def cmd_predict(args) -> int:
     return 0
 
 
+# The most candidate scale-outs one ``recommend`` scores. Each costs about
+# 27 us and 1 KB, so a full range runs in a few seconds and about 150 MB.
+MAX_CANDIDATES = 100_000
+
+
+def _parse_range(text: str) -> range:
+    """Candidate scale-outs from ``lo:hi:step``, counted before any is made."""
+    try:
+        lo, hi, step = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"--range must be lo:hi:step, got {text!r}")
+    if lo > hi or step < 1 or lo < 1:
+        raise ConfigError(f"invalid candidate range {text!r}")
+    count = (hi - lo) // step + 1
+    if count > MAX_CANDIDATES:
+        raise ConfigError(f"--range {text!r} gives {count} candidates, "
+                          f"more than the {MAX_CANDIDATES} allowed")
+    return range(lo, hi + 1, step)
+
+
 def cmd_recommend(args) -> int:
+    candidates = _parse_range(args.range)
     state = model.load(args.model)
     props = _coerce_props(state.schema, _parse_pairs(args.props, args.props_file))
-    try:
-        lo, hi, step = (int(p) for p in args.range.split(":"))
-    except ValueError:
-        raise ConfigError(f"--range must be lo:hi:step, got {args.range!r}")
-    if lo > hi or step < 1 or lo < 1:
-        raise ConfigError(f"invalid candidate range {args.range!r}")
-    candidates = list(range(lo, hi + 1, step))
     curve = list(zip(candidates, model.predict_batch(state, candidates, props)))
     print("scale_out,predicted_runtime_seconds")
     for x, runtime in curve:

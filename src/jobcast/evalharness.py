@@ -23,7 +23,7 @@ from .dataio import ContextKey, filter_for_variant, group_by_context
 from .encoding import fnv1a_64
 from .errors import ConfigError, DataError, TrainingError
 from .model import ModelState, PropertySchema, predict_batch as model_predict_batch
-from .training import SearchSpace, finetune, pretrain
+from .training import SearchSpace, finetune, pretrain_corpora
 
 MODEL_METHOD = "model"
 BASELINE_TOKENS = ("nnls", "bell")
@@ -313,17 +313,10 @@ class ComparisonConfig:
     workers: int = 1
 
 
-def _pretrain_variant(records, target, variant, schema, config):
-    corpus = filter_for_variant(records, target, variant)
-    seed = int(np.random.SeedSequence(
+def _variant_seed(config, variant, target) -> int:
+    return int(np.random.SeedSequence(
         (config.seed, fnv1a_64(f"{variant}|{target}".encode()) & 0xFFFF)
     ).generate_state(1)[0])
-    try:
-        state, _ = pretrain(corpus, schema, space=config.pretrain_space,
-                            seed=seed, epochs=config.pretrain_epochs)
-        return state
-    except (DataError, TrainingError):
-        return None
 
 
 def _cell_task(args):
@@ -368,18 +361,24 @@ def run_comparison(records, schema: PropertySchema,
             raise ConfigError(f"n_train {bad} leaves no test scale-out on the "
                               f"{grid}-point grid of context {context_id(ctx)}")
 
+    # Every (context, variant) corpus pre-trains in one engine call; one that
+    # cannot (too few records, every config diverged) leaves its variant
+    # without a model, and that variant's rows are excluded.
+    corpora = [(ctx, variant) for ctx in chosen for variant in ("filtered", "full")
+               if variant in tokens]
+    results = pretrain_corpora(
+        [(filter_for_variant(records, ctx, variant), _variant_seed(config, variant, ctx))
+         for ctx, variant in corpora],
+        schema, space=config.pretrain_space, epochs=config.pretrain_epochs)
+    states: dict = {ctx: {} for ctx in chosen}
+    for (ctx, variant), result in zip(corpora, results):
+        states[ctx][variant] = None if isinstance(result, Exception) else result[0]
+
     tasks = []
     for ctx in chosen:
-        label = context_id(ctx)
-        ctx_records = by_context[ctx]
-        states = {}
-        for variant in ("filtered", "full"):
-            if variant in tokens:
-                states[variant] = _pretrain_variant(records, ctx, variant,
-                                                    schema, config)
         for n_train in config.n_train_values:
-            tasks.append((ctx_records, label, n_train, tuple(tokens), schema,
-                          states, config.reuse, config.finetune_epochs,
+            tasks.append((by_context[ctx], context_id(ctx), n_train, tuple(tokens),
+                          schema, states[ctx], config.reuse, config.finetune_epochs,
                           config.max_splits, config.seed))
 
     table = MetricsTable()

@@ -2,7 +2,8 @@
 
 Pre-training samples configurations from a fixed grid, trains them all in
 lockstep on the joint runtime+reconstruction loss for the full epoch budget,
-and keeps the state with the lowest held-out runtime MAE. Fine-tuning
+and keeps the state with the lowest held-out runtime MAE; several corpora
+may pre-train in one call, their configs stacked where shapes match. Fine-tuning
 continues training on runtime error only, under a fixed recipe (a cyclical
 learning rate and a fixed weight decay), with the autoencoder always
 frozen, the predictor trainable from the start, and the scale-out block
@@ -61,9 +62,11 @@ class SearchSpace:
 class SearchEntry:
     """One row of the pre-training search log.
 
-    All configs train together, so ``wall_time_s`` is the time from the start
-    of the shared run (initialization included) until this config finished,
-    or left the run by diverging; it is not the config's own cost.
+    Every config of every corpus in one :func:`pretrain_corpora` call trains
+    in one shared run, so ``wall_time_s`` is measured from the start of that
+    run (every corpus's split, encoding and initialization included) until
+    this config finished, or left the run by diverging; it is not the
+    config's own cost.
     """
 
     config_id: int
@@ -99,28 +102,45 @@ def lr_at(epoch: int) -> float:
 
 
 class _Lockstep:
-    """The search's configs still training, one per row of a stacked model.
+    """The rows of one stack still training: every config of some searches.
 
-    Row ``i`` trains config ``ids[i]`` on ``batch`` with that config's rng
-    stream, record order, learning rate, weight decay and dropout rate;
-    ``loss[i]`` is its last epoch loss and ``total[i]`` the current epoch's
-    running sum.
+    Row ``i`` trains config ``cid`` of search ``search``, where
+    ``(search, cid) = rows[ids[i]]``, with that config's rng stream, record
+    order, learning rate, weight decay and dropout rate; ``loss[i]`` is its
+    last epoch loss and ``total[i]`` the current epoch's running sum. The
+    searches' training batches have the same record count and the same
+    unique-vector count ``U``: ``batch`` is their union, ``orders[i]``
+    indexes row ``i``'s own records in it and ``pvecs[i]`` holds its own
+    unique vectors.
     """
 
-    def __init__(self, states, configs, rngs, batch: EncodedBatch):
-        size = len(states)
-        dropout, lr, wd = (np.array(column) for column in zip(*configs))
+    def __init__(self, searches):
+        self.rows = [(search, cid) for search in searches
+                     for cid in range(len(search.configs))]
+        owner = np.array([j for j, search in enumerate(searches) for _ in search.configs])
+        size = len(self.rows)
+        states = [state for search in searches for state in search.initial_states()]
+        dropout, lr, wd = (np.array(column) for column in
+                           zip(*(search.configs[cid] for search, cid in self.rows)))
         first = states[0]
         self.state = ModelState(np.stack([s.vector for s in states]), first.normalizer,
                                 first.schema, dropout)
         self.optim = Adam(lr[:, None], self.state.segments, self.state.param_name,
                           weight_decay=wd[:, None])
         self.grad = np.zeros_like(self.state.vector)
-        self.rngs = list(rngs)
-        self.batch = batch
+        self.rngs = [search.rngs[cid] for search, cid in self.rows]
+        batches = [search.train_batch for search in searches]
+        n, u = searches[0].shape
+
+        def union(name):
+            return np.concatenate([getattr(b, name) for b in batches])
+
+        self.batch = EncodedBatch(union("sfeat"), None, union("ess_rows"),
+                                  union("opt_weights"), union("usage"), union("runtimes"))
+        self.pvecs = np.stack([b.pvecs for b in batches])[owner]
         self.ids = np.arange(size)
-        self.orders = np.tile(np.arange(len(batch.runtimes)), (size, 1))
-        self.offsets = len(batch.pvecs) * np.arange(size)[:, None, None]
+        self.orders = np.arange(n) + n * owner[:, None]
+        self.offsets = u * np.arange(size)[:, None, None]
         self.loss = np.full(size, np.nan)
         self.total = np.zeros(size)
 
@@ -131,7 +151,7 @@ class _Lockstep:
         Returns each row's loss and :func:`~jobcast.model.diverged_rows`.
         """
         idx, b = self.orders[:, start : start + size], self.batch
-        minibatch = EncodedBatch(sfeat=b.sfeat[idx], pvecs=b.pvecs,
+        minibatch = EncodedBatch(sfeat=b.sfeat[idx], pvecs=self.pvecs,
                                  ess_rows=b.ess_rows[idx] + self.offsets,
                                  opt_weights=b.opt_weights[idx], usage=b.usage[idx],
                                  runtimes=b.runtimes[idx])
@@ -145,19 +165,157 @@ class _Lockstep:
         self.held = (minibatch, detail)
         return loss, diverged_rows(detail, loss, self.grad)
 
-    def keep(self, rows) -> None:
-        """Drop every row not in ``rows``; the kept rows carry on unchanged."""
+    def leave(self, bad, ran) -> None:
+        """Log the rows marked in ``bad`` as diverged after ``ran`` epochs
+        and drop them; the other rows carry on unchanged."""
+        for i in np.flatnonzero(bad):
+            search, cid = self.rows[self.ids[i]]
+            search.enter(cid, ran, self.loss[i])
+        rows = np.flatnonzero(~bad)
         self.state = self.state.take(rows)
         self.optim.keep_rows(rows)
         self.rngs = [self.rngs[i] for i in rows]
         self.offsets = self.offsets[: len(rows)]
-        for name in ("grad", "ids", "orders", "loss", "total"):
+        for name in ("grad", "pvecs", "ids", "orders", "loss", "total"):
             setattr(self, name, getattr(self, name)[rows])
+
+    def train(self, epochs: int, batch_size: int) -> None:
+        """Train every row for ``epochs`` epochs, then score the rows left."""
+        n = self.orders.shape[1]
+        for epoch in range(epochs):
+            if not self.ids.size:
+                break
+            for rng, order in zip(self.rngs, self.orders):
+                rng.shuffle(order)
+            self.total[:] = 0.0
+            for start in range(0, n, batch_size):
+                loss, bad = self.gradients(start, batch_size)
+                if bad is not None:
+                    self.leave(bad, epoch)
+                    if not self.ids.size:
+                        break
+                    loss = loss[~bad]
+                self.optim.step(self.state.vector, self.grad, COMPONENTS)
+                self.total += loss * min(batch_size, n - start)
+            self.loss = self.total / n
+            if not np.isfinite(self.loss).all():
+                self.leave(~np.isfinite(self.loss), epoch + 1)
+        for i, r in enumerate(self.ids.tolist()):
+            search, cid = self.rows[r]
+            search.finish(cid, self.state.take(i), epochs, self.loss[i])
 
 
 def _mae(state, batch) -> float:
     y, _ = forward_batch(state, batch, train=False, need_recon=False)
     return float(np.mean(np.abs(y - batch.runtimes)))
+
+
+class _Search:
+    """One corpus's search: its held-out split, normalizer, config picks and
+    rng streams, encoded batches, trained states and log."""
+
+    def __init__(self, records, seed, schema, grid, k, started):
+        split_seq, pick_seq, *config_seeds = np.random.SeedSequence(seed).spawn(2 + k)
+        split_rng = np.random.default_rng(split_seq)
+        perm = split_rng.permutation(len(records))
+        n_val = max(1, int(round(0.2 * len(records))))
+        val_records = [records[i] for i in perm[:n_val]]
+        train_records = [records[i] for i in perm[n_val:]]
+        if not train_records:
+            train_records, val_records = val_records, val_records
+
+        self.normalizer = Normalizer.fit(r.scale_out for r in train_records)
+        pick_rng = np.random.default_rng(pick_seq)
+        picks = pick_rng.choice(len(grid), size=k, replace=False)
+        self.train_batch = encode_batch(schema, self.normalizer, train_records)
+        self.val_batch = encode_batch(schema, self.normalizer, val_records)
+        self.configs = [grid[pick] for pick in picks]
+        self.rngs = [np.random.default_rng(cseed) for cseed in config_seeds]
+        self.schema = schema
+        self.started = started
+        self.log: list = [None] * k
+        self.states: dict = {}
+
+    @property
+    def shape(self) -> tuple:
+        """Training records and unique property vectors: rows stack only
+        when these match."""
+        return len(self.train_batch.runtimes), len(self.train_batch.pvecs)
+
+    def initial_states(self):
+        return [ModelState.new(self.schema, self.normalizer, rng, dropout_rate=dropout)
+                for (dropout, _, _), rng in zip(self.configs, self.rngs)]
+
+    def enter(self, cid, ran, loss, train_mae=float("nan"), val_mae=float("inf"),
+              status="diverged"):
+        self.log[cid] = SearchEntry(cid, *self.configs[cid], ran, float(loss), train_mae,
+                                    val_mae, time.perf_counter() - self.started,
+                                    status=status)
+
+    def finish(self, cid, state, ran, loss):
+        """Score a config that trained all ``ran`` epochs."""
+        state.normalizer = self.normalizer  # the stack carried its first row's
+        self.states[cid] = state
+        train_mae, val_mae = float("nan"), float("inf")
+        try:
+            train_mae = _mae(state, self.train_batch)
+            val_mae = _mae(state, self.val_batch)
+        except NumericsError:
+            pass
+        self.enter(cid, ran, loss, train_mae, val_mae,
+                   "ok" if np.isfinite(val_mae) else "diverged")
+
+    def result(self):
+        """``(best_state, log)``, or the :class:`TrainingError` of a search
+        whose configs all diverged."""
+        ok = [e for e in self.log if e.status == "ok"]
+        if not ok:
+            return TrainingError("all pre-training configurations diverged")
+        best = min(ok, key=lambda e: e.val_mae_seconds)  # the first of equals
+        best.chosen = True
+        return self.states[best.config_id], self.log
+
+
+def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = None,
+                     epochs: int = MAX_EPOCHS, batch_size: int = 64) -> list:
+    """Random-search pre-training over several corpora at once.
+
+    ``jobs`` is a sequence of ``(records, seed)``. Returns one entry per
+    job: the ``(best_state, search_log)`` that
+    ``pretrain(records, schema, space, seed, epochs, batch_size)`` returns,
+    or the :class:`DataError` (fewer than 2 records) or
+    :class:`TrainingError` (every config diverged) it raises, as a value.
+    A search space that samples nothing raises :class:`ConfigError` when
+    any job has records to train on.
+
+    Every job keeps its own held-out split, normalizer, config picks, rng
+    streams and encoded records, so it computes what its own call would.
+    The rows of all jobs whose training sets have the same number of
+    records and of unique property vectors train as one stacked model;
+    such groups train one after another.
+    """
+    space = space or SearchSpace()
+    grid = space.grid()
+    k = min(space.sample_count, len(grid))
+    jobs = [(list(records), seed) for records, seed in jobs]
+    results: list = [DataError(f"pre-training needs at least 2 records, got {len(r)}")
+                     if len(r) < 2 else None for r, _ in jobs]
+    if k < 1 and None in results:
+        raise ConfigError(f"the search samples no configuration: sample_count "
+                          f"{space.sample_count}, {len(grid)} in the grid")
+    started = time.perf_counter()
+    searches = {j: _Search(records, seed, schema, grid, k, started)
+                for j, (records, seed) in enumerate(jobs) if results[j] is None}
+
+    groups: dict = {}
+    for search in searches.values():
+        groups.setdefault(search.shape, []).append(search)
+    for group in groups.values():
+        _Lockstep(group).train(epochs, batch_size)
+
+    for j, search in searches.items():
+        results[j] = search.result()
+    return results
 
 
 def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
@@ -176,89 +334,13 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     the dropout masks of ``g`` and ``h``), so each row computes what it
     would compute alone. A row whose block output, gradient or epoch loss
     turns non-finite leaves the stack; the others carry on untouched.
+    This is the one-corpus case of :func:`pretrain_corpora`.
     """
-    records = list(records)
-    if len(records) < 2:
-        raise DataError(f"pre-training needs at least 2 records, got {len(records)}")
-    space = space or SearchSpace()
-    grid = space.grid()
-    k = min(space.sample_count, len(grid))
-    if k < 1:
-        raise ConfigError(f"the search samples no configuration: sample_count "
-                          f"{space.sample_count}, {len(grid)} in the grid")
-    split_seq, pick_seq, *config_seeds = np.random.SeedSequence(seed).spawn(2 + k)
-
-    split_rng = np.random.default_rng(split_seq)
-    perm = split_rng.permutation(len(records))
-    n_val = max(1, int(round(0.2 * len(records))))
-    val_records = [records[i] for i in perm[:n_val]]
-    train_records = [records[i] for i in perm[n_val:]]
-    if not train_records:
-        train_records, val_records = val_records, val_records
-
-    normalizer = Normalizer.fit(r.scale_out for r in train_records)
-    pick_rng = np.random.default_rng(pick_seq)
-    picks = pick_rng.choice(len(grid), size=k, replace=False)
-
-    train_batch = encode_batch(schema, normalizer, train_records)
-    val_batch = encode_batch(schema, normalizer, val_records)
-
-    configs = [grid[pick] for pick in picks]
-    log: list = [None] * k
-    started = time.perf_counter()
-
-    def enter(cid, ran, loss, train_mae=float("nan"), val_mae=float("inf"),
-              status="diverged"):
-        log[cid] = SearchEntry(cid, *configs[cid], ran, float(loss), train_mae, val_mae,
-                               time.perf_counter() - started, status=status)
-
-    rngs = [np.random.default_rng(cseed) for cseed in config_seeds]
-    run = _Lockstep([ModelState.new(schema, normalizer, rng, dropout_rate=dropout)
-                     for (dropout, _, _), rng in zip(configs, rngs)],
-                    configs, rngs, train_batch)
-
-    def leave(bad, ran):
-        for i in np.flatnonzero(bad):
-            enter(int(run.ids[i]), ran, run.loss[i])
-        run.keep(np.flatnonzero(~bad))
-
-    for epoch in range(epochs):
-        if not run.ids.size:
-            break
-        for rng, order in zip(run.rngs, run.orders):
-            rng.shuffle(order)
-        run.total[:] = 0.0
-        for start in range(0, len(train_records), batch_size):
-            loss, bad = run.gradients(start, batch_size)
-            if bad is not None:
-                leave(bad, epoch)
-                if not run.ids.size:
-                    break
-                loss = loss[~bad]
-            run.optim.step(run.state.vector, run.grad, COMPONENTS)
-            run.total += loss * min(batch_size, len(train_records) - start)
-        run.loss = run.total / len(train_records)
-        if not np.isfinite(run.loss).all():
-            leave(~np.isfinite(run.loss), epoch + 1)
-
-    states = {}
-    for i, cid in enumerate(run.ids.tolist()):
-        states[cid] = state = run.state.take(i)
-        train_mae, val_mae = float("nan"), float("inf")
-        try:
-            train_mae = _mae(state, train_batch)
-            val_mae = _mae(state, val_batch)
-        except NumericsError:
-            pass
-        enter(cid, epochs, run.loss[i], train_mae, val_mae,
-              "ok" if np.isfinite(val_mae) else "diverged")
-
-    ok = [e for e in log if e.status == "ok"]
-    if not ok:
-        raise TrainingError("all pre-training configurations diverged")
-    best = min(ok, key=lambda e: e.val_mae_seconds)  # the first of equals
-    best.chosen = True
-    return states[best.config_id], log
+    [result] = pretrain_corpora([(records, seed)], schema, space=space, epochs=epochs,
+                                batch_size=batch_size)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def unfreeze_epoch(n_samples: int) -> int:

@@ -191,6 +191,29 @@ class TestRecommend:
         assert code == cli.EXIT_CONFIG
         assert "memory_mb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", ["1:100001:1", "3:300003:3"])
+    def test_more_candidates_than_the_limit_is_config_error(self, trained_model, capsys,
+                                                           span):
+        code = cli.main(["recommend", "--model", str(trained_model),
+                         "--target", "100", "--range", span, "--props", *PROPS])
+        assert code == cli.EXIT_CONFIG
+        assert "100001 candidates" in capsys.readouterr().err
+
+    def test_range_is_checked_before_the_model_loads(self, tmp_path, monkeypatch):
+        class Loaded(Exception):
+            pass
+
+        def load(path):
+            raise Loaded
+
+        monkeypatch.setattr(cli.model, "load", load)
+        argv = ["recommend", "--model", str(tmp_path / "m.jcm"), "--target", "100",
+                "--props", *PROPS, "--range"]
+        assert cli.main(argv + ["1:100001:1"]) == cli.EXIT_CONFIG
+        assert cli.main(argv + ["12:2:2"]) == cli.EXIT_CONFIG
+        with pytest.raises(Loaded):  # exactly the limit
+            cli.main(argv + ["1:100000:1"])
+
     def test_bad_range_is_config_error(self, trained_model):
         code = cli.main(["recommend", "--model", str(trained_model),
                          "--target", "100", "--range", "12:2:2",
@@ -267,16 +290,25 @@ class TestEvaluate:
         def no_pretraining(*args, **kwargs):
             raise AssertionError("pre-training started")
 
-        monkeypatch.setattr(evalharness, "pretrain", no_pretraining)
-        # Every context of the sort corpus has a 6-point grid: at most 5.
+        monkeypatch.setattr(training, "pretrain_corpora", no_pretraining)
+        monkeypatch.setattr(evalharness, "pretrain_corpora", no_pretraining)
+        # Narrow the r5.large context's grid to 2, 4, 6: n_train 3 passes the
+        # flag's bound (5, from the other context's 6-point grid) but not the
+        # harness's check of that context, which comes before pre-training.
+        with open(DATA / "sort_runs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        narrow = [r for r in rows[1:] if r[5] != "r5.large" or int(r[0]) <= 6]
+        data = tmp_path / "runs.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([rows[0], *narrow])
         code = cli.main([
-            "evaluate", "--data", str(DATA / "sort_runs.csv"),
+            "evaluate", "--data", str(data),
             "--manifest", str(DATA / "sort_manifest.txt"),
-            "--methods", "nnls,full", "--n-train", "2,6",
+            "--methods", "nnls,full", "--n-train", "1,3",
             "--out-dir", str(tmp_path / "results"),
         ])
         assert code == cli.EXIT_CONFIG
-        assert "--n-train" in capsys.readouterr().err
+        assert "3-point grid" in capsys.readouterr().err
 
 
 COUNT_FLAG_CASES = [

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from jobcast import evalharness
+from jobcast import evalharness, training
 from jobcast.errors import ConfigError, DataError
 from jobcast.evalharness import (ComparisonConfig, EvalSplit, Method,
                                  MethodResult, MetricsTable, choose_contexts,
@@ -14,6 +14,7 @@ from jobcast.evalharness import (ComparisonConfig, EvalSplit, Method,
                                  validate_split, write_ecdf_csv,
                                  write_metrics_csv)
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
+from jobcast.training import SearchSpace
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,8 @@ class TestRunComparison:
         def no_pretraining(*args, **kwargs):
             raise AssertionError("pre-training started")
 
-        monkeypatch.setattr(evalharness, "pretrain", no_pretraining)
+        monkeypatch.setattr(training, "pretrain_corpora", no_pretraining)
+        monkeypatch.setattr(evalharness, "pretrain_corpora", no_pretraining)
         wide, narrow = make_contexts(2, seed=9)
         records = (context_records(wide, seed=9)
                    + context_records(narrow, scale_outs=(2, 4, 6), seed=9))
@@ -243,6 +245,31 @@ class TestRunComparison:
                                   contexts=[records[0].context, records[-1].context])
         with pytest.raises(ConfigError, match="3-point grid"):
             run_comparison(records, SYNTH_SCHEMA, config)
+
+    def test_a_corpus_too_small_to_pretrain_excludes_only_its_context(self):
+        """The ``full`` and ``filtered`` corpora of the wide context are the
+        single record of the other, too few to pre-train: its model rows are
+        excluded. The other context's two corpora, the wide context's six
+        records each, still pre-train (as rows of one stack), and predict
+        what they predicted when each corpus pre-trained on its own."""
+        wide, single = make_contexts(2, seed=6)
+        records = (context_records(wide, repetitions=1, seed=6)
+                   + context_records(single, scale_outs=(4,), repetitions=1, seed=6))
+        config = ComparisonConfig(methods=("filtered", "full"), n_train_values=(0,),
+                                  contexts=[wide.key, single.key], max_splits=3,
+                                  seed=1, pretrain_space=SearchSpace(sample_count=2),
+                                  pretrain_epochs=20)
+        table = run_comparison(records, SYNTH_SCHEMA, config)
+        rows = [(r.variant, r.context, r.task,
+                 None if r.predicted is None else r.predicted.hex(), r.flag)
+                for r in table.rows]
+        excluded = [(variant, context_id(wide.key), "extrap", None,
+                     f"excluded: no pre-trained model for variant {variant!r}")
+                    for variant in ("filtered", "full")]
+        assert rows == excluded * 3 + [
+            ("filtered", context_id(single.key), "extrap", "0x1.148001bf42fbep+8", "ok"),
+            ("full", context_id(single.key), "extrap", "0x1.7014f02c10d49p+5", "ok"),
+        ]
 
     def test_unknown_method_token(self, ctx_records):
         with pytest.raises(DataError):
