@@ -134,15 +134,12 @@ def bell_fit(points) -> BellModel:
         xs = sorted({x for x, _ in ps})
         return xs, [float(np.median([r for q, r in ps if q == x])) for x in xs]
 
-    def fit_np(ps):
-        return med_pairs(ps)
-
     def predict_np(model, x):
         xs, ms = model
         return _interp_predict(xs, ms, x)
 
     err_par = _loo_error(pts, ernest_fit, ernest_predict)
-    err_np = _loo_error(pts, fit_np, predict_np)
+    err_np = _loo_error(pts, med_pairs, predict_np)
     chosen = "nonparametric" if err_np < err_par else "parametric"
     grid, medians = med_pairs(pts)
     return BellModel(ernest_fit(pts), tuple(float(x) for x in grid),

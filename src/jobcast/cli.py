@@ -47,21 +47,9 @@ def _atomic_write(path, write_fn):
 def _parse_pairs(pairs, props_file=None) -> dict:
     """Raw name -> string value map from tokens and/or a key=value file."""
     raw: dict[str, str] = {}
-    if props_file:
-        try:
-            text = Path(props_file).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"props file {props_file} is not UTF-8 text: {exc}") from None
-        except OSError as exc:
-            raise ConfigError(f"cannot read props file {props_file}: {exc}") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{props_file}:{lineno}: expected name=value")
-            name, value = (p.strip() for p in line.split("=", 1))
-            raw[name] = value
+    if props_file:  # a later line wins
+        raw.update((key, value) for _, key, value in
+                   dataio.read_pairs(props_file, "props file"))
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"property {pair!r} is not name=value")

@@ -63,18 +63,21 @@ class DatasetManifest:
         return tuple(p for p in self.properties if p.role == "optional")
 
 
-def parse_manifest(path) -> DatasetManifest:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
+def read_pairs(path, what: str) -> list[tuple[int, str, str]]:
+    """The ``(line number, key, value)`` entries of a UTF-8 ``key = value`` file.
+
+    ``#`` starts a comment and blank lines are skipped; keys and values are
+    stripped. A file that cannot be read or is not UTF-8 (``what`` names it
+    in the message), and a line without ``=``, raise :class:`ConfigError`.
+    Duplicate keys are the caller's to judge.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-    entries: dict[str, str] = {}
-    order: list[str] = []
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,10 +85,20 @@ def parse_manifest(path) -> DatasetManifest:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        pairs.append((lineno, key, value))
+    return pairs
+
+
+def parse_manifest(path) -> DatasetManifest:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"manifest not found: {path}")
+    entries: dict[str, str] = {}
+    for lineno, key, value in read_pairs(path, "manifest"):
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         entries[key] = value
-        order.append(key)
+    order = list(entries)
 
     def take(key, default=None):
         if key in entries:
@@ -315,16 +328,15 @@ class DatasetSummary:
 
 
 def summarize(records) -> DatasetSummary:
-    by_context: dict[ContextKey, list[RunRecord]] = {}
-    for r in records:
-        by_context.setdefault(r.context, []).append(r)
+    by_context = group_by_context(records)
     grid = {}
     reps = {}
     for ctx, rs in by_context.items():
         xs = sorted({r.scale_out for r in rs})
         grid[ctx] = xs
         reps[ctx] = {x: sum(1 for r in rs if r.scale_out == x) for x in xs}
-    return DatasetSummary(len(list(records)), len(by_context), grid, reps)
+    return DatasetSummary(sum(map(len, by_context.values())), len(by_context),
+                          grid, reps)
 
 
 def group_by_context(records) -> dict[ContextKey, list[RunRecord]]:

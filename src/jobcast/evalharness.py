@@ -353,8 +353,11 @@ def run_comparison(records, schema: PropertySchema,
     unknown = set(config.methods) - set(tokens)
     if unknown:
         raise DataError(f"unknown method tokens: {sorted(unknown)}")
-    # Check every cell's n_train against its grid before any pre-training.
+    # Check every context and every cell's n_train against its grid before
+    # any pre-training.
     for ctx in chosen:
+        if ctx not in by_context:
+            raise ConfigError(f"context {ctx} has no records")
         grid = len({r.scale_out for r in by_context[ctx]})
         bad = [n for n in config.n_train_values if not 0 <= n <= grid - 1]
         if bad:

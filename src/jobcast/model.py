@@ -123,8 +123,10 @@ class ModelState:
 
     ``vector`` holds every weight, float64, in ``_WEIGHT_ORDER``; the blocks
     ``f``, ``g``, ``h``, ``z`` are views into it and ``segments[c]`` is the
-    slice component ``c`` owns. Copies, snapshots, optimizer steps and
-    serialization each work on the whole vector at once.
+    slice component ``c`` owns. Copies, snapshots and serialization work on
+    the whole vector at once; an optimizer steps the whole vector or one
+    component's slice, and re-initializing a block (``state.z.init(rng)``)
+    rewrites only its slice.
 
     ``dropout_rate`` is the autoencoder's alpha-dropout rate: ``g`` and ``h``
     apply it in training mode, ``f`` and ``z`` never drop. Only pre-training
@@ -163,7 +165,7 @@ class ModelState:
         """
         state = cls(np.zeros(_weight_count(schema)), normalizer, schema, dropout_rate)
         for c in COMPONENTS:
-            state.reset(c, rng)
+            getattr(state, c).init(rng)
         return state
 
     @property
@@ -185,19 +187,12 @@ class ModelState:
         # Pickle the vector once; unpickling rebuilds the block views into it.
         return ModelState, (self.vector, self.normalizer, self.schema, self.dropout_rate)
 
-    def blocks(self) -> dict:
-        return {c: getattr(self, c) for c in COMPONENTS}
-
     def param_name(self, index: int) -> str:
         """Name in ``_WEIGHT_ORDER`` of the array holding ``vector[..., index]``."""
         rows = self.vector.size // self.vector.shape[-1]  # S for a stack, else 1
         stops = np.cumsum([getattr(getattr(self, n[0]), n[2:]).size // rows
                            for n in _WEIGHT_ORDER])
         return _WEIGHT_ORDER[int(np.searchsorted(stops, index, side="right"))]
-
-    def reset(self, component: str, rng) -> None:
-        """Re-run He initialization for one component, in its slice of the vector."""
-        getattr(self, component).init(rng)
 
     def fingerprint(self) -> str:
         """Hex content hash; changes iff weights, bounds, or schema change."""
@@ -221,10 +216,10 @@ class EncodedBatch:
     how many of the record's properties map onto that vector, which weights
     the reconstruction loss by actual occurrences.
 
-    A stacked batch gives each row of a model stack its own records: every
-    per-record array gains a leading ``S`` axis, ``pvecs`` stays shared, and
-    ``ess_rows`` of row ``s`` are offset by ``s * U``, so they index all rows'
-    codes flattened to ``(S * U, CODE_DIM)``.
+    A stacked batch gives each row of a model stack its own records and its
+    own unique vectors: every array gains a leading ``S`` axis (``pvecs`` is
+    ``(S, U, 40)``), and ``ess_rows`` of row ``s`` are offset by ``s * U``, so
+    they index all rows' codes flattened to ``(S * U, CODE_DIM)``.
     """
 
     sfeat: np.ndarray  # (B, 3) normalized scale-out features
@@ -357,8 +352,8 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
 
     ``dy`` is dLoss/d(outputs), shape (B,) or (S, B). ``drecons`` is
     dLoss/d(reconstructions) over the unique vectors, or None when the
-    reconstruction term is absent. Only the segments of blocks that were
-    forwarded live are written; blocks that ran from a cache (frozen during
+    reconstruction term is absent. Only the segments of blocks that ran
+    forward are written; blocks that ran from a cache (frozen during
     fine-tuning) leave their segments as they were.
     """
     seg = state.segments

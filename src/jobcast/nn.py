@@ -7,8 +7,9 @@ initialization, the Huber loss, and an Adam optimizer with decoupled weight
 decay. Inputs are a batch ``(B, D)``.
 
 A block's weights are views into one flat buffer laid out ``w1, b1, w2, b2``;
-its backward pass writes gradients in that layout, and Adam updates one flat
-parameter vector cut into named segments.
+its backward pass writes gradients in that layout. Adam updates one such
+array in place with one step counter: a whole parameter vector, or the slice
+of it that one part of a model owns.
 
 Everything also runs on a stack of S independent models, one per row of an
 ``(S, n)`` parameter matrix: weights, batches and gradients gain a leading
@@ -309,71 +310,52 @@ def _split(flat, in_dim, hidden_dim, out_dim, bias):
 
 
 class Adam:
-    """Adam with decoupled weight decay over one flat parameter vector.
+    """Adam with decoupled weight decay over one parameter array.
 
-    ``segments`` maps names (e.g. model components) to slices of the vector.
-    Moments are two flat buffers; each segment has its own step counter, so
-    a segment that joins late (after an unfreeze) starts with fresh moments.
-    A step makes one vectorized update per run of adjacent live segments
-    that share a step count, and never touches frozen ones. ``name_of``
-    names the parameter at a vector index in non-finite gradient errors.
-
-    For a stack of S parameter rows, ``(S, n)``, ``lr`` and ``weight_decay``
-    are ``(S, 1)`` columns, one value per row, and the moments are ``(S, n)``;
-    every row steps together.
+    The array is a flat vector, a slice of one, or a stack ``(S, n)`` of S
+    rows, whose ``lr`` and ``weight_decay`` are then ``(S, 1)`` columns, one
+    value per row; every row steps together. The moments, of ``shape``,
+    start at zero and one step counter serves the whole array, so a part
+    of a model that joins training late gets an optimizer of its own, and
+    a frozen part has none. ``name_of`` names the parameter at an index of
+    the array in non-finite gradient errors.
     """
 
-    def __init__(self, lr, segments: dict, name_of, weight_decay=0.0):
+    def __init__(self, lr, shape, name_of, weight_decay=0.0):
         self.lr = lr if np.ndim(lr) else float(lr)
         self.weight_decay = weight_decay if np.ndim(weight_decay) else float(weight_decay)
-        self.segments = dict(segments)
-        size = max(s.stop for s in self.segments.values())
-        self.m, self.v = np.zeros((2, *np.shape(lr)[:-1], size))
-        self.steps = {name: 0 for name in self.segments}
+        self.m, self.v = np.zeros((2, *shape))
+        self.t = 0
         self.name_of = name_of
 
-    def step(self, params, grads, live) -> None:
-        """Update the ``live`` segments of the flat ``params`` from ``grads``.
+    def step(self, params, grads) -> None:
+        """Update ``params`` in place from ``grads``.
 
-        A non-finite live gradient raises :class:`TrainingError` before any update.
+        A non-finite gradient raises :class:`TrainingError` before any update.
         """
-        runs = []  # [start, stop, steps taken so far]
-        for name, sl in self.segments.items():
-            if name in live:
-                t = self.steps[name]
-                if runs and runs[-1][1:] == [sl.start, t]:
-                    runs[-1][1] = sl.stop
-                else:
-                    runs.append([sl.start, sl.stop, t])
-        for lo, hi, _ in runs:
-            finite = np.isfinite(grads[..., lo:hi])
-            if not finite.all():
-                bad = lo + int(np.nonzero(~finite)[-1][0])
-                raise TrainingError(
-                    f"non-finite gradient for parameter {self.name_of(bad)!r}")
-        for name in live:
-            self.steps[name] += 1
-        for lo, hi, t in runs:
-            t += 1
-            p, g = params[..., lo:hi], grads[..., lo:hi]
-            m, v = self.m[..., lo:hi], self.v[..., lo:hi]
-            # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), in two buffers
-            tmp = (1.0 - ADAM_BETA1) * g
-            m *= ADAM_BETA1
-            m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v *= ADAM_BETA2
-            v += tmp
-            step = m / (1.0 - ADAM_BETA1**t)  # mhat
-            np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)  # vhat
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step /= tmp
-            np.multiply(self.weight_decay, p, out=tmp)
-            step += tmp
-            step *= self.lr
-            p -= step
+        finite = np.isfinite(grads)
+        if not finite.all():
+            bad = int(np.nonzero(~finite)[-1][0])
+            raise TrainingError(f"non-finite gradient for parameter {self.name_of(bad)!r}")
+        self.t += 1
+        t, m, v = self.t, self.m, self.v
+        # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), in two buffers
+        tmp = (1.0 - ADAM_BETA1) * grads
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(grads, grads, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += tmp
+        step = m / (1.0 - ADAM_BETA1**t)  # mhat
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)  # vhat
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        np.multiply(self.weight_decay, params, out=tmp)
+        step += tmp
+        step *= self.lr
+        params -= step
 
     def keep_rows(self, rows) -> None:
         """Keep only the given rows of a stack: their moments, lr and decay."""

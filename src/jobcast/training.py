@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoding import Normalizer
 from .errors import ConfigError, DataError, NumericsError, TrainingError
-from .model import COMPONENTS, EncodedBatch, ModelState, PropertySchema, \
+from .model import EncodedBatch, ModelState, PropertySchema, \
     encode_batch, diverged_rows, forward_batch, backward_batch, _joint_terms
 from .nn import Adam, huber_grad
 
@@ -125,7 +125,7 @@ class _Lockstep:
         first = states[0]
         self.state = ModelState(np.stack([s.vector for s in states]), first.normalizer,
                                 first.schema, dropout)
-        self.optim = Adam(lr[:, None], self.state.segments, self.state.param_name,
+        self.optim = Adam(lr[:, None], self.state.vector.shape, self.state.param_name,
                           weight_decay=wd[:, None])
         self.grad = np.zeros_like(self.state.vector)
         self.rngs = [search.rngs[cid] for search, cid in self.rows]
@@ -195,7 +195,7 @@ class _Lockstep:
                     if not self.ids.size:
                         break
                     loss = loss[~bad]
-                self.optim.step(self.state.vector, self.grad, COMPONENTS)
+                self.optim.step(self.state.vector, self.grad)
                 self.total += loss * min(batch_size, n - start)
             self.loss = self.total / n
             if not np.isfinite(self.loss).all():
@@ -382,21 +382,28 @@ def finetune(state: ModelState | PropertySchema, samples,
 
     started = time.perf_counter()
     if reuse == "partial-reset":
-        work.reset("z", rng)
+        work.z.init(rng)
     elif reuse == "full-reset":
-        work.reset("f", rng)
-        work.reset("z", rng)
+        work.f.init(rng)
+        work.z.init(rng)
     f_join = 0 if reuse in ("full-unfreeze", "full-reset") \
         else unfreeze_epoch(len(samples))
 
     batch = encode_batch(work.schema, work.normalizer, samples)
     codes, _ = work.g.forward(batch.pvecs, train=False)
     e_frozen, _ = work.f.forward(batch.sfeat, train=False)
-
-    optim = Adam(lr_at(0), work.segments, weight_decay=FINETUNE_WEIGHT_DECAY,
-                 name_of=work.param_name)
     grad = np.zeros_like(work.vector)
 
+    def trainer(c):
+        """A fresh optimizer for component ``c`` with the views it steps."""
+        sl = work.segments[c]
+        return (Adam(lr_at(0), work.vector[sl].shape,
+                     lambda i: work.param_name(sl.start + i),
+                     weight_decay=FINETUNE_WEIGHT_DECAY), work.vector[sl], grad[sl])
+
+    # The autoencoder never trains: it gets no optimizer. z trains from the
+    # start, and f joins at f_join with one of its own.
+    trainers = [trainer("z")]
     y, detail = forward_batch(work, batch, need_recon=False,
                               cached_codes=codes, cached_e=e_frozen)
     best_mae = float(np.mean(np.abs(y - batch.runtimes)))
@@ -406,26 +413,26 @@ def finetune(state: ModelState | PropertySchema, samples,
     reason = "epoch_cap"
     epochs_run = 0
     budget = epochs
-    live = ("z",)  # the autoencoder never trains; f joins at f_join
     if best_mae <= MAE_TARGET_SECONDS:
         # the starting state already meets the target on these samples
         reason = "mae_threshold"
         budget = 0
     for epoch in range(budget):
         if epoch == f_join:
-            live = ("f", "z")
-            # first epoch after the unfreeze: redo the forward with f live
+            trainers.insert(0, trainer("f"))  # in vector order
+            e_frozen = None
+            # first epoch after the unfreeze: redo the forward with f trained
             y, detail = forward_batch(work, batch, need_recon=False,
                                       cached_codes=codes)
         dy = huber_grad(y, batch.runtimes)
         backward_batch(work, batch, detail, dy, grad)
-        optim.lr = lr_at(epoch)
-        optim.step(work.vector, grad, live)
+        for optim, params, grads in trainers:
+            optim.lr = lr_at(epoch)
+            optim.step(params, grads)
         epochs_run = epoch + 1
 
         y, detail = forward_batch(work, batch, need_recon=False,
-                                  cached_codes=codes,
-                                  cached_e=None if "f" in live else e_frozen)
+                                  cached_codes=codes, cached_e=e_frozen)
         mae = float(np.mean(np.abs(y - batch.runtimes)))
         if not np.isfinite(mae):
             raise TrainingError("fine-tuning diverged (non-finite MAE)")

@@ -388,6 +388,25 @@ class TestPropsFile:
         assert str(path) in capsys.readouterr().err
 
 
+    def test_a_later_line_wins(self, trained_model, tmp_path, capsys):
+        path = tmp_path / "ctx.props"
+        path.write_text("# context\ndataset_size = lots\n\n"
+                        + "\n".join(PROPS) + "  # the value used\n")
+        args = ["predict", "--model", str(trained_model), "--scale-out", "6"]
+        assert cli.main(args + ["--props", *PROPS]) == 0
+        expect = capsys.readouterr().out
+        assert cli.main(args + ["--props-file", str(path)]) == 0
+        assert capsys.readouterr().out == expect
+
+    def test_a_line_without_equals_is_config_error(self, trained_model, tmp_path,
+                                                   capsys):
+        path = tmp_path / "ctx.props"
+        path.write_text("\n".join(PROPS) + "\nnode_type m5.xlarge\n")
+        code = cli.main(["predict", "--model", str(trained_model),
+                         "--scale-out", "6", "--props-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{path}:8" in capsys.readouterr().err
+
 # The essential properties of the fixture's contexts but dataset_size.
 TARGET_REST = ("dataset_characteristics=uniform,job_parameters=--sort-buffer 64m,"
                "node_type=m5.xlarge")

@@ -51,6 +51,13 @@ class TestManifest:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_manifest(tmp_path)  # a directory
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        bad = tmp_path / "m.txt"
+        bad.write_text((DATA / "sort_manifest.txt").read_text()
+                       + "\n# again\nalgorithm = sort\n")
+        with pytest.raises(ConfigError, match="duplicate key 'algorithm'"):
+            parse_manifest(bad)
+
     def test_missing_required_key(self, tmp_path):
         bad = tmp_path / "m.txt"
         bad.write_text("algorithm = x\ncolumn.scale_out = a\n")
@@ -85,6 +92,10 @@ class TestLoadDataset:
             assert grid == [2, 4, 6, 8, 10, 12]
         for reps in summary.repetitions.values():
             assert set(reps.values()) == {5}
+
+    def test_summary_of_an_iterator_counts_every_row(self, records):
+        summary = summarize(iter(records))
+        assert (summary.row_count, summary.context_count) == (60, 2)
 
     def test_units_normalized(self, records):
         sizes = {r.properties["dataset_size"].value for r in records}

@@ -1,6 +1,7 @@
 """Tests for split generation, the comparison harness, and metric output."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ class TestRunComparison:
                                   contexts=[records[0].context, records[-1].context])
         with pytest.raises(ConfigError, match="3-point grid"):
             run_comparison(records, SYNTH_SCHEMA, config)
+
+    def test_unknown_context_fails_before_pretraining(self, monkeypatch):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pre-training started")
+
+        monkeypatch.setattr(evalharness, "pretrain_corpora", no_pretraining)
+        present, absent = make_contexts(2, seed=9)
+        config = ComparisonConfig(methods=("nnls", "full"), n_train_values=(1,),
+                                  contexts=[present.key, absent.key])
+        with pytest.raises(ConfigError, match=re.escape(str(absent.key))):
+            run_comparison(context_records(present, seed=9), SYNTH_SCHEMA, config)
 
     def test_a_corpus_too_small_to_pretrain_excludes_only_its_context(self):
         """The ``full`` and ``filtered`` corpora of the wide context are the

@@ -93,9 +93,9 @@ def test_one_optimizer_step_per_minibatch_for_all_configs(monkeypatch):
     steps = []
     original = nn.Adam.step
 
-    def spy(self, params, grads, live):
+    def spy(self, params, grads):
         steps.append(params.shape)
-        return original(self, params, grads, live)
+        return original(self, params, grads)
 
     monkeypatch.setattr(nn.Adam, "step", spy)
     state, log = _search(TAME, seed=3)
@@ -181,9 +181,9 @@ def test_one_step_per_minibatch_per_shape_group(monkeypatch):
     steps = []
     original = nn.Adam.step
 
-    def spy(self, params, grads, live):
+    def spy(self, params, grads):
         steps.append(params.shape[0])
-        return original(self, params, grads, live)
+        return original(self, params, grads)
 
     monkeypatch.setattr(nn.Adam, "step", spy)
     pretrain_corpora(_corpora(), SYNTH_SCHEMA, space=MIXED, epochs=30, batch_size=8)

@@ -264,30 +264,37 @@ class TestJointLoss:
 
 class TestFreezeAndReset:
     def test_freeze_all_means_no_updates(self):
-        """With no component live, steps leave every weight in place."""
+        """A frozen component is one with no optimizer: steps on the other
+        components' slices leave its weights in place, though its gradient
+        and weight decay would move them."""
         state = fresh_state()
-        before = state.fingerprint()
-        optim = Adam(lr=1e-2, segments=state.segments, name_of=state.param_name,
-                     weight_decay=0.1)
+        before = state.vector.copy()
+        seg = state.segments
+        optims = {c: Adam(lr=1e-2, shape=state.vector[seg[c]].shape,
+                          name_of=state.param_name, weight_decay=0.1) for c in "fz"}
         recs = [record(2, 300.0), record(8, 120.5)]
         for _ in range(100):
             grad = joint_grad(state, recs)
-            optim.step(state.vector, grad, ())
-        assert state.fingerprint() == before
+            assert grad[seg["g"]].any() and grad[seg["h"]].any()
+            for c, optim in optims.items():
+                optim.step(state.vector[seg[c]], grad[seg[c]])
+        for c in COMPONENTS:
+            moved = not np.array_equal(state.vector[seg[c]], before[seg[c]])
+            assert moved == (c in "fz")
 
     def test_reset_z_only_touches_z(self):
         state = fresh_state()
         snap = state.vector.copy()
-        state.reset("z", np.random.default_rng(99))
+        state.z.init(np.random.default_rng(99))
         z = state.segments["z"]
         assert not np.array_equal(state.vector[z], snap[z])
         np.testing.assert_array_equal(state.vector[: z.start], snap[: z.start])
 
     def test_reset_draws_like_a_fresh_block(self):
-        """reset() writes He draws for w1, then w2, into z's slice, and
-        zeroes its biases."""
+        """Re-initializing z writes He draws for w1, then w2, into its
+        slice of the vector, and zeroes its biases."""
         state = fresh_state()
-        state.reset("z", np.random.default_rng(99))
+        state.z.init(np.random.default_rng(99))
         rng = np.random.default_rng(99)
         width = SCHEMA.combined_width
         np.testing.assert_array_equal(state.z.w1, he_init((Z_HIDDEN, width), width, rng))
@@ -351,27 +358,36 @@ class TestFlatStore:
         assert twin.z.w1.sum() == 0.0
 
     def test_f_joins_with_fresh_moments_while_z_keeps_count(self):
-        """When f goes live after five z-only steps, its update is the first
-        step of a fresh Adam and z's is the sixth of its own count."""
+        """Optimizers step the blocks in place through their slices of the
+        vector: when f joins after five z-only steps, its update is the
+        first step of a fresh Adam and z's is the sixth of its own count,
+        as on detached copies of the two slices."""
         state = fresh_state()
-        twin = state.vector.copy()
         seg = state.segments
-        optim = Adam(1e-2, seg, state.param_name, weight_decay=1e-3)
-        z_only = Adam(1e-2, {"z": seg["z"]}, state.param_name, weight_decay=1e-3)
-        fresh_f = Adam(1e-2, {"f": seg["f"]}, state.param_name, weight_decay=1e-3)
+        copies = {c: state.vector[seg[c]].copy() for c in "fz"}
+        before = state.vector.copy()
+
+        def adam(c):
+            return Adam(1e-2, copies[c].shape, state.param_name, weight_decay=1e-3)
+
+        optims, refs = {"z": adam("z")}, {"z": adam("z")}
         recs = [record(2, 300.0), record(8, 120.5)]
         for epoch in range(6):
+            if epoch == 5:
+                optims["f"], refs["f"] = adam("f"), adam("f")
             grad = joint_grad(state, recs)
-            optim.step(state.vector, grad, ("z",) if epoch < 5 else ("f", "z"))
-            z_only.step(twin, grad, ("z",))
-        fresh_f.step(twin, grad, ("f",))
-        np.testing.assert_array_equal(state.vector, twin)
-        assert optim.steps == {"f": 1, "g": 0, "h": 0, "z": 6}
+            for c, optim in optims.items():
+                optim.step(state.vector[seg[c]], grad[seg[c]])
+                refs[c].step(copies[c], grad[seg[c]])
+        for c in COMPONENTS:
+            expect = copies[c] if c in copies else before[seg[c]]
+            np.testing.assert_array_equal(state.vector[seg[c]], expect)
+        assert (optims["f"].t, optims["z"].t) == (1, 6)
 
     def test_nan_gradient_names_the_model_parameter(self):
         state = fresh_state()
-        optim = Adam(1e-2, state.segments, name_of=state.param_name)
+        optim = Adam(1e-2, state.vector.shape, name_of=state.param_name)
         grad = np.zeros_like(state.vector)
         grad[state.segments["z"].stop - 1] = np.nan  # z.b2
         with pytest.raises(TrainingError, match="'z.b2'"):
-            optim.step(state.vector, grad, COMPONENTS)
+            optim.step(state.vector, grad)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from jobcast.errors import NumericsError, TrainingError
-from jobcast.nn import (SELU_ALPHA, SELU_LAMBDA, Adam, TwoLayerBlock, _split,
-                        alpha_dropout, he_init, huber_grad, huber_loss, selu)
+from jobcast.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SELU_ALPHA, SELU_LAMBDA,
+                        Adam, TwoLayerBlock, _split, alpha_dropout, he_init,
+                        huber_grad, huber_loss, selu)
 
 
 def squared_error(a, b) -> float:
@@ -262,65 +263,72 @@ class TestAdam:
         rng = np.random.default_rng(0)
         p = rng.normal(size=9)
         before = p.copy()
-        optim = Adam(lr=1e-2, segments={"p": slice(0, 9)}, name_of=str,
-                     weight_decay=0.0)
+        optim = Adam(lr=1e-2, shape=p.shape, name_of=str, weight_decay=0.0)
         for _ in range(10):
-            optim.step(p, np.zeros_like(p), ("p",))
+            optim.step(p, np.zeros_like(p))
         np.testing.assert_array_equal(p, before)
 
     def test_frozen_params_untouched(self):
-        """Segments that are never live stay bitwise equal."""
+        """An optimizer over a slice of a vector never touches the rest,
+        which is frozen by having no optimizer."""
         rng = np.random.default_rng(1)
         p = rng.normal(size=32)
         snapshot = p.copy()
-        optim = Adam(lr=1e-2, segments={"frozen": slice(0, 16),
-                                        "live": slice(16, 32)}, name_of=str)
+        optim = Adam(lr=1e-2, shape=(16,), name_of=str)
         for _ in range(100):
-            optim.step(p, rng.normal(size=32), ("live",))
+            optim.step(p[16:], rng.normal(size=32)[16:])
         np.testing.assert_array_equal(p[:16], snapshot[:16])
         assert not np.array_equal(p[16:], snapshot[16:])
-        assert optim.steps == {"frozen": 0, "live": 100}
+        assert optim.t == 100
 
     def test_nan_gradient_aborts_naming_parameter(self):
         """The error names the offending parameter, and nothing moves."""
         p = np.ones(4)
-        optim = Adam(lr=1e-2, segments={"b1": slice(0, 2), "w1": slice(2, 4)},
-                     name_of=lambda i: f"p[{i}]")
+        optim = Adam(lr=1e-2, shape=p.shape, name_of=lambda i: f"p[{i}]")
         bad = np.array([0.5, 0.5, 0.5, np.nan])
         with pytest.raises(TrainingError, match=r"'p\[3\]'"):
-            optim.step(p, bad, ("b1", "w1"))
+            optim.step(p, bad)
         np.testing.assert_array_equal(p, np.ones(4))
-        assert optim.steps == {"b1": 0, "w1": 0}
-        # a NaN in a frozen segment is never read
-        optim.step(p, bad, ("b1",))
+        assert optim.t == 0 and not optim.m.any() and not optim.v.any()
+        # a NaN outside the optimizer's slice is never read
+        Adam(lr=1e-2, shape=(2,), name_of=str).step(p[:2], bad[:2])
 
     def test_decoupled_weight_decay_shrinks_weights(self):
         p = np.array([10.0])
-        optim = Adam(lr=0.1, segments={"p": slice(0, 1)}, name_of=str,
-                     weight_decay=0.5)
-        optim.step(p, np.zeros(1), ("p",))
+        optim = Adam(lr=0.1, shape=p.shape, name_of=str, weight_decay=0.5)
+        optim.step(p, np.zeros(1))
         # pure decay step: p - lr*wd*p = 10 - 0.1*0.5*10
         assert p[0] == pytest.approx(9.5)
 
     def test_late_segment_starts_fresh_while_others_keep_count(self):
-        """A segment that joins late takes the first step of a fresh Adam,
-        while a segment live all along continues its own count."""
+        """An optimizer created late, for a slice that joins training, takes
+        the first step of Adam's formula, while one stepping all along
+        takes its eighth: each keeps its own moments and count."""
         rng = np.random.default_rng(3)
         p = rng.normal(size=5)
         twin = p.copy()
-        optim = Adam(1e-2, {"a": slice(0, 3), "b": slice(3, 5)}, str,
-                     weight_decay=1e-3)
-        b_only = Adam(1e-2, {"b": slice(3, 5)}, str, weight_decay=1e-3)
-        for _ in range(7):
+        b = Adam(1e-2, (2,), str, weight_decay=1e-3)
+        ref_m, ref_v = np.zeros(5), np.zeros(5)
+
+        def reference(sl, g, t):  # textbook Adam with decoupled weight decay
+            ref_m[sl] = ADAM_BETA1 * ref_m[sl] + (1.0 - ADAM_BETA1) * g[sl]
+            ref_v[sl] = ADAM_BETA2 * ref_v[sl] + (1.0 - ADAM_BETA2) * (g[sl] * g[sl])
+            mhat = ref_m[sl] / (1.0 - ADAM_BETA1**t)
+            vhat = ref_v[sl] / (1.0 - ADAM_BETA2**t)
+            twin[sl] -= 1e-2 * (mhat / (np.sqrt(vhat) + ADAM_EPS) + 1e-3 * twin[sl])
+
+        for t in range(1, 8):
             g = rng.normal(size=5)
-            optim.step(p, g, ("b",))
-            b_only.step(twin, g, ("b",))
+            b.step(p[3:], g[3:])
+            reference(slice(3, 5), g, t)
+        a = Adam(1e-2, (3,), str, weight_decay=1e-3)
         g = rng.normal(size=5)
-        optim.step(p, g, ("a", "b"))
-        b_only.step(twin, g, ("b",))
-        Adam(1e-2, {"a": slice(0, 3)}, str, weight_decay=1e-3).step(twin, g, ("a",))
+        a.step(p[:3], g[:3])
+        b.step(p[3:], g[3:])
+        reference(slice(0, 3), g, 1)
+        reference(slice(3, 5), g, 8)
         np.testing.assert_array_equal(p, twin)
-        assert optim.steps == {"a": 1, "b": 8}
+        assert (a.t, b.t) == (1, 8)
 
     def test_single_block_capacity(self):
         """A lone block fitted on 10 random pairs reaches MSE < 1e-3
@@ -329,12 +337,12 @@ class TestAdam:
         block, flat = new_block(3, 16, 2, rng)
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=(10, 2))
-        optim = Adam(lr=1e-2, segments={"block": slice(0, flat.size)}, name_of=str)
+        optim = Adam(lr=1e-2, shape=flat.shape, name_of=str)
         grad = np.zeros_like(flat)
         for _ in range(5000):
             out, cache = block.forward(x)
             block.backward(cache, 2.0 * (out - y) / out.size, grad)
-            optim.step(flat, grad, ("block",))
+            optim.step(flat, grad)
         out, _ = block.forward(x)
         assert squared_error(out, y) < 1e-3
 
@@ -384,15 +392,15 @@ class TestStack:
         params = rng.standard_normal((3, 6))
         grads = [rng.standard_normal((3, 6)) for _ in range(4)]
         lr, wd = np.array([1e-2, 1e-1, 1e-3]), np.array([0.0, 1e-2, 1e-3])
-        seg = {"a": slice(0, 2), "b": slice(2, 6)}
-        stacked = Adam(lr[:, None], seg, str, weight_decay=wd[:, None])
-        singles = [Adam(lr[s], seg, str, weight_decay=wd[s]) for s in range(3)]
+        stacked = Adam(lr[:, None], params.shape, str, weight_decay=wd[:, None])
+        singles = [Adam(lr[s], params.shape[1:], str, weight_decay=wd[s])
+                   for s in range(3)]
         alone = params.copy()
         for t, g in enumerate(grads):
             if t == 2:  # row 1 leaves the stack
                 stacked.keep_rows([0, 2])
                 params = params[[0, 2]]
-            stacked.step(params, g[[0, 2]] if t >= 2 else g, ("a", "b"))
+            stacked.step(params, g[[0, 2]] if t >= 2 else g)
             for s in range(3):
-                singles[s].step(alone[s], g[s], ("a", "b"))
+                singles[s].step(alone[s], g[s])
         assert np.array_equal(params, alone[[0, 2]])

@@ -229,7 +229,7 @@ class TestSerializeBytes:
         path = tmp_path / "model.jcm"
         save(state, path)
         for twin in (load(path), state.copy(), pickle.loads(pickle.dumps(state))):
-            assert [twin.blocks()[c].dropout_rate for c in "fghz"] == [0.0, 0.25, 0.25, 0.0]
+            assert [getattr(twin, c).dropout_rate for c in "fghz"] == [0.0, 0.25, 0.25, 0.0]
             assert twin.fingerprint() == state.fingerprint()
 
     def test_header_lists_the_fixed_architecture(self, tmp_path):

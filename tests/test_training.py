@@ -137,9 +137,10 @@ class TestFinetune:
     def test_optimizer_steps_only_live_segments(self, small_pretrained,
                                                 target_context, monkeypatch,
                                                 reuse):
-        """Over a whole fine-tune the optimizer never takes a step on g or
-        h, z is live from the first epoch, f from its unfreeze epoch on, and
-        the frozen g/h slices come back bitwise equal: no weight decay."""
+        """Over a whole fine-tune no optimizer ever steps g or h: z's steps
+        from the first epoch, and f's is created at its unfreeze epoch with
+        fresh moments and a fresh count. The frozen g/h slices come back
+        bitwise equal: no weight decay."""
         state, _, _ = small_pretrained
         first = target_context[1][0]
         # contradictory runtimes at one scale-out keep the MAE above target
@@ -148,19 +149,32 @@ class TestFinetune:
         calls = []
         step = Adam.step
 
-        def spy(optim, params, grads, live):
-            calls.append((tuple(live), dict(optim.steps)))
-            step(optim, params, grads, live)
+        def spy(optim, params, grads):
+            calls.append((optim, params, optim.t, optim.m.any()))
+            step(optim, params, grads)
 
         monkeypatch.setattr(Adam, "step", spy)
         tuned, report = finetune(state, samples, reuse=reuse, seed=3,
                                  epochs=260)
         join = 0 if reuse == "full-reset" else unfreeze_epoch(2)
-        assert len(calls) == report.epochs_run > join
-        for epoch, (live, steps) in enumerate(calls):
-            assert live == (("f", "z") if epoch >= join else ("z",))
-            assert steps == {"f": max(0, epoch - join), "g": 0, "h": 0,
-                             "z": epoch}
+        assert report.epochs_run > join
+
+        def component(params):
+            [c] = [c for c in "fghz"
+                   if np.shares_memory(params, tuned.vector[tuned.segments[c]])]
+            assert params.size == tuned.vector[tuned.segments[c]].size
+            return c
+
+        seen = [(component(params), t, moved) for _, params, t, moved in calls]
+        expect = []
+        for epoch in range(report.epochs_run):
+            if epoch >= join:
+                expect.append(("f", epoch - join, epoch > join))
+            expect.append(("z", epoch, epoch > 0))
+        assert seen == expect
+        optims = {c: {id(o) for o, params, _, _ in calls if component(params) == c}
+                  for c in "fz"}
+        assert [len(ids) for ids in optims.values()] == [1, 1]
         for c in ("g", "h"):
             seg = state.segments[c]
             np.testing.assert_array_equal(tuned.vector[seg], state.vector[seg])
