@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -206,6 +207,9 @@ def _parse_range(text: str) -> range:
 
 def cmd_recommend(args) -> int:
     candidates = _parse_range(args.range)
+    if not 0 < args.target < math.inf:
+        raise ConfigError(f"--target must be a finite number of seconds above 0, "
+                          f"got {args.target!r}")
     state = model.load(args.model)
     props = _coerce_props(state.schema, _parse_pairs(args.props, args.props_file))
     curve = list(zip(candidates, model.predict_batch(state, candidates, props)))

@@ -233,10 +233,13 @@ def _parse_row(csv_path, manifest, i, row) -> RunRecord:
     def fail(msg):
         raise DataError(f"{csv_path} row {i}: {msg}")
 
+    cell = row[manifest.scale_out_column]
     try:
-        scale_out = int(float(row[manifest.scale_out_column]))
-    except (TypeError, ValueError, OverflowError):
-        fail(f"bad scale-out cell {row[manifest.scale_out_column]!r}")
+        scale_out = parse_natural(cell)
+    except (TypeError, ValueError):  # a short row leaves the cell None
+        fail(f"bad scale-out cell {cell!r}")
+    except CapacityError as exc:
+        fail(f"scale-out cell {cell!r} is {exc}")
     if scale_out < 1:
         fail(f"scale-out must be >= 1, got {scale_out}")
     try:

@@ -9,10 +9,11 @@ error plus the autoencoder's reconstruction MSE.
 
 One batched path serves training and inference: :func:`encode_batch`
 encodes records once, with property vectors deduplicated, and
-:func:`forward_batch` runs the blocks over the whole batch.
-:func:`predict_batch` scores one property set at many scale-outs in one
-such pass, without the decoder ``h``; :func:`predict` is a batch of one.
-Training may run the same path over a stack of models (see :class:`ModelState`).
+:func:`forward_batch` runs the runtime path ``f``, ``g``, ``z`` over the
+whole batch. :func:`predict_batch` scores one property set at many
+scale-outs in one such pass; :func:`predict` is a batch of one. The decoder
+``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
+the same path over a stack of models (see :class:`ModelState`).
 """
 
 from __future__ import annotations
@@ -291,39 +292,25 @@ def _assemble(schema, e, codes, ess_rows, opt_weights):
     return r
 
 
-def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
-                  need_recon=True, cached_codes=None, cached_e=None):
-    """Full forward pass over an encoded batch.
+def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None):
+    """The runtime path over an encoded batch: ``f``, ``g`` and ``z``.
 
-    Returns ``(outputs, detail)`` where ``detail`` carries intermediate
-    values and caches for :func:`backward_batch`. ``cached_codes`` /
-    ``cached_e`` skip the autoencoder / scale-out block when their weights
-    are known not to have changed (frozen fine-tuning). The blocks read
-    their weights straight from views into ``state.vector``.
+    Returns ``(outputs, detail)`` where ``detail`` carries the blocks'
+    outputs and the caches :func:`backward_batch` needs. The decoder ``h``
+    serves only the joint loss, which runs it (see :func:`_joint_terms`).
+    The blocks read their weights straight from views into ``state.vector``.
 
     A stacked state runs every row at once on a stacked batch (one
     minibatch per row, see ``EncodedBatch``) and raises nothing
     for a row gone non-finite; :func:`diverged_rows` tells them apart.
     """
-    if cached_e is None:
-        e, f_cache = state.f.forward(batch.sfeat, train=train, rng=rng)
-    else:
-        e, f_cache = cached_e, None
-    if cached_codes is None:
-        codes, g_cache = state.g.forward(batch.pvecs, train=train, rng=rng)
-    else:
-        codes, g_cache = cached_codes, None
-    recons, h_cache = (None, None)
-    if need_recon and cached_codes is None:
-        recons, h_cache = state.h.forward(codes, train=train, rng=rng)
+    e, f_cache = state.f.forward(batch.sfeat, train=train, rng=rng)
+    codes, g_cache = state.g.forward(batch.pvecs, train=train, rng=rng)
     r = _assemble(state.schema, e, codes, batch.ess_rows, batch.opt_weights)
     y2, z_cache = state.z.forward(r, train=train, rng=rng)
     y = y2[..., 0]
-    detail = {
-        "e": e, "codes": codes, "recons": recons, "r": r, "y": y,
-        "f_cache": f_cache, "g_cache": g_cache, "h_cache": h_cache,
-        "z_cache": z_cache,
-    }
+    detail = {"e": e, "codes": codes, "y": y,
+              "f_cache": f_cache, "g_cache": g_cache, "z_cache": z_cache}
     return y, detail
 
 
@@ -341,40 +328,36 @@ def diverged_rows(detail, loss, grad) -> np.ndarray | None:
     if math.isfinite(sum([float(np.add.reduce(a, axis=None))
                           for a in (loss, detail["e"], detail["codes"], grad)])):
         return None
-    outputs = [detail[k] for k in ("e", "codes", "recons", "y") if detail[k] is not None]
+    outputs = [detail[k] for k in ("e", "codes", "recons", "y")] + [grad]
     return ~np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=1)
-                                   for a in outputs + [grad]])
+                                   for a in outputs])
 
 
-def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, grad,
-                   drecons=None) -> np.ndarray:
-    """Fill ``grad``, a flat buffer aligned with ``state.vector``, and return it.
+def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, drecons,
+                   grad) -> np.ndarray:
+    """Backpropagate the joint loss through all four blocks into ``grad``,
+    a flat buffer aligned with ``state.vector``, and return it.
 
-    ``dy`` is dLoss/d(outputs), shape (B,) or (S, B). ``drecons`` is
-    dLoss/d(reconstructions) over the unique vectors, or None when the
-    reconstruction term is absent. Only the segments of blocks that ran
-    forward are written; blocks that ran from a cache (frozen during
-    fine-tuning) leave their segments as they were.
+    ``detail`` is a forward pass's, with the decoder's ``h_cache`` that
+    :func:`_joint_terms` adds. ``dy`` is dLoss/d(outputs), shape (B,) or
+    (S, B), and ``drecons`` dLoss/d(reconstructions) over the unique vectors.
     """
     seg = state.segments
     m = state.schema.essential_count
     dr = state.z.backward(detail["z_cache"], dy[..., None], grad[..., seg["z"]])
-    if detail["g_cache"] is not None:
-        codes = detail["codes"]
-        # Scatter-add the essential codes' gradients onto their unique
-        # vectors. bincount adds in index order: property by property, each
-        # in record order, as repeated vectors would accumulate in a loop.
-        dess = dr[..., F_DIM : F_DIM + m * CODE_DIM].reshape(*dr.shape[:-1], m, CODE_DIM)
-        cells = batch.ess_rows.swapaxes(-1, -2)[..., None] * CODE_DIM + np.arange(CODE_DIM)
-        dcodes = np.bincount(cells.ravel(), weights=dess.swapaxes(-2, -3).ravel(),
-                             minlength=codes.size).reshape(codes.shape)
-        dcodes += batch.opt_weights.swapaxes(-1, -2) @ dr[..., F_DIM + m * CODE_DIM :]
-        if drecons is not None:
-            dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]])
-        state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False)
-    if detail["f_cache"] is not None:
-        state.f.backward(detail["f_cache"], dr[..., :F_DIM], grad[..., seg["f"]],
-                         need_dx=False)
+    codes = detail["codes"]
+    # Scatter-add the essential codes' gradients onto their unique
+    # vectors. bincount adds in index order: property by property, each
+    # in record order, as repeated vectors would accumulate in a loop.
+    dess = dr[..., F_DIM : F_DIM + m * CODE_DIM].reshape(*dr.shape[:-1], m, CODE_DIM)
+    cells = batch.ess_rows.swapaxes(-1, -2)[..., None] * CODE_DIM + np.arange(CODE_DIM)
+    dcodes = np.bincount(cells.ravel(), weights=dess.swapaxes(-2, -3).ravel(),
+                         minlength=codes.size).reshape(codes.shape)
+    dcodes += batch.opt_weights.swapaxes(-1, -2) @ dr[..., F_DIM + m * CODE_DIM :]
+    dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]])
+    state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False)
+    state.f.backward(detail["f_cache"], dr[..., :F_DIM], grad[..., seg["f"]],
+                     need_dx=False)
     return grad
 
 
@@ -411,14 +394,18 @@ def _joint_terms(state: ModelState, batch: EncodedBatch, train=False, rng=None,
     """``(total, runtime, reconstruction)`` loss terms over an encoded batch,
     plus the forward pass's ``detail``; for a stack, one value per row.
 
-    Given a flat ``grad`` buffer, also backpropagates the total into it.
+    The decoder ``h`` runs here, on :func:`forward_batch`'s codes, adding
+    ``recons`` and ``h_cache`` to ``detail``. Given a flat ``grad`` buffer,
+    also backpropagates the total into it.
     """
     y, detail = forward_batch(state, batch, train=train, rng=rng)
+    detail["recons"], detail["h_cache"] = state.h.forward(detail["codes"], train=train,
+                                                          rng=rng)
     runtime_term = huber_loss(y, batch.runtimes)
     recon_term, drecons = _recon_loss(batch, detail)
     if grad is not None:
-        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes), grad,
-                       drecons)
+        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes), drecons,
+                       grad)
     return runtime_term + recon_term, runtime_term, recon_term, detail
 
 
@@ -433,7 +420,7 @@ def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
     state.schema.check_properties(props)  # errors name the input, not "record 0"
     queries = [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs]
     batch = encode_batch(state.schema, state.normalizer, queries, with_runtimes=False)
-    return forward_batch(state, batch, need_recon=False)[0]
+    return forward_batch(state, batch)[0]
 
 
 def predict(state: ModelState, scale_out: int, props: dict) -> Prediction:

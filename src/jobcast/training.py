@@ -21,8 +21,8 @@ import numpy as np
 
 from .encoding import Normalizer
 from .errors import ConfigError, DataError, NumericsError, TrainingError
-from .model import EncodedBatch, ModelState, PropertySchema, \
-    encode_batch, diverged_rows, forward_batch, backward_batch, _joint_terms
+from .model import F_DIM, EncodedBatch, ModelState, PropertySchema, \
+    encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms
 from .nn import Adam, huber_grad
 
 MAX_EPOCHS = 2500
@@ -206,7 +206,7 @@ class _Lockstep:
 
 
 def _mae(state, batch) -> float:
-    y, _ = forward_batch(state, batch, train=False, need_recon=False)
+    y, _ = forward_batch(state, batch)
     return float(np.mean(np.abs(y - batch.runtimes)))
 
 
@@ -390,8 +390,11 @@ def finetune(state: ModelState | PropertySchema, samples,
         else unfreeze_epoch(len(samples))
 
     batch = encode_batch(work.schema, work.normalizer, samples)
-    codes, _ = work.g.forward(batch.pvecs, train=False)
-    e_frozen, _ = work.f.forward(batch.sfeat, train=False)
+    # The autoencoder is frozen, so z's input r is assembled once: the codes
+    # never change, and f's columns change only once f trains.
+    codes, _ = work.g.forward(batch.pvecs)
+    e, _ = work.f.forward(batch.sfeat)
+    r = _assemble(work.schema, e, codes, batch.ess_rows, batch.opt_weights)
     grad = np.zeros_like(work.vector)
 
     def trainer(c):
@@ -404,8 +407,8 @@ def finetune(state: ModelState | PropertySchema, samples,
     # The autoencoder never trains: it gets no optimizer. z trains from the
     # start, and f joins at f_join with one of its own.
     trainers = [trainer("z")]
-    y, detail = forward_batch(work, batch, need_recon=False,
-                              cached_codes=codes, cached_e=e_frozen)
+    y2, z_cache = work.z.forward(r)
+    y = y2[:, 0]
     best_mae = float(np.mean(np.abs(y - batch.runtimes)))
     best_epoch = 0
     best = work.vector.copy()
@@ -418,21 +421,25 @@ def finetune(state: ModelState | PropertySchema, samples,
         reason = "mae_threshold"
         budget = 0
     for epoch in range(budget):
+        f_trains = epoch >= f_join
         if epoch == f_join:
             trainers.insert(0, trainer("f"))  # in vector order
-            e_frozen = None
-            # first epoch after the unfreeze: redo the forward with f trained
-            y, detail = forward_batch(work, batch, need_recon=False,
-                                      cached_codes=codes)
+            _, f_cache = work.f.forward(batch.sfeat)  # f has not moved: r and y stand
         dy = huber_grad(y, batch.runtimes)
-        backward_batch(work, batch, detail, dy, grad)
+        dr = work.z.backward(z_cache, dy[:, None], grad[work.segments["z"]],
+                             need_dx=f_trains)
+        if f_trains:
+            work.f.backward(f_cache, dr[:, :F_DIM], grad[work.segments["f"]],
+                            need_dx=False)
         for optim, params, grads in trainers:
             optim.lr = lr_at(epoch)
             optim.step(params, grads)
         epochs_run = epoch + 1
 
-        y, detail = forward_batch(work, batch, need_recon=False,
-                                  cached_codes=codes, cached_e=e_frozen)
+        if f_trains:
+            r[:, :F_DIM], f_cache = work.f.forward(batch.sfeat)
+        y2, z_cache = work.z.forward(r)
+        y = y2[:, 0]
         mae = float(np.mean(np.abs(y - batch.runtimes)))
         if not np.isfinite(mae):
             raise TrainingError("fine-tuning diverged (non-finite MAE)")

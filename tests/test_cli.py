@@ -175,12 +175,21 @@ class TestRecommend:
 
     def test_unachievable_target_still_emits_curve(self, trained_model, capsys):
         code = cli.main(["recommend", "--model", str(trained_model),
-                         "--target", "-5", "--range", "2:12:2",
+                         "--target", "1", "--range", "2:12:2",
                          "--props", *PROPS])
         assert code == 0
         out = capsys.readouterr().out
         assert "none (target not achievable)" in out
-        assert len(_parse_curve(out)) == 6
+        curve = _parse_curve(out)
+        assert len(curve) == 6 and all(r > 1 for _, r in curve)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0", "-5"])
+    def test_target_must_be_finite_seconds_above_zero(self, tmp_path, capsys, value):
+        """Checked before the model is read: the model path does not exist."""
+        code = cli.main(["recommend", "--model", str(tmp_path / "absent.jcm"),
+                         f"--target={value}", "--range", "2:12:2", "--props", *PROPS])
+        assert code == cli.EXIT_CONFIG
+        assert "--target" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-3", "1e15"])
     def test_out_of_range_natural_prop_is_config_error(self, trained_model, capsys,

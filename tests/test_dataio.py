@@ -136,8 +136,12 @@ class TestLoadDataset:
         ("2,10.5,8000,u,p,t,1e15,1,sort", "natural cell '1e15' .* outside"),
         ("2,10.5,8000,u,p,t,-1,1,sort", "natural cell '-1' .* outside"),
         ("2", "bad runtime cell None"),
+        ("1e15,10.5,8000,u,p,t,1,1,sort", "scale-out cell '1e15' is outside"),
+        ("-3,10.5,8000,u,p,t,1,1,sort", "scale-out cell '-3' is outside"),
+        ("0.4,10.5,8000,u,p,t,1,1,sort", "scale-out must be >= 1, got 0"),
     ], ids=["runtime-inf", "scale-out-inf", "natural-inf", "natural-over-capacity",
-            "natural-negative", "short-row"])
+            "natural-negative", "short-row", "scale-out-over-capacity",
+            "scale-out-negative", "scale-out-rounds-to-zero"])
     def test_bad_cell_rejected_naming_row(self, tmp_path, manifest, row, match):
         header = ("machine_count,gross_runtime_s,data_size_mb,"
                   "data_characteristics,job_args,instance_type,memory_mb,"
@@ -146,6 +150,17 @@ class TestLoadDataset:
         bad.write_text(header + "2,10.5,8000,u,p,t,1,1,sort\n" + row + "\n")
         with pytest.raises(DataError, match=f"row 1: {match}"):
             load_dataset(bad, manifest)
+
+    def test_scale_out_cell_rounds_as_a_natural(self, tmp_path, manifest):
+        """A scale-out cell follows the one rule for naturals: rounded, not
+        truncated, so 2.7 machines load as 3."""
+        header = ("machine_count,gross_runtime_s,data_size_mb,"
+                  "data_characteristics,job_args,instance_type,memory_mb,"
+                  "cpu_cores,job\n")
+        path = tmp_path / "fractional.csv"
+        path.write_text(header + "".join(f"{cell},10.5,8000,u,p,t,1,1,sort\n"
+                                         for cell in ("2.7", "3.2", " 4 ", "5.0")))
+        assert [r.scale_out for r in load_dataset(path, manifest)] == [3, 3, 4, 5]
 
     def test_empty_optional_cells_mean_absent(self, tmp_path, manifest):
         header = ("machine_count,gross_runtime_s,data_size_mb,"

@@ -12,8 +12,8 @@ from jobcast.encoding import Normalizer, PropertyValue, encode_property
 from jobcast.errors import SchemaError
 from jobcast.errors import TrainingError
 from jobcast.model import (CODE_DIM, COMPONENTS, F_DIM, Z_HIDDEN, _WEIGHT_ORDER,
-                           ModelState, PropertySchema, _joint_terms, encode_batch,
-                           joint_loss, predict, predict_batch)
+                           ModelState, PropertySchema, _joint_terms, diverged_rows,
+                           encode_batch, joint_loss, predict, predict_batch)
 from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, Adam, he_init
 
 SCHEMA = PropertySchema(
@@ -260,6 +260,34 @@ class TestJointLoss:
         recs = [record(2, 300.0)]
         total, runtime_term, recon_term = joint_loss(state, recs)
         assert total == runtime_term + recon_term
+
+
+class TestDivergedRows:
+    """The rows of a stack with a non-finite block output or gradient."""
+
+    def _stack(self):
+        """A finite ``(detail, loss, grad)`` of three rows, shaped as a
+        stacked joint loss leaves them: 5 records and 2 unique vectors."""
+        rng = np.random.default_rng(8)
+        detail = {"e": rng.normal(size=(3, 5, F_DIM)),
+                  "codes": rng.normal(size=(3, 2, CODE_DIM)),
+                  "recons": rng.normal(size=(3, 2, 40)),
+                  "y": rng.normal(size=(3, 5))}
+        return detail, rng.normal(size=3), rng.normal(size=(3, 30))
+
+    def test_all_finite_gives_none(self):
+        assert diverged_rows(*self._stack()) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["e", "codes", "recons", "y", "grad"])
+    def test_one_bad_row_is_flagged_alone(self, key, bad):
+        detail, loss, grad = self._stack()
+        target = grad if key == "grad" else detail[key]
+        target[1].flat[-1] = bad
+        if key in ("recons", "y"):
+            loss[1] = np.nan  # they reach the row's loss, as in a joint loss
+        np.testing.assert_array_equal(diverged_rows(detail, loss, grad),
+                                      [False, True, False])
 
 
 class TestFreezeAndReset:

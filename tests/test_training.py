@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from jobcast import model, training
 from jobcast.dataio import ContextKey, RunRecord
-from jobcast.encoding import PropertyValue
+from jobcast.encoding import VECTOR_SIZE, PropertyValue
 from jobcast.errors import DataError
 from jobcast.model import ModelState, joint_loss, predict
-from jobcast.nn import Adam
+from jobcast.nn import Adam, TwoLayerBlock
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, context_records, make_contexts
 from jobcast.training import (SearchSpace, finetune, lr_at, pretrain,
                               unfreeze_epoch)
@@ -178,6 +179,51 @@ class TestFinetune:
         for c in ("g", "h"):
             seg = state.segments[c]
             np.testing.assert_array_equal(tuned.vector[seg], state.vector[seg])
+
+    @pytest.mark.parametrize("reuse", ["partial-unfreeze", "full-reset"])
+    def test_trains_z_and_f_on_frozen_codes_alone(self, small_pretrained,
+                                                  target_context, monkeypatch, reuse):
+        """Fine-tuning never reads the decoder h: a state whose h is all NaN
+        tunes to the same report and the same f/g/z weights. The frozen
+        codes come from one g.forward per fine-tune, and the epochs drive z
+        and f directly, never forward_batch or backward_batch."""
+        state, _, _ = small_pretrained
+        first = target_context[1][0]
+        # contradictory runtimes at one scale-out keep the MAE above target
+        samples = [first, RunRecord(first.scale_out, 3 * first.runtime_seconds,
+                                    first.properties, first.context)]
+        clean, clean_report = finetune(state, samples, reuse=reuse, seed=3, epochs=260)
+        assert clean_report.epochs_run > (0 if reuse == "full-reset" else unfreeze_epoch(2))
+
+        broken = state.copy()
+        broken.vector[broken.segments["h"]] = np.nan
+        blocks, joint = [], []
+        forward = TwoLayerBlock.forward
+
+        def spy_forward(block, x, *args, **kwargs):
+            blocks.append((block.in_dim, block.out_dim))
+            return forward(block, x, *args, **kwargs)
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                joint.append(name)
+            return spy
+
+        monkeypatch.setattr(TwoLayerBlock, "forward", spy_forward)
+        for module in (model, training):
+            for name in ("forward_batch", "backward_batch"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse(name))
+        tuned, report = finetune(broken, samples, reuse=reuse, seed=3, epochs=260)
+
+        assert joint == []
+        assert blocks.count((VECTOR_SIZE, model.CODE_DIM)) == 1  # g
+        assert blocks.count((model.CODE_DIM, VECTOR_SIZE)) == 0  # h
+        assert vars(report) | {"wall_time_s": 0} == vars(clean_report) | {"wall_time_s": 0}
+        for c in ("f", "g", "z"):
+            seg = state.segments[c]
+            np.testing.assert_array_equal(tuned.vector[seg], clean.vector[seg])
+        assert np.isnan(tuned.vector[state.segments["h"]]).all()
 
     def test_f_frozen_before_unfreeze_epoch(self, small_pretrained, target_context):
         """With k=2 samples the scale-out block may only move from epoch
