@@ -152,16 +152,20 @@ def parse_manifest(path) -> DatasetManifest:
 
 
 def parse_natural(text: str, unit: int = 1) -> int:
-    """The natural number ``text`` denotes in ``unit``: scaled, then rounded.
+    """The natural number ``text`` denotes in ``unit``: scaled, then rounded
+    half up (``2.5`` is 3, ``2.4`` is 2).
 
     One rule for CSV cells, ``--props`` values and ``--target-context``
     values. Raises ValueError for text that is not a finite number, and
     :class:`CapacityError` for a result outside the binary encoder's range.
     """
     try:
-        n = round(float(text) * unit)
+        x = float(text) * unit
+        n = math.floor(x)  # x - n is exact, so halves are told apart exactly
     except (ValueError, OverflowError):  # not a number, nan or infinite
         raise ValueError("not a finite number") from None
+    if x - n >= 0.5:
+        n += 1
     if not 0 <= n < 1 << PAYLOAD_BITS:
         raise CapacityError(f"outside [0, 2**{PAYLOAD_BITS} - 1]")
     return n

@@ -14,6 +14,14 @@ whole batch. :func:`predict_batch` scores one property set at many
 scale-outs in one such pass; :func:`predict` is a batch of one. The decoder
 ``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
 the same path over a stack of models (see :class:`ModelState`).
+
+The forward pass, the joint loss and the backward pass take a buffer holder
+``buf`` (see :mod:`jobcast.nn`). Pre-training's stack passes its own: the
+blocks' outputs and caches, ``z``'s assembled input, the loss terms'
+elementwise arrays and the backward pass's scatter inputs are then written
+into the same arrays at every step, and last until the next step. Every
+other caller, :func:`predict_batch` among them, passes none and gets new
+arrays: nothing this module returns to a caller is ever written again.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from . import encoding
 from .encoding import Normalizer, PropertyValue, encode_property
 from .errors import ModelFileError, NumericsError, SchemaError
-from .nn import TwoLayerBlock, huber_grad, huber_loss
+from .nn import _FRESH, TwoLayerBlock, huber_grad, huber_loss
 
 SCALE_FEATURES = 3
 F_HIDDEN = 16
@@ -41,6 +49,10 @@ CODE_DIM = 4  # property code width
 Z_HIDDEN = 8
 
 COMPONENTS = ("f", "g", "h", "z")
+
+# The columns of one property code, for scattering codes' gradients.
+_CODE_COLUMNS = np.arange(CODE_DIM)
+_CODE_COLUMNS.flags.writeable = False
 
 _MAGIC = b"JCMODEL\x00"
 _FORMAT_VERSION = 1
@@ -276,7 +288,7 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
     return EncodedBatch(sfeat, pvecs, ess_rows, opt_weights, usage, runtimes)
 
 
-def _assemble(schema, e, codes, ess_rows, opt_weights):
+def _assemble(schema, e, codes, ess_rows, opt_weights, buf=_FRESH):
     """``z``'s input: embedding, essential codes, pooled optional codes.
 
     ``ess_rows`` index ``codes`` flattened to ``(-1, CODE_DIM)``, which for a
@@ -284,15 +296,16 @@ def _assemble(schema, e, codes, ess_rows, opt_weights):
     """
     lead = e.shape[:-1]
     m = schema.essential_count
-    r = np.empty((*lead, schema.combined_width))
-    r[..., :F_DIM] = e
-    r[..., F_DIM : F_DIM + m * CODE_DIM] = \
-        codes.reshape(-1, CODE_DIM)[ess_rows].reshape(*lead, m * CODE_DIM)
-    r[..., F_DIM + m * CODE_DIM :] = opt_weights @ codes
-    return r
+    r, pooled = buf("assemble", lead, ((schema.combined_width,), (CODE_DIM,)))
+    (ess,) = buf.scratch(lead, ((m, CODE_DIM),))
+    # mode="clip" writes straight into ess (the rows are in range anyway)
+    ess = codes.reshape(-1, CODE_DIM).take(ess_rows, axis=0, out=ess, mode="clip")
+    pooled = np.matmul(opt_weights, codes, out=pooled)
+    return np.concatenate((e, ess.reshape(*lead, m * CODE_DIM), pooled), axis=-1, out=r)
 
 
-def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None):
+def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
+                  buf=_FRESH):
     """The runtime path over an encoded batch: ``f``, ``g`` and ``z``.
 
     Returns ``(outputs, detail)`` where ``detail`` carries the blocks'
@@ -304,10 +317,10 @@ def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None)
     minibatch per row, see ``EncodedBatch``) and raises nothing
     for a row gone non-finite; :func:`diverged_rows` tells them apart.
     """
-    e, f_cache = state.f.forward(batch.sfeat, train=train, rng=rng)
-    codes, g_cache = state.g.forward(batch.pvecs, train=train, rng=rng)
-    r = _assemble(state.schema, e, codes, batch.ess_rows, batch.opt_weights)
-    y2, z_cache = state.z.forward(r, train=train, rng=rng)
+    e, f_cache = state.f.forward(batch.sfeat, train, rng, buf.scope("f"))
+    codes, g_cache = state.g.forward(batch.pvecs, train, rng, buf.scope("g"))
+    r = _assemble(state.schema, e, codes, batch.ess_rows, batch.opt_weights, buf)
+    y2, z_cache = state.z.forward(r, train, rng, buf.scope("z"))
     y = y2[..., 0]
     detail = {"e": e, "codes": codes, "y": y,
               "f_cache": f_cache, "g_cache": g_cache, "z_cache": z_cache}
@@ -334,7 +347,7 @@ def diverged_rows(detail, loss, grad) -> np.ndarray | None:
 
 
 def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, drecons,
-                   grad) -> np.ndarray:
+                   grad, buf=_FRESH) -> np.ndarray:
     """Backpropagate the joint loss through all four blocks into ``grad``,
     a flat buffer aligned with ``state.vector``, and return it.
 
@@ -344,20 +357,30 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, drecons,
     """
     seg = state.segments
     m = state.schema.essential_count
-    dr = state.z.backward(detail["z_cache"], dy[..., None], grad[..., seg["z"]])
+    dr = state.z.backward(detail["z_cache"], dy[..., None], grad[..., seg["z"]],
+                          buf=buf.scope("z"))
     codes = detail["codes"]
     # Scatter-add the essential codes' gradients onto their unique
     # vectors. bincount adds in index order: property by property, each
     # in record order, as repeated vectors would accumulate in a loop.
     dess = dr[..., F_DIM : F_DIM + m * CODE_DIM].reshape(*dr.shape[:-1], m, CODE_DIM)
-    cells = batch.ess_rows.swapaxes(-1, -2)[..., None] * CODE_DIM + np.arange(CODE_DIM)
-    dcodes = np.bincount(cells.ravel(), weights=dess.swapaxes(-2, -3).ravel(),
+    ess_rows = batch.ess_rows.swapaxes(-1, -2)  # (..., m, B)
+    (cells,) = buf.arrays("cells", ess_rows.shape, ((CODE_DIM,),), np.intp)
+    (weights,) = buf.arrays("cell_weights", ess_rows.shape, ((CODE_DIM,),))
+    (dpooled,) = buf("dpooled", codes.shape[:-1], ((CODE_DIM,),))
+    np.multiply(ess_rows[..., None], CODE_DIM, out=cells)
+    cells += _CODE_COLUMNS
+    np.copyto(weights, dess.swapaxes(-2, -3))
+    dcodes = np.bincount(cells.ravel(), weights=weights.ravel(),
                          minlength=codes.size).reshape(codes.shape)
-    dcodes += batch.opt_weights.swapaxes(-1, -2) @ dr[..., F_DIM + m * CODE_DIM :]
-    dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]])
-    state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False)
+    dcodes += np.matmul(batch.opt_weights.swapaxes(-1, -2),
+                        dr[..., F_DIM + m * CODE_DIM :], out=dpooled)
+    dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]],
+                               buf=buf.scope("h"))
+    state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False,
+                     buf=buf.scope("g"))
     state.f.backward(detail["f_cache"], dr[..., :F_DIM], grad[..., seg["f"]],
-                     need_dx=False)
+                     need_dx=False, buf=buf.scope("f"))
     return grad
 
 
@@ -378,19 +401,22 @@ def joint_loss(state: ModelState, records, train=False, rng=None):
     return total, runtime, recon
 
 
-def _recon_loss(batch: EncodedBatch, detail):
+def _recon_loss(batch: EncodedBatch, detail, buf=_FRESH):
     """Occurrence-weighted reconstruction MSE and its gradient (per row of a stack)."""
     occ = batch.usage.sum(axis=-2)
     pairs = occ.sum(axis=-1)
-    err = detail["recons"] - batch.pvecs
+    recons = detail["recons"]
+    err, dgrad = buf("recon", recons.shape[:-1], ((encoding.VECTOR_SIZE,),) * 2)
+    err = np.subtract(recons, batch.pvecs, out=err)
     denom = pairs * encoding.VECTOR_SIZE
-    loss = np.sum(occ * np.sum(err * err, axis=-1), axis=-1) / denom
-    dgrad = (2.0 / denom)[..., None, None] * occ[..., None] * err
+    squares = np.multiply(err, err, out=dgrad)  # dgrad's array, before dgrad
+    loss = np.sum(occ * np.sum(squares, axis=-1), axis=-1) / denom
+    dgrad = np.multiply((2.0 / denom)[..., None, None] * occ[..., None], err, out=dgrad)
     return (loss if loss.ndim else float(loss)), dgrad
 
 
 def _joint_terms(state: ModelState, batch: EncodedBatch, train=False, rng=None,
-                 grad=None):
+                 grad=None, buf=_FRESH):
     """``(total, runtime, reconstruction)`` loss terms over an encoded batch,
     plus the forward pass's ``detail``; for a stack, one value per row.
 
@@ -398,14 +424,14 @@ def _joint_terms(state: ModelState, batch: EncodedBatch, train=False, rng=None,
     ``recons`` and ``h_cache`` to ``detail``. Given a flat ``grad`` buffer,
     also backpropagates the total into it.
     """
-    y, detail = forward_batch(state, batch, train=train, rng=rng)
-    detail["recons"], detail["h_cache"] = state.h.forward(detail["codes"], train=train,
-                                                          rng=rng)
-    runtime_term = huber_loss(y, batch.runtimes)
-    recon_term, drecons = _recon_loss(batch, detail)
+    y, detail = forward_batch(state, batch, train, rng, buf)
+    detail["recons"], detail["h_cache"] = state.h.forward(detail["codes"], train, rng,
+                                                          buf.scope("h"))
+    runtime_term = huber_loss(y, batch.runtimes, buf)
+    recon_term, drecons = _recon_loss(batch, detail, buf)
     if grad is not None:
-        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes), drecons,
-                       grad)
+        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes, buf),
+                       drecons, grad, buf)
     return runtime_term + recon_term, runtime_term, recon_term, detail
 
 

@@ -16,11 +16,24 @@ Everything also runs on a stack of S independent models, one per row of an
 stack axis, reductions run per row, and dropout and Adam take one rate,
 learning rate and weight decay per row. The arithmetic of each row is the
 unstacked arithmetic, so a row computes what it would compute alone.
+
+Every operation takes the arrays it writes from a buffer holder, ``buf``,
+and passes them to numpy as ``out=``. Called without one, an operation gets
+``None`` (numpy allocates) or a new array, so whatever it returns is its
+caller's to keep. A training loop may pass its own :class:`_Buffers`
+instead (pre-training's stack does), and each operation then writes into
+the same arrays at every step: a block's forward outputs and cache, its
+backward pass's deltas and input gradient, the dropout outputs and masks,
+and the Huber terms. Those arrays stay valid until the same operation runs
+again under the same holder, at the next step; the loop never hands them
+out. After the first step such a step allocates nothing large. Adam owns
+the scratch of its update beside its moments.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -43,8 +56,109 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def selu(x):
-    """SELU applied elementwise to an array.
+class _Buffers:
+    """The arrays one training loop's operations write at every step.
+
+    ``buf(site, lead, widths)`` returns one array of shape ``lead + w`` for
+    each trailing shape ``w`` in ``widths``; a site asks with the same
+    ``widths`` every time. Each array is a contiguous prefix of a flat
+    arena of its own, which grows to the largest request, so the short last
+    minibatch of an epoch, or a stack after rows left it, reuses the
+    arenas of the first step. The views are kept per ``(site, lead)``: the
+    same request returns the same arrays, overwriting what the last one
+    wrote. ``buf.arrays`` is the same call, for a site that fills its
+    arrays in place (see :class:`_Fresh`). ``scope(name)`` is a holder of
+    its own for one block's sites.
+
+    ``scratch(lead, widths)`` gives arrays in the same way, all over one
+    arena that the holder shares with its scopes: an operation uses them
+    one at a time, and never across a call to another.
+    """
+
+    def __init__(self, scratch=None):
+        self._arenas: dict = {}
+        self._views: dict = {}
+        self._scopes: dict = {}
+        self.scratch = scratch or _Scratch()
+
+    def __call__(self, site, lead, widths, dtype=np.float64):
+        views = self._views.get((site, lead))
+        if views is None:
+            views = self._views[site, lead] = self._carve(site, lead, widths, dtype)
+        return views
+
+    def _carve(self, site, lead, widths, dtype):
+        views = []
+        for i, w in enumerate(widths):
+            shape = lead + w
+            size = math.prod(shape)
+            arena = self._arenas.get((site, i))
+            if arena is None or arena.size < size:
+                arena = self._arenas[site, i] = np.empty(size, dtype)
+                # Views into the old arena would keep it alive.
+                for key in [k for k in self._views if k[0] == site]:
+                    del self._views[key]
+            views.append(arena[:size].reshape(shape))
+        return tuple(views)
+
+    arrays = __call__
+
+    def scope(self, name):
+        child = self._scopes.get(name)
+        if child is None:
+            child = self._scopes[name] = _Buffers(self.scratch)
+        return child
+
+
+class _Scratch:
+    """The scratch arena that a holder and its scopes share (see
+    :class:`_Buffers`). It refers to no holder, so that a holder is freed
+    as soon as its loop lets it go."""
+
+    def __init__(self):
+        self._arena = np.empty(0)
+        self._views: dict = {}
+
+    def __call__(self, lead, widths):
+        views = self._views.get((widths, lead))
+        if views is None:
+            sizes = [math.prod(lead + w) for w in widths]
+            if self._arena.size < max(sizes):
+                self._arena = np.empty(max(sizes))
+                self._views.clear()
+            views = self._views[widths, lead] = tuple(
+                self._arena[:size].reshape(lead + w) for size, w in zip(sizes, widths))
+        return views
+
+
+class _Fresh:
+    """The holder of every call that passes none, where nothing a caller
+    receives may be written again.
+
+    ``buf(...)`` gives ``None`` for every array, so numpy allocates each
+    output (its ``out=None``); ``buf.arrays(...)`` gives new arrays, for a
+    site that fills them in place.
+    """
+
+    def __call__(self, site, lead, widths, dtype=np.float64):
+        return (None,) * len(widths)
+
+    def scratch(self, lead, widths):
+        return (None,) * len(widths)
+
+    def arrays(self, site, lead, widths, dtype=np.float64):
+        return [np.empty(lead + w, dtype) for w in widths]
+
+    def scope(self, name):
+        return self
+
+
+_FRESH = _Fresh()
+
+
+def selu(x, out=None, tmp=None):
+    """SELU applied elementwise to an array, into ``out`` when given, with
+    ``tmp`` (of the same shape) as scratch.
 
     Computed as ``lambda * (alpha * expm1(min(x, 0)) + max(x, -0.0))``
     rather than by selecting between the two branches: for ``x > 0`` the
@@ -53,10 +167,10 @@ def selu(x):
     it was. So each element equals the branch the definition picks.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.minimum(x, 0.0)
+    y = np.minimum(x, 0.0, out=out)
     np.expm1(y, out=y)
     y *= SELU_ALPHA
-    y += np.maximum(x, -0.0)
+    y += np.maximum(x, -0.0, out=tmp)
     y *= SELU_LAMBDA
     return y
 
@@ -65,17 +179,18 @@ def selu(x):
 _SELU_STEP = 1.0 - SELU_ALPHA
 
 
-def selu_deriv(x):
-    """Derivative of SELU at the pre-activation array ``x``.
+def selu_deriv(x, out=None, tmp=None):
+    """Derivative of SELU at the pre-activation array ``x``, into ``out``
+    when given, with ``tmp`` as scratch.
 
     ``lambda * (alpha * exp(min(x, 0)) + [x > 0] * (1 - alpha))``: the
     bracket turns ``alpha * exp(0)`` into exactly 1.0 for ``x > 0`` and adds
     -0.0 elsewhere, as :func:`selu` does.
     """
-    d = np.minimum(x, 0.0)
+    d = np.minimum(x, 0.0, out=out)
     np.exp(d, out=d)
     d *= SELU_ALPHA
-    d += (x > 0) * _SELU_STEP
+    d += np.multiply(np.greater(x, 0, out=tmp), _SELU_STEP, out=tmp)
     d *= SELU_LAMBDA
     return d
 
@@ -108,7 +223,7 @@ def _alpha_rows(rates: tuple):
     return tuple(cols)
 
 
-def alpha_dropout(v, rate, rng, train: bool):
+def alpha_dropout(v, rate, rng, train: bool, buf=_FRESH):
     """Alpha-dropout that preserves the self-normalizing regime.
 
     Dropped units are set to the SELU saturation value and the result is
@@ -120,19 +235,21 @@ def alpha_dropout(v, rate, rng, train: bool):
     its mask from ``rng[s]``, and nothing at rate 0, exactly as alone.
 
     Returns ``(out, dmult)`` where ``dmult`` is the elementwise multiplier
-    to apply to an upstream gradient (all ones outside training).
+    to apply to an upstream gradient (all ones outside training), both
+    taken from ``buf``.
     """
     v = np.asarray(v, dtype=np.float64)
     if not train:
         return v, None
+    lead, width = v.shape[:-1], v.shape[-1:]
     if isinstance(rate, np.ndarray):
         rates = tuple(rate.tolist())
         coeffs = _alpha_rows(rates)
         if coeffs is None:
             return v, None
         keep, a, b = coeffs
-        u = np.empty(v.shape)
-        for r, gen, row in zip(rates, rng, u):
+        out, dmult = buf.arrays("dropout", lead, (width, width))
+        for r, gen, row in zip(rates, rng, out):
             if r:
                 gen.random(out=row)
             else:
@@ -142,11 +259,18 @@ def alpha_dropout(v, rate, rng, train: bool):
             return v, None
         _check_rate(rate)
         keep = 1.0 - rate
-        u = rng.random(v.shape)
+        out, dmult = buf.arrays("dropout", lead, (width, width))
+        rng.random(out=out)
         a, b = _alpha_affine(rate)
-    mask = u < keep
-    out = a * np.where(mask, v, _ALPHA_PRIME) + b
-    return out, a * mask
+    # out holds the uniform draws until the mask is taken from them.
+    (mask,) = buf("mask", lead, (width,), np.bool_)
+    mask = np.less(out, keep, out=mask)
+    np.copyto(out, _ALPHA_PRIME)
+    np.copyto(out, v, where=mask)
+    np.multiply(a, out, out=out)
+    out += b
+    np.multiply(a, mask, out=dmult)
+    return out, dmult
 
 
 def he_init(shape, fan_in: int, rng) -> np.ndarray:
@@ -156,7 +280,7 @@ def he_init(shape, fan_in: int, rng) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def huber_loss(pred, target):
+def huber_loss(pred, target, buf=_FRESH):
     """Mean-reduced Huber loss: quadratic inside ``|e| <= HUBER_DELTA``,
     linear outside.
 
@@ -167,20 +291,29 @@ def huber_loss(pred, target):
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    e = np.abs(pred - target)
-    per = np.where(e <= HUBER_DELTA, 0.5 * e * e,
-                   HUBER_DELTA * (e - 0.5 * HUBER_DELTA))
+    e, quad, per = buf("huber_loss", pred.shape, ((), (), ()))
+    (inner,) = buf("huber_loss.inner", pred.shape, ((),), np.bool_)
+    e = np.subtract(pred, target, out=e)
+    np.abs(e, out=e)
+    quad = np.multiply(0.5, e, out=quad)
+    quad *= e
+    per = np.subtract(e, 0.5 * HUBER_DELTA, out=per)
+    np.multiply(HUBER_DELTA, per, out=per)
+    np.copyto(per, quad, where=np.less_equal(e, HUBER_DELTA, out=inner))
     loss = np.add.reduce(per, axis=-1) / per.shape[-1]  # np.mean, without its wrapper
     return loss if loss.ndim else float(loss)
 
 
-def huber_grad(pred, target) -> np.ndarray:
+def huber_grad(pred, target, buf=_FRESH) -> np.ndarray:
     """d(huber_loss)/d(pred), including the 1/n mean factor of each row."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    e = pred - target
+    (g,) = buf("huber_grad", pred.shape, ((),))
+    g = np.subtract(pred, target, out=g)
     # np.clip, faster
-    return np.minimum(np.maximum(e, -HUBER_DELTA), HUBER_DELTA) / e.shape[-1]
+    np.minimum(np.maximum(g, -HUBER_DELTA, out=g), HUBER_DELTA, out=g)
+    g /= g.shape[-1]
+    return g
 
 
 class TwoLayerBlock:
@@ -197,6 +330,11 @@ class TwoLayerBlock:
     every row, ``dropout_rate`` may be one rate per row, and ``rng`` one
     generator per row. A stacked block does not raise on a non-finite
     output; its caller decides row by row.
+
+    :meth:`forward` and :meth:`backward` take their arrays from ``buf``.
+    Under a training loop's holder, a forward pass's output and cache, and a
+    backward pass's input gradient, are overwritten by the next call of the
+    same method under that holder; without one they are new arrays.
     """
 
     def __init__(self, flat, in_dim, hidden_dim, out_dim, bias=True, tanh_out=False,
@@ -212,6 +350,11 @@ class TwoLayerBlock:
         self._w1t, self._w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
         self._b1 = None if b1 is None else b1[..., None, :]
         self._b2 = None if b2 is None else b2[..., None, :]
+        # The trailing shapes of the arrays the passes write (see forward
+        # and backward for their order).
+        h, k = (hidden_dim,), (out_dim,)
+        self._forward_widths, self._backward_widths = (h, h, k, k), (h, h, k)
+        self._scratch_widths, self._in_width = (h, k), ((in_dim,),)
 
     @staticmethod
     def size(in_dim, hidden_dim, out_dim, bias=True) -> int:
@@ -234,7 +377,7 @@ class TwoLayerBlock:
     def out_dim(self) -> int:
         return self.w2.shape[-2]
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, buf=_FRESH):
         """Run the block on a batch ``(B, D)``; returns ``(out, cache)``.
 
         ``cache`` holds what :meth:`backward` needs. The output is
@@ -249,27 +392,32 @@ class TwoLayerBlock:
         if drop and rng is None:
             raise ValueError("training with dropout requires an rng")
 
-        pre1 = x @ self._w1t
+        lead = x.shape[:-1]
+        if len(lead) < self.w1.ndim - 1:  # one batch shared by every row
+            lead = self.w1.shape[:-2] + lead
+        pre1, act1, pre2, a2 = buf("forward", lead, self._forward_widths)
+        tmp1, tmp2 = buf.scratch(lead, self._scratch_widths)
+        pre1 = np.matmul(x, self._w1t, out=pre1)
         if self._b1 is not None:
             pre1 += self._b1
-        act1 = selu(pre1)
+        act1 = selu(pre1, act1, tmp1)
         dmul1 = None
         if drop:
-            act1, dmul1 = alpha_dropout(act1, rate, rng, train)
+            act1, dmul1 = alpha_dropout(act1, rate, rng, train, buf.scope("hidden"))
 
-        pre2 = act1 @ self._w2t
+        pre2 = np.matmul(act1, self._w2t, out=pre2)
         if self._b2 is not None:
             pre2 += self._b2
-        a2 = out = np.tanh(pre2) if self.tanh_out else selu(pre2)
-        dmul2 = None
+        a2 = np.tanh(pre2, out=a2) if self.tanh_out else selu(pre2, a2, tmp2)
+        out, dmul2 = a2, None
         if drop:
-            out, dmul2 = alpha_dropout(a2, rate, rng, train)
+            out, dmul2 = alpha_dropout(a2, rate, rng, train, buf.scope("output"))
 
         if self.w1.ndim == 2 and not np.isfinite(out).all():
             raise NumericsError("two-layer block produced a non-finite output")
         return out, (x, pre1, act1, dmul1, pre2, a2, dmul2)
 
-    def backward(self, cache, dout, grad, need_dx=True):
+    def backward(self, cache, dout, grad, need_dx=True, buf=_FRESH):
         """Backpropagate ``dout`` through the cached forward pass.
 
         Writes the weight gradient into ``grad``, a flat buffer laid out like
@@ -279,21 +427,32 @@ class TwoLayerBlock:
         x, pre1, act1, dmul1, pre2, a2, dmul2 = cache
         gw1, gb1, gw2, gb2 = _split(grad, self.in_dim, self.w1.shape[-2],
                                     self.out_dim, self.b1 is not None)
-        d = dout if dmul2 is None else dout * dmul2
-        delta2 = 1.0 - a2 * a2 if self.tanh_out else selu_deriv(pre2)
-        delta2 *= d
+        lead = pre1.shape[:-1]
+        dact1, delta1, delta2 = buf("backward", lead, self._backward_widths)
+        tmp1, tmp2 = buf.scratch(lead, self._scratch_widths)
+        if self.tanh_out:
+            delta2 = np.multiply(a2, a2, out=delta2)
+            np.subtract(1.0, delta2, out=delta2)
+        else:
+            delta2 = selu_deriv(pre2, delta2, tmp2)
+        if dmul2 is not None:  # tmp2 is free again once delta2 is in
+            dout = np.multiply(dout, dmul2, out=tmp2)
+        delta2 *= dout
         np.matmul(delta2.swapaxes(-1, -2), act1, out=gw2)
         if gb2 is not None:
             delta2.sum(axis=-2, out=gb2)
-        dact1 = delta2 @ self.w2
+        dact1 = np.matmul(delta2, self.w2, out=dact1)
         if dmul1 is not None:
             dact1 *= dmul1
-        delta1 = selu_deriv(pre1)
+        delta1 = selu_deriv(pre1, delta1, tmp1)
         delta1 *= dact1
         np.matmul(delta1.swapaxes(-1, -2), x, out=gw1)
         if gb1 is not None:
             delta1.sum(axis=-2, out=gb1)
-        return delta1 @ self.w1 if need_dx else None
+        if not need_dx:
+            return None
+        (dx,) = buf("input_grad", lead, self._in_width)
+        return np.matmul(delta1, self.w1, out=dx)
 
 
 def _split(flat, in_dim, hidden_dim, out_dim, bias):
@@ -319,12 +478,17 @@ class Adam:
     of a model that joins training late gets an optimizer of its own, and
     a frozen part has none. ``name_of`` names the parameter at an index of
     the array in non-finite gradient errors.
+
+    Beside its moments the optimizer owns two scratch arrays of ``shape``,
+    which every step overwrites; a step allocates nothing. Neither the
+    moments nor the scratch are ever handed out.
     """
 
     def __init__(self, lr, shape, name_of, weight_decay=0.0):
         self.lr = lr if np.ndim(lr) else float(lr)
         self.weight_decay = weight_decay if np.ndim(weight_decay) else float(weight_decay)
         self.m, self.v = np.zeros((2, *shape))
+        self._tmp, self._step = np.empty((2, *shape))
         self.t = 0
         self.name_of = name_of
 
@@ -333,21 +497,24 @@ class Adam:
 
         A non-finite gradient raises :class:`TrainingError` before any update.
         """
-        finite = np.isfinite(grads)
-        if not finite.all():
-            bad = int(np.nonzero(~finite)[-1][0])
-            raise TrainingError(f"non-finite gradient for parameter {self.name_of(bad)!r}")
+        # A finite sum clears every gradient at once (see model.diverged_rows).
+        if not math.isfinite(np.add.reduce(grads, axis=None)):
+            finite = np.isfinite(grads)
+            if not finite.all():
+                bad = int(np.nonzero(~finite)[-1][0])
+                raise TrainingError(
+                    f"non-finite gradient for parameter {self.name_of(bad)!r}")
         self.t += 1
-        t, m, v = self.t, self.m, self.v
+        t, m, v, tmp, step = self.t, self.m, self.v, self._tmp, self._step
         # p -= lr * (mhat / (sqrt(vhat) + eps) + wd * p), in two buffers
-        tmp = (1.0 - ADAM_BETA1) * grads
+        np.multiply(1.0 - ADAM_BETA1, grads, out=tmp)
         m *= ADAM_BETA1
         m += tmp
         np.multiply(grads, grads, out=tmp)
         tmp *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
         v += tmp
-        step = m / (1.0 - ADAM_BETA1**t)  # mhat
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=step)  # mhat
         np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)  # vhat
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
@@ -358,6 +525,8 @@ class Adam:
         params -= step
 
     def keep_rows(self, rows) -> None:
-        """Keep only the given rows of a stack: their moments, lr and decay."""
+        """Keep only the given rows of a stack: their moments, lr and decay;
+        the scratch shrinks to its first rows."""
         self.m, self.v, self.lr, self.weight_decay = (
             x[rows] for x in (self.m, self.v, self.lr, self.weight_decay))
+        self._tmp, self._step = self._tmp[: len(rows)], self._step[: len(rows)]

@@ -14,6 +14,7 @@ stalls past the patience window, and always returns the best snapshot seen.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .encoding import Normalizer
 from .errors import ConfigError, DataError, NumericsError, TrainingError
 from .model import F_DIM, EncodedBatch, ModelState, PropertySchema, \
     encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms
-from .nn import Adam, huber_grad
+from .nn import Adam, _Buffers, huber_grad
 
 MAX_EPOCHS = 2500
 MAE_TARGET_SECONDS = 5.0
@@ -112,6 +113,11 @@ class _Lockstep:
     unique-vector count ``U``: ``batch`` is their union, ``orders[i]``
     indexes row ``i``'s own records in it and ``pvecs[i]`` holds its own
     unique vectors.
+
+    Every step writes its minibatch, forward pass, loss terms and backward
+    pass into the arrays of one buffer holder, ``buf``, which the stack owns.
+    When rows leave, the next step asks for fewer rows and gets a prefix of
+    the same arrays.
     """
 
     def __init__(self, searches):
@@ -143,6 +149,8 @@ class _Lockstep:
         self.offsets = u * np.arange(size)[:, None, None]
         self.loss = np.full(size, np.nan)
         self.total = np.zeros(size)
+        self.buf = _Buffers()
+        self._minibatch_widths = (self.batch.sfeat.shape[1:], (u,), (u,), ())
 
     def gradients(self, start: int, size: int):
         """Joint loss and gradient (into ``grad``) of every row on the
@@ -150,19 +158,22 @@ class _Lockstep:
 
         Returns each row's loss and :func:`~jobcast.model.diverged_rows`.
         """
-        idx, b = self.orders[:, start : start + size], self.batch
-        minibatch = EncodedBatch(sfeat=b.sfeat[idx], pvecs=self.pvecs,
-                                 ess_rows=b.ess_rows[idx] + self.offsets,
-                                 opt_weights=b.opt_weights[idx], usage=b.usage[idx],
-                                 runtimes=b.runtimes[idx])
+        b, buf = self.batch, self.buf
+        order = self.orders[:, start : start + size]
+        (idx,) = buf.arrays("order", order.shape, ((),), np.intp)
+        np.copyto(idx, order)  # np.take copies indices that are not contiguous
+        sfeat, opt_weights, usage, runtimes = buf.arrays("minibatch", idx.shape,
+                                                         self._minibatch_widths)
+        (ess_rows,) = buf.arrays("ess_rows", idx.shape, (b.ess_rows.shape[1:],), np.intp)
+        for source, out in ((b.sfeat, sfeat), (b.ess_rows, ess_rows),
+                            (b.opt_weights, opt_weights), (b.usage, usage),
+                            (b.runtimes, runtimes)):
+            source.take(idx, axis=0, out=out, mode="clip")  # clip: no copy of out
+        ess_rows += self.offsets
+        minibatch = EncodedBatch(sfeat, self.pvecs, ess_rows, opt_weights, usage,
+                                 runtimes)
         loss, _, _, detail = _joint_terms(self.state, minibatch, train=True,
-                                          rng=self.rngs, grad=self.grad)
-        # Hold this step's arrays until the next step has made its own. Freed
-        # at once, these few MB (at S=12) would sit at the top of the heap,
-        # go back to the OS and be page-faulted in again every step: with
-        # glibc, about 1,050 minor faults per epoch of the 12-config search
-        # without the hold and about 330 with it.
-        self.held = (minibatch, detail)
+                                          rng=self.rngs, grad=self.grad, buf=buf)
         return loss, diverged_rows(detail, loss, self.grad)
 
     def leave(self, bad, ran) -> None:
@@ -205,9 +216,13 @@ class _Lockstep:
             search.finish(cid, self.state.take(i), epochs, self.loss[i])
 
 
+def _mean_abs_error(y, runtimes) -> float:
+    """``np.mean(np.abs(y - runtimes))``, without np.mean's wrapper."""
+    return float(np.add.reduce(np.abs(y - runtimes)) / len(runtimes))
+
+
 def _mae(state, batch) -> float:
-    y, _ = forward_batch(state, batch)
-    return float(np.mean(np.abs(y - batch.runtimes)))
+    return _mean_abs_error(forward_batch(state, batch)[0], batch.runtimes)
 
 
 class _Search:
@@ -409,7 +424,7 @@ def finetune(state: ModelState | PropertySchema, samples,
     trainers = [trainer("z")]
     y2, z_cache = work.z.forward(r)
     y = y2[:, 0]
-    best_mae = float(np.mean(np.abs(y - batch.runtimes)))
+    best_mae = _mean_abs_error(y, batch.runtimes)
     best_epoch = 0
     best = work.vector.copy()
     history = [best_mae]
@@ -440,8 +455,8 @@ def finetune(state: ModelState | PropertySchema, samples,
             r[:, :F_DIM], f_cache = work.f.forward(batch.sfeat)
         y2, z_cache = work.z.forward(r)
         y = y2[:, 0]
-        mae = float(np.mean(np.abs(y - batch.runtimes)))
-        if not np.isfinite(mae):
+        mae = _mean_abs_error(y, batch.runtimes)
+        if not math.isfinite(mae):
             raise TrainingError("fine-tuning diverged (non-finite MAE)")
         history.append(mae)
         if mae < best_mae - PATIENCE_TOLERANCE:

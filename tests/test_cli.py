@@ -460,6 +460,30 @@ class TestNaturalValues:
                                   {"memory_mb": text})
         assert props["memory_mb"] == from_csv == PropertyValue.natural(natural)
 
+    @pytest.mark.parametrize("text,natural", [("0.5", 1), ("1.5", 2), ("2.5", 3),
+                                              ("3.5", 4)])
+    def test_halves_round_up_everywhere(self, tmp_path, text, natural):
+        """A CSV cell, a ``--props`` value and a ``--target-context`` value
+        all round a half up, never to even."""
+        # dataset_size in bytes, so a half stays a half after scaling.
+        manifest_path = tmp_path / "bytes.txt"
+        manifest_path.write_text((DATA / "sort_manifest.txt").read_text()
+                                 .replace("property.dataset_size.unit = mb\n", ""))
+        manifest = parse_manifest(manifest_path)
+        rows = (DATA / "sort_runs.csv").read_text().splitlines()[:2]
+        cells = rows[1].split(",")
+        cells[2] = cells[6] = text  # data_size_mb and memory_mb
+        path = tmp_path / "one.csv"
+        path.write_text("\n".join([rows[0], ",".join(cells)]) + "\n")
+        from_csv = load_dataset(path, manifest)[0].properties
+        props = cli._coerce_props(cli._schema_from_manifest(manifest),
+                                  {"memory_mb": text})
+        context = cli._parse_context(f"dataset_size={text},{TARGET_REST}", manifest)
+        expected = PropertyValue.natural(natural)
+        assert from_csv["dataset_size"] == from_csv["memory_mb"] == expected
+        assert props["memory_mb"] == expected
+        assert context.get("dataset_size") == natural
+
 
 class TestExitCodeMapping:
     def test_training_error_maps_to_4(self, monkeypatch, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from jobcast.dataio import (ContextKey, RunRecord,
                             canonical_manifest_from_schema,
                             filter_for_variant, group_by_context,
-                            load_dataset, parse_manifest, summarize,
-                            write_records_csv)
+                            load_dataset, parse_manifest, parse_natural,
+                            summarize, write_records_csv)
 from jobcast.encoding import PropertyValue
 from jobcast.errors import ConfigError, DataError
 from jobcast.model import PropertySchema
@@ -161,6 +161,23 @@ class TestLoadDataset:
         path.write_text(header + "".join(f"{cell},10.5,8000,u,p,t,1,1,sort\n"
                                          for cell in ("2.7", "3.2", " 4 ", "5.0")))
         assert [r.scale_out for r in load_dataset(path, manifest)] == [3, 3, 4, 5]
+
+    def test_scale_out_cell_rounds_half_up(self, tmp_path, manifest):
+        """Halves round up, not to even: 2.5 machines load as 3, and 0.5 as 1
+        rather than being refused as a scale-out of 0."""
+        header = ("machine_count,gross_runtime_s,data_size_mb,"
+                  "data_characteristics,job_args,instance_type,memory_mb,"
+                  "cpu_cores,job\n")
+        path = tmp_path / "halves.csv"
+        path.write_text(header + "".join(f"{cell},10.5,8000,u,p,t,1,1,sort\n"
+                                         for cell in ("0.5", "1.5", "2.5", "3.5")))
+        assert [r.scale_out for r in load_dataset(path, manifest)] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("text,natural", [
+        ("0.49999999999999994", 0), ("0.5", 1), ("2.5", 3), ("2.4999999999999996", 2),
+        ("-0.5", 0), ("549755813887", (1 << 39) - 1)])
+    def test_parse_natural_rounds_half_up_exactly(self, text, natural):
+        assert parse_natural(text) == natural
 
     def test_empty_optional_cells_mean_absent(self, tmp_path, manifest):
         header = ("machine_count,gross_runtime_s,data_size_mb,"
