@@ -175,7 +175,18 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+# The largest scale-out the commands accept: a CSV scale-out cell's bound
+# (see dataio.parse_natural), so every accepted value converts to a float.
+MAX_SCALE_OUT = (1 << PAYLOAD_BITS) - 1
+
+
+def _check_scale_out(what: str, x: int) -> None:
+    if not 1 <= x <= MAX_SCALE_OUT:
+        raise ConfigError(f"{what} must lie in [1, 2**{PAYLOAD_BITS} - 1], got {x}")
+
+
 def cmd_predict(args) -> int:
+    _check_scale_out("--scale-out", args.scale_out)
     state = model.load(args.model)
     props = _coerce_props(state.schema, _parse_pairs(args.props, args.props_file))
     pred = model.predict(state, args.scale_out, props)
@@ -186,7 +197,8 @@ def cmd_predict(args) -> int:
 
 
 # The most candidate scale-outs one ``recommend`` scores. Each costs about
-# 27 us and 1 KB, so a full range runs in a few seconds and about 150 MB.
+# 4-7 us and 1 KB, so a full range runs in about 1 s and 140 MB, process
+# start included (2-vCPU x86_64, Python 3.11, numpy 2.4).
 MAX_CANDIDATES = 100_000
 
 
@@ -196,8 +208,10 @@ def _parse_range(text: str) -> range:
         lo, hi, step = (int(p) for p in text.split(":"))
     except ValueError:
         raise ConfigError(f"--range must be lo:hi:step, got {text!r}")
-    if lo > hi or step < 1 or lo < 1:
+    if lo > hi or step < 1:
         raise ConfigError(f"invalid candidate range {text!r}")
+    _check_scale_out("--range scale-outs", lo)
+    _check_scale_out("--range scale-outs", hi)
     count = (hi - lo) // step + 1
     if count > MAX_CANDIDATES:
         raise ConfigError(f"--range {text!r} gives {count} candidates, "
@@ -212,15 +226,13 @@ def cmd_recommend(args) -> int:
                           f"got {args.target!r}")
     state = model.load(args.model)
     props = _coerce_props(state.schema, _parse_pairs(args.props, args.props_file))
-    curve = list(zip(candidates, model.predict_batch(state, candidates, props)))
-    print("scale_out,predicted_runtime_seconds")
-    for x, runtime in curve:
-        print(f"{x},{runtime:.3f}")
-    qualifying = [x for x, runtime in curve if runtime <= args.target]
-    if qualifying:
-        print(f"recommended_scale_out: {min(qualifying)}")
-    else:
-        print("recommended_scale_out: none (target not achievable)")
+    runtimes = model.predict_batch(state, candidates, props).tolist()
+    # Candidates ascend, so the first one that meets the target is the smallest.
+    answer = next((x for x, runtime in zip(candidates, runtimes) if runtime <= args.target),
+                  "none (target not achievable)")
+    print("\n".join(["scale_out,predicted_runtime_seconds",
+                     *map("{},{:.3f}".format, candidates, runtimes),
+                     f"recommended_scale_out: {answer}"]))
     return 0
 
 

@@ -20,6 +20,7 @@ scalar :func:`fnv1a_64` masks, so every term hashes as it would alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,11 +153,39 @@ def encode_property(v: PropertyValue) -> np.ndarray:
     return out
 
 
-def scaleout_features(x: int) -> np.ndarray:
-    """Raw scale-out feature crafting ``[1/x, ln x, x]`` for ``x >= 1``."""
-    if x < 1:
-        raise DataError(f"scale-out must be >= 1, got {x}")
-    return np.array([1.0 / x, math.log(x), float(x)])
+def scaleout_features(x) -> np.ndarray:
+    """Raw scale-out feature crafting ``[1/x, ln x, x]`` for ``x >= 1``.
+
+    ``x`` is one scale-out, giving shape ``(3,)``, or a sequence of them,
+    giving ``(n, 3)``. ``1/x`` is one array division over the sequence;
+    ``ln x`` is :func:`math.log` per value, since ``np.log`` differs from it
+    in the last bit for some integers (9170 is the first). A value that is
+    not a finite number of at least 1 raises :class:`DataError`.
+    """
+    one = isinstance(x, numbers.Real)
+    xs = [x] if one else list(x)
+    try:
+        values = list(map(float, xs))
+        logs = list(map(math.log, values))  # ValueError for a value <= 0
+        # A finite sum of logs >= 0 has no nan or inf among them: x in [1, inf).
+        ok = min(logs, default=0.0) >= 0.0 and math.isfinite(sum(logs))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bad = next(v for v in xs if not _is_scale_out(v))
+        raise DataError(f"scale-out must be a finite number >= 1, got {bad!r}")
+    feats = np.empty((len(values), 3))
+    feats[:, 1] = logs
+    feats[:, 2] = values
+    np.divide(1.0, feats[:, 2], out=feats[:, 0])
+    return feats[0] if one else feats
+
+
+def _is_scale_out(v) -> bool:
+    try:
+        return 1.0 <= float(v) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -177,14 +206,16 @@ class Normalizer:
         xs = list(scale_outs)
         if not xs:
             raise DataError("cannot fit a normalizer on zero samples")
-        feats = np.stack([scaleout_features(x) for x in xs])
+        feats = scaleout_features(xs)
         return cls(tuple(feats.min(axis=0)), tuple(feats.max(axis=0)))
 
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        span = np.asarray(self.hi) - lo
-        flat = span == 0.0
-        return np.where(flat, 0.5, (features - lo) / np.where(flat, 1.0, span))
-
-    def transform(self, x: int) -> np.ndarray:
-        return self.apply(scaleout_features(x))
+    def transform(self, x) -> np.ndarray:
+        """Normalized features of one scale-out, ``(3,)``, or of a sequence
+        of them, ``(n, 3)``; see :func:`scaleout_features`."""
+        feats = scaleout_features(x)
+        span = [hi - lo for lo, hi in zip(self.lo, self.hi)]
+        feats -= self.lo
+        feats /= [s or 1.0 for s in span]
+        if 0.0 in span:
+            feats[..., [s == 0.0 for s in span]] = 0.5
+        return feats

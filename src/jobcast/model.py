@@ -8,10 +8,11 @@ optional codes onto a runtime in seconds. Training minimizes Huber runtime
 error plus the autoencoder's reconstruction MSE.
 
 One batched path serves training and inference: :func:`encode_batch`
-encodes records once, with property vectors deduplicated, and
-:func:`forward_batch` runs the runtime path ``f``, ``g``, ``z`` over the
-whole batch. :func:`predict_batch` scores one property set at many
-scale-outs in one such pass; :func:`predict` is a batch of one. The decoder
+encodes records once, each distinct property mapping once and each
+property vector once, and :func:`forward_batch` runs the runtime path
+``f``, ``g``, ``z`` over the whole batch. :func:`predict_batch` scores one
+property set at many scale-outs in one such pass, its candidates sharing
+one mapping; :func:`predict` is a batch of one. The decoder
 ``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
 the same path over a stack of models (see :class:`ModelState`).
 
@@ -245,15 +246,24 @@ class EncodedBatch:
 
 def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
                  with_runtimes=True) -> EncodedBatch:
+    """Encode records for :func:`forward_batch`.
+
+    Each distinct properties mapping, told apart by identity, is checked
+    and encoded once, in order of first appearance. Records that share one
+    mapping object, as :func:`predict_batch`'s candidates do, share its rows
+    of ``ess_rows``, ``opt_weights`` and ``usage``, which one gather copies
+    out. The scale-out features of the whole batch come from one
+    :meth:`Normalizer.transform` call.
+    """
     records = list(records)
     b = len(records)
     m = schema.essential_count
-    sfeat = np.empty((b, SCALE_FEATURES))
+    # The first record to hold each distinct mapping, in order of appearance:
+    # filled from the back, the dict keeps each mapping's first record.
+    keys = [id(r.properties) for r in records]
+    firsts = sorted(dict(zip(reversed(keys), range(b - 1, -1, -1))).values())
     rows: dict[PropertyValue, int] = {}
     vecs: list[np.ndarray] = []
-    ess_rows = np.empty((b, m), dtype=np.intp)
-    opt_records: list[int] = []  # one entry per optional property present
-    opt_rows: list[int] = []
 
     def row_of(value: PropertyValue) -> int:
         if value not in rows:
@@ -261,27 +271,31 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
             vecs.append(encode_property(value))
         return rows[value]
 
-    for i, r in enumerate(records):
-        schema.check_properties(r.properties, where=f"record {i}")
-        sfeat[i] = normalizer.transform(r.scale_out)
-        for j, (name, _) in enumerate(schema.essential):
-            ess_rows[i, j] = row_of(r.properties[name])
-        hits = [row_of(r.properties[name])
-                for name, _ in schema.optional if name in r.properties]
-        opt_records += [i] * len(hits)
-        opt_rows += hits
+    hits = []  # per distinct mapping: its essential rows, its optional rows
+    for i in firsts:
+        props = records[i].properties
+        schema.check_properties(props, where=f"record {i}")
+        hits.append(([row_of(props[name]) for name, _ in schema.essential],
+                     [row_of(props[name]) for name, _ in schema.optional if name in props]))
 
+    k, u = len(hits), len(vecs)
     pvecs = np.stack(vecs) if vecs else np.zeros((0, encoding.VECTOR_SIZE))
-    u = pvecs.shape[0]
-    # add.at accumulates repeated cells one addend at a time, in hit order,
-    # so a vector shared by several optional properties sums as a loop would.
-    opt_cells = (np.array(opt_records, dtype=np.intp), np.array(opt_rows, dtype=np.intp))
-    opt_counts = np.bincount(opt_cells[0], minlength=b)
-    opt_weights = np.zeros((b, u))
-    np.add.at(opt_weights, opt_cells, 1.0 / opt_counts[opt_cells[0]])
-    usage = np.zeros((b, u))
-    np.add.at(usage, (np.arange(b).repeat(m), ess_rows.ravel()), 1.0)
-    np.add.at(usage, opt_cells, 1.0)
+    usage = [[0.0] * u for _ in hits]
+    opt_weights = [[0.0] * u for _ in hits]
+    for counts, weights, (ess, opt) in zip(usage, opt_weights, hits):
+        for r in ess + opt:
+            counts[r] += 1.0
+        for r in opt:  # a vector shared by two optional properties adds twice
+            weights[r] += 1.0 / len(opt)
+    ess_rows = np.array([ess for ess, _ in hits], dtype=np.intp).reshape(k, m)
+    usage = np.array(usage).reshape(k, u)
+    opt_weights = np.array(opt_weights).reshape(k, u)
+    if k < b:  # records share mappings: give each its mapping's rows
+        slot = {keys[i]: g for g, i in enumerate(firsts)}
+        of_record = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=b)
+        ess_rows, opt_weights, usage = (ess_rows[of_record], opt_weights[of_record],
+                                        usage[of_record])
+    sfeat = normalizer.transform([r.scale_out for r in records])
     runtimes = None
     if with_runtimes:
         runtimes = np.array([r.runtime_seconds for r in records], dtype=np.float64)
@@ -440,12 +454,15 @@ def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
 
     ``props`` maps property names to :class:`PropertyValue`; every
     essential property must be present, optional ones may be missing. The
-    whole batch is encoded once and forwarded once, in inference mode and
-    without the decoder ``h``.
+    whole batch is forwarded once, in inference mode and without the
+    decoder ``h``; every candidate holds the one ``props`` mapping, so
+    :func:`encode_batch` encodes it once.
     """
     state.schema.check_properties(props)  # errors name the input, not "record 0"
-    queries = [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs]
-    batch = encode_batch(state.schema, state.normalizer, queries, with_runtimes=False)
+    # The candidates are dropped before the forward pass, whose arrays peak.
+    batch = encode_batch(state.schema, state.normalizer,
+                         [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs],
+                         with_runtimes=False)
     return forward_batch(state, batch)[0]
 
 

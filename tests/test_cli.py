@@ -113,6 +113,25 @@ class TestPredict:
         assert code == cli.EXIT_CONFIG
         assert "dataset_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2**39, 10**400, 0, -1],
+                             ids=["2**39", "10**400", "zero", "negative"])
+    def test_scale_out_outside_a_csv_cells_range_is_config_error(self, tmp_path, capsys,
+                                                                 value):
+        """Checked before the model is read: the model path does not exist."""
+        code = cli.main(["predict", "--model", str(tmp_path / "absent.jcm"),
+                         "--scale-out", str(value), "--props", *PROPS])
+        assert code == cli.EXIT_CONFIG
+        assert "[1, 2**39 - 1]" in capsys.readouterr().err
+
+    def test_largest_scale_out_predicts(self, trained_model, capsys):
+        state = model.load(trained_model)
+        props = cli._coerce_props(state.schema, cli._parse_pairs(PROPS))
+        code = cli.main(["predict", "--model", str(trained_model),
+                         "--scale-out", str(2**39 - 1), "--props", *PROPS])
+        assert code == 0
+        assert float(_grab(capsys.readouterr().out, "predicted_runtime_seconds: ")) == \
+            float(f"{model.predict(state, 2**39 - 1, props).runtime_seconds:.3f}")
+
     def test_props_file(self, trained_model, tmp_path, capsys):
         pf = tmp_path / "ctx.props"
         pf.write_text("\n".join(p for p in PROPS) + "\n")
@@ -155,23 +174,29 @@ class TestRecommend:
 
     def test_curve_is_one_batched_prediction(self, trained_model, capsys):
         """The printed curve is predict_batch over the range at 3 decimals,
-        and the recommendation is the one per-candidate predict gives."""
+        and so per-candidate predict's, and the recommendation is the one
+        per-candidate predict gives. 9000:9400 holds 9170, where np.log and
+        math.log differ in the last bit."""
         state = model.load(trained_model)
         props = cli._coerce_props(state.schema, cli._parse_pairs(PROPS))
-        xs = list(range(2, 13, 2))
-        singles = [model.predict(state, x, props).runtime_seconds for x in xs]
-        # halfway between two curve points, so rounding cannot move the answer
-        low, high = sorted(singles)[len(xs) // 2 - 1: len(xs) // 2 + 1]
-        target = (low + high) / 2
-        code = cli.main(["recommend", "--model", str(trained_model),
-                         "--target", repr(target), "--range", "2:12:2",
-                         "--props", *PROPS])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert _parse_curve(out) == [
-            (x, float(f"{r:.3f}")) for x, r in zip(xs, model.predict_batch(state, xs, props))]
-        assert int(_grab(out, "recommended_scale_out: ")) == \
-            min(x for x, r in zip(xs, singles) if r <= target)
+        for span, xs in (("2:12:2", range(2, 13, 2)), ("9000:9400:1", range(9000, 9401))):
+            singles = [model.predict(state, x, props).runtime_seconds for x in xs]
+            # halfway between two curve points, so rounding cannot move the
+            # answer; far beyond its training grid the curve is flat below 0
+            low, high = sorted(singles)[len(xs) // 2 - 1: len(xs) // 2 + 1]
+            target = max((low + high) / 2, 1.0)
+            code = cli.main(["recommend", "--model", str(trained_model),
+                             "--target", repr(target), "--range", span,
+                             "--props", *PROPS])
+            assert code == 0
+            out = capsys.readouterr().out
+            curve = _parse_curve(out)
+            assert curve == [(x, float(f"{r:.3f}"))
+                             for x, r in zip(xs, model.predict_batch(state, xs, props))]
+            assert curve == [(x, float(f"{r:.3f}")) for x, r in zip(xs, singles)]
+            assert int(_grab(out, "recommended_scale_out: ")) == \
+                min(x for x, r in zip(xs, singles) if r <= target)
+            assert out.count("\n") == len(xs) + 2 and out.endswith("\n")
 
     def test_unachievable_target_still_emits_curve(self, trained_model, capsys):
         code = cli.main(["recommend", "--model", str(trained_model),
@@ -222,6 +247,26 @@ class TestRecommend:
         assert cli.main(argv + ["12:2:2"]) == cli.EXIT_CONFIG
         with pytest.raises(Loaded):  # exactly the limit
             cli.main(argv + ["1:100000:1"])
+
+    @pytest.mark.parametrize("span", [f"{2**39}:{2**39}:1", f"{10**400}:{10**400}:1",
+                                      f"1:{2**39}:{2**38}", "0:8:1"],
+                             ids=["2**39", "10**400", "hi-2**39", "zero"])
+    def test_scale_out_outside_a_csv_cells_range_is_config_error(self, tmp_path, capsys,
+                                                                 span):
+        """Checked before the model is read: the model path does not exist."""
+        code = cli.main(["recommend", "--model", str(tmp_path / "absent.jcm"),
+                         "--target", "100", "--range", span, "--props", *PROPS])
+        assert code == cli.EXIT_CONFIG
+        assert "[1, 2**39 - 1]" in capsys.readouterr().err
+
+    def test_largest_scale_out_is_scored(self, trained_model, capsys):
+        x = 2**39 - 1
+        code = cli.main(["recommend", "--model", str(trained_model), "--target", "1e9",
+                         "--range", f"{x - 2}:{x}:1", "--props", *PROPS])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert [s for s, _ in _parse_curve(out)] == [x - 2, x - 1, x]
+        assert _grab(out, "recommended_scale_out: ") == str(x - 2)
 
     def test_bad_range_is_config_error(self, trained_model):
         code = cli.main(["recommend", "--model", str(trained_model),

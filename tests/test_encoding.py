@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,33 @@ class TestScaleoutFeatures:
         with pytest.raises(DataError):
             scaleout_features(0)
 
+    @pytest.mark.parametrize("x", [10**400, 2**1024, math.inf, math.nan, 0.5, -3, "x"])
+    def test_not_a_finite_number_at_least_one_rejected(self, x):
+        """A value a float cannot hold finitely raises DataError, not
+        OverflowError, alone or in a sequence."""
+        with pytest.raises(DataError, match="scale-out must be"):
+            scaleout_features(x)
+        with pytest.raises(DataError, match="scale-out must be"):
+            scaleout_features([4, x, 2])
+
+    def test_largest_float_is_accepted(self):
+        x = int(sys.float_info.max)
+        assert scaleout_features(x)[2] == float(x)
+
+    def test_log_is_math_log_per_value(self):
+        """ln x is math.log, which np.log misses in the last bit at 9170,
+        19143 and 94869 on some builds."""
+        xs = [9170, 19143, 94869, 1, 2**39 - 1]
+        feats = scaleout_features(xs)
+        assert [v.hex() for v in feats[:, 1]] == [math.log(x).hex() for x in xs]
+        assert [v.hex() for v in feats[:, 0]] == [(1.0 / x).hex() for x in xs]
+        assert feats.shape == (5, 3) and feats.flags.c_contiguous
+
+    def test_one_value_is_a_vector(self):
+        assert scaleout_features(7).shape == (3,)
+        assert scaleout_features(np.int64(7)).tobytes() == scaleout_features(7).tobytes()
+        assert scaleout_features([]).shape == (0, 3)
+
 
 class TestNormalizer:
     def test_endpoints_on_grid(self):
@@ -170,6 +198,31 @@ class TestNormalizer:
     def test_degenerate_feature_maps_to_half(self):
         norm = Normalizer.fit([4])
         np.testing.assert_allclose(norm.transform(4), [0.5, 0.5, 0.5])
+
+    def test_sequence_is_the_stacked_single_transforms(self):
+        """Bitwise, over the integers where np.log and math.log differ and
+        beyond the fitted bounds on both sides."""
+        norm = Normalizer.fit(range(2, 13))
+        xs = [1, 2, 12, 13] + list(range(9000, 9400)) + [19143, 94869, 2**39 - 1]
+        batched = norm.transform(xs)
+        assert batched.shape == (len(xs), 3)
+        assert batched.tobytes() == np.stack([norm.transform(x) for x in xs]).tobytes()
+        # the same arithmetic on Python floats, one value at a time
+        expect = [[(f - lo) / (hi - lo) for f, lo, hi in
+                   zip((1.0 / x, math.log(x), float(x)), norm.lo, norm.hi)] for x in xs]
+        assert batched.tolist() == expect
+        assert norm.transform(iter(xs)).tobytes() == batched.tobytes()
+
+    def test_degenerate_feature_in_a_sequence(self):
+        norm = Normalizer.fit([4])
+        np.testing.assert_array_equal(norm.transform([4, 4]), np.full((2, 3), 0.5))
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_zero_anywhere_in_a_sequence_is_named(self, where):
+        xs = [2, 3, 4, 5, 6, 7, 8]
+        xs[where] = 0
+        with pytest.raises(DataError, match=r"got 0$"):
+            Normalizer.fit(range(2, 13)).transform(xs)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(DataError):

@@ -3,17 +3,20 @@ and the structural width law."""
 
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import jobcast.model as model_module
 from jobcast.dataio import ContextKey, RunRecord
 from jobcast.encoding import Normalizer, PropertyValue, encode_property
 from jobcast.errors import SchemaError
 from jobcast.errors import TrainingError
 from jobcast.model import (CODE_DIM, COMPONENTS, F_DIM, Z_HIDDEN, _WEIGHT_ORDER,
                            ModelState, PropertySchema, _joint_terms, diverged_rows,
-                           encode_batch, joint_loss, predict, predict_batch)
+                           encode_batch, forward_batch, joint_loss, predict,
+                           predict_batch)
 from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, Adam, he_init
 
 SCHEMA = PropertySchema(
@@ -195,6 +198,96 @@ class TestForward:
         for i in range(len(codes)):
             for j in range(i + 1, len(codes)):
                 assert not np.array_equal(codes[i], codes[j])
+
+
+# 9000-9400, 19143 and 94869 hold the integers where np.log and math.log
+# differ in the last bit; 1 and 10**6 lie outside the fitted bounds [2, 8].
+CANDIDATES = list(range(9000, 9400)) + [19143, 94869, 1, 10**6, 2**39 - 1]
+NO_OPTIONAL = {k: v for k, v in PROPS.items() if k in ("dataset_size", "node_type")}
+ENCODED = ("sfeat", "pvecs", "ess_rows", "opt_weights", "usage")
+
+
+def queries(xs, props, copy=False):
+    return [SimpleNamespace(scale_out=x, properties=dict(props) if copy else props)
+            for x in xs]
+
+
+class TestSharedEncoding:
+    """encode_batch encodes each distinct properties mapping once; records
+    sharing one mapping get exactly the rows they would get alone."""
+
+    @pytest.mark.parametrize("props", [PROPS, NO_OPTIONAL], ids=["optional", "essential"])
+    def test_each_candidate_encodes_as_it_does_alone(self, props):
+        """predict_batch's batch, row by row, is bitwise the batch of one
+        that predict encodes for each candidate."""
+        state = fresh_state()
+        batch = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props), False)
+        for i, x in enumerate(CANDIDATES):
+            alone = encode_batch(SCHEMA, state.normalizer, queries([x], props), False)
+            assert alone.pvecs.tobytes() == batch.pvecs.tobytes()
+            for name in ("sfeat", "ess_rows", "opt_weights", "usage"):
+                assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes()
+
+    @pytest.mark.parametrize("props", [PROPS, NO_OPTIONAL], ids=["optional", "essential"])
+    def test_predict_batch_is_hex_equal_to_a_per_record_encoding(self, props):
+        """The shared encoding forwards bitwise as records that each hold
+        their own copy of the mapping, so each is checked and encoded alone.
+        predict agrees with each candidate's entry, but not always to the
+        bit: BLAS may take another kernel for a one-row matrix product."""
+        state = fresh_state()
+        batched = predict_batch(state, CANDIDATES, props)
+        copies = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props, True),
+                              False)
+        expect = forward_batch(state, copies)[0]
+        assert [float(y).hex() for y in batched] == [float(y).hex() for y in expect]
+        singles = [predict(state, x, props).runtime_seconds for x in CANDIDATES]
+        np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
+        assert predict(state, 9170, props).runtime_seconds == \
+            float(predict_batch(state, [9170], props)[0])
+
+    def test_shared_mapping_and_equal_copies_encode_identically(self):
+        xs = [2, 9170, 3, 19143, 2, 5]
+        mixed = [PROPS, NO_OPTIONAL, PROPS, dict(PROPS), NO_OPTIONAL, PROPS]
+        shared = [SimpleNamespace(scale_out=x, properties=p) for x, p in zip(xs, mixed)]
+        copied = [SimpleNamespace(scale_out=x, properties=dict(p)) for x, p in zip(xs, mixed)]
+        a = encode_batch(SCHEMA, Normalizer.fit(xs), shared, False)
+        b = encode_batch(SCHEMA, Normalizer.fit(xs), copied, False)
+        for name in ENCODED:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
+
+    def test_each_distinct_mapping_is_checked_and_encoded_once(self, monkeypatch):
+        checked, encoded = [], []
+        monkeypatch.setattr(PropertySchema, "check_properties",
+                            lambda self, props, where="input": checked.append(where))
+        monkeypatch.setattr(model_module, "encode_property",
+                            lambda v: encoded.append(v) or encode_property(v))
+        other = dict(PROPS, job_name=PropertyValue.text("join"))
+        records = queries(range(1, 65), PROPS) + queries([3], other) + queries([4], PROPS)
+        batch = encode_batch(SCHEMA, Normalizer.fit([2, 8]), records, False)
+        assert checked == ["record 0", "record 64"]
+        assert len(encoded) == len(set(encoded)) == 5 == len(batch.pvecs)
+        assert batch.ess_rows.shape == (66, 2) and batch.usage.shape == (66, 5)
+
+    def test_an_empty_batch_encodes_to_empty_arrays(self):
+        batch = encode_batch(SCHEMA, Normalizer.fit([2, 8]), [])
+        assert [getattr(batch, name).shape for name in ENCODED + ("runtimes",)] == \
+            [(0, 3), (0, 40), (0, 2), (0, 0), (0, 0), (0,)]
+
+    def test_a_vector_shared_by_two_optional_properties_counts_twice(self):
+        """Equal values of two optional properties map onto one vector, whose
+        pooling weight and usage count then add up twice."""
+        schema = PropertySchema(essential=(("dataset_size", "natural"),),
+                                optional=(("memory_mb", "natural"), ("cores", "natural"),
+                                          ("nodes", "natural")))
+        props = {"dataset_size": PropertyValue.natural(7),
+                 "memory_mb": PropertyValue.natural(3), "cores": PropertyValue.natural(3),
+                 "nodes": PropertyValue.natural(7)}
+        batch = encode_batch(schema, Normalizer.fit([2, 8]), queries([2, 4], props), False)
+        third = 1.0 / 3
+        np.testing.assert_array_equal(batch.opt_weights, [[third, third + third]] * 2)
+        np.testing.assert_array_equal(batch.usage, [[2.0, 2.0]] * 2)
+        np.testing.assert_array_equal(batch.ess_rows, [[0], [0]])
 
 
 class TestJointLoss:
