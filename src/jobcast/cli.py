@@ -239,13 +239,14 @@ def cmd_recommend(args) -> int:
 def cmd_evaluate(args) -> int:
     _check_flags(args, "--contexts", "--max-splits", "--pretrain-epochs",
                  "--search-samples", "--workers")
+    methods = evalharness.check_methods(args.methods.split(","))
     manifest = parse_manifest(args.manifest)
     records = load_dataset(args.data, manifest)
     schema = _schema_from_manifest(manifest)
     # No context can train on more scale-outs than its grid has minus one.
     widest = max(len(grid) for grid in dataio.summarize(records).scale_out_grid.values())
     config = evalharness.ComparisonConfig(
-        methods=tuple(args.methods.split(",")),
+        methods=methods,
         n_train_values=tuple(_parse_int_list(args.n_train, widest - 1)),
         contexts=args.contexts,
         max_splits=args.max_splits,
@@ -298,6 +299,7 @@ def _parse_int_list(text: str, limit: int) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new argparse tree for every command."""
     parser = argparse.ArgumentParser(
         prog="jobcast",
         description="Runtime prediction for distributed dataflow jobs.")
@@ -316,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=training.MAX_EPOCHS)
     p.add_argument("--search-samples", type=int, default=12)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="adapt a pre-trained model to samples")
     p.add_argument("--model", required=True)
@@ -327,23 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
                    default="partial-unfreeze")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("predict", help="predict a runtime")
     p.add_argument("--model", required=True)
     p.add_argument("--scale-out", type=int, required=True)
-    p.add_argument("--props", nargs="*", default=[])
+    p.add_argument("--props", nargs="*", default=())
     p.add_argument("--props-file", default=None)
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("recommend", help="smallest scale-out meeting a target")
     p.add_argument("--model", required=True)
     p.add_argument("--target", type=float, required=True,
                    help="runtime target in seconds")
     p.add_argument("--range", required=True, help="candidate scale-outs lo:hi:step")
-    p.add_argument("--props", nargs="*", default=[])
+    p.add_argument("--props", nargs="*", default=())
     p.add_argument("--props-file", default=None)
-    p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="run the comparison protocol")
     p.add_argument("--data", required=True)
@@ -359,14 +357,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_evaluate)
     return parser
 
 
+# The parser ``main`` builds on its first call and reuses: parsing never
+# changes it, and every default in it is immutable.
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Callable any number of times in one process; the
+    command's ``cmd_<name>`` function is looked up on each call."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -319,6 +319,21 @@ def _variant_seed(config, variant, target) -> int:
     ).generate_state(1)[0])
 
 
+def check_methods(tokens) -> tuple:
+    """The method tokens as a tuple, each one known and none repeated: the
+    rule for ``--methods`` and for :attr:`ComparisonConfig.methods`."""
+    tokens = tuple(tokens)
+    known = BASELINE_TOKENS + VARIANT_TOKENS
+    unknown = sorted({t for t in tokens if t not in known})
+    if unknown or not tokens:
+        raise ConfigError(f"method tokens must come from {', '.join(known)}; "
+                          f"got {list(tokens)}")
+    repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"method tokens are repeated: {repeated}")
+    return tokens
+
+
 def _cell_task(args):
     (ctx_records, label, n_train, tokens, schema, states,
      reuse, finetune_epochs, max_splits, seed) = args
@@ -349,10 +364,7 @@ def run_comparison(records, schema: PropertySchema,
         chosen = choose_contexts(records, config.contexts, config.seed)
     else:
         chosen = list(config.contexts)
-    tokens = [t for t in config.methods if t in BASELINE_TOKENS + VARIANT_TOKENS]
-    unknown = set(config.methods) - set(tokens)
-    if unknown:
-        raise DataError(f"unknown method tokens: {sorted(unknown)}")
+    tokens = check_methods(config.methods)
     # Check every context and every cell's n_train against its grid before
     # any pre-training.
     for ctx in chosen:
@@ -380,13 +392,15 @@ def run_comparison(records, schema: PropertySchema,
     tasks = []
     for ctx in chosen:
         for n_train in config.n_train_values:
-            tasks.append((by_context[ctx], context_id(ctx), n_train, tuple(tokens),
+            tasks.append((by_context[ctx], context_id(ctx), n_train, tokens,
                           schema, states[ctx], config.reuse, config.finetune_epochs,
                           config.max_splits, config.seed))
 
     table = MetricsTable()
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    if config.workers > 1 and tasks:
+        # Under fork, Python 3.10 and 3.11 start every worker at the first
+        # submit: never more workers than cells.
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             for rows in pool.map(_cell_task, tasks):
                 table.rows.extend(rows)
     else:

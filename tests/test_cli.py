@@ -1,6 +1,9 @@
 """End-to-end CLI tests: command flow, exit codes, artifact hygiene."""
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -324,6 +327,23 @@ class TestEvaluate:
         assert "--n-train" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("methods", ["nnls,bogus", "", "nnls,", "nnls,nnls",
+                                         "full,bell,full"])
+    def test_bad_methods_is_config_error_before_the_data_loads(
+            self, tmp_path, capsys, monkeypatch, methods):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        code = cli.main([
+            "evaluate", "--data", str(DATA / "sort_runs.csv"),
+            "--manifest", str(DATA / "sort_manifest.txt"),
+            "--methods", methods, "--out-dir", str(tmp_path / "results"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "method tokens" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_n_train_range_is_bounded_before_expansion(self, tmp_path, capsys):
         tracemalloc.start()
         try:
@@ -538,6 +558,63 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli, "cmd_predict", boom)
         code = cli.main(["predict", "--model", "x", "--scale-out", "2"])
         assert code == cli.EXIT_TRAINING
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process and dispatches to the
+    ``cmd_<command>`` function it finds at call time."""
+
+    def test_calls_build_the_parser_once(self, trained_model, monkeypatch, capsys):
+        build_parser, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for _ in range(4):
+            assert cli.main(["predict", "--model", str(trained_model),
+                             "--scale-out", "4", "--props", *PROPS]) == 0
+        assert len(built) == 1
+
+    def test_a_command_replaced_after_the_first_call_is_dispatched(
+            self, trained_model, monkeypatch, capsys):
+        assert cli.main(["predict", "--model", str(trained_model),
+                         "--scale-out", "4", "--props", *PROPS]) == 0
+        seen = []
+
+        def replacement(args):
+            seen.append(args.scale_out)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_predict", replacement)
+        assert cli.main(["predict", "--model", "x", "--scale-out", "5"]) == 7
+        assert seen == [5]
+
+    def test_no_default_carries_over_between_calls(self, trained_model, tmp_path,
+                                                   capsys):
+        """A recommend without ``--props`` after one with it prints what the
+        same command prints alone in a new process: a ``--props`` value left
+        behind would override the file's ``dataset_size``."""
+        props_file = tmp_path / "context.props"
+        props_file.write_text("\n".join(["dataset_size=16000000000", *PROPS[1:]]) + "\n",
+                              encoding="utf-8")
+        command = ["recommend", "--model", str(trained_model), "--target", "300",
+                   "--range", "2:12:2"]
+        assert cli.main([*command, "--props", *PROPS]) == 0
+        capsys.readouterr()
+        code = cli.main([*command, "--props-file", str(props_file)])
+        in_process = capsys.readouterr()
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        alone = subprocess.run([sys.executable, "-m", "jobcast.cli", *command,
+                                "--props-file", str(props_file)],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (code, in_process.out, in_process.err) == \
+            (alone.returncode, alone.stdout, alone.stderr)
+        assert code == 0
 
 
 def _grab(text: str, prefix: str) -> str:

@@ -284,9 +284,42 @@ class TestRunComparison:
         ]
 
     def test_unknown_method_token(self, ctx_records):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="must come from"):
             run_comparison(ctx_records, SYNTH_SCHEMA,
                            ComparisonConfig(methods=("magic",)))
+
+    @pytest.mark.parametrize("methods", [(), ("",), ("nnls", "nnls"),
+                                         ("full", "bell", "full")])
+    def test_empty_or_repeated_method_tokens(self, ctx_records, methods):
+        with pytest.raises(ConfigError, match="method tokens"):
+            run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(methods=methods))
+
+    def test_pool_starts_no_more_workers_than_cells(self, ctx_records, monkeypatch):
+        """A sequential stand-in for the pool records the worker count asked
+        for; the rows are those of an in-process run."""
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", RecordingPool)
+        base = dict(methods=("nnls", "bell"), n_train_values=(1, 2, 3),
+                    contexts=[ctx_records[0].context], max_splits=3, seed=4)
+        serial = run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(**base))
+        pooled = run_comparison(ctx_records, SYNTH_SCHEMA,
+                                ComparisonConfig(**base, workers=5000))
+        assert asked == [3]
+        assert pooled.rows == serial.rows
 
     def test_interpolation_error_shrinks_with_more_data(self, ctx_records):
         """Statistical sanity on parametric-shaped data: the hybrid and the

@@ -6,8 +6,10 @@ byte for byte.
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import importlib.util
 import json
 import struct
@@ -294,3 +296,25 @@ def test_cli_main_on_edge_case_arguments(cli_paths, argv):
         assert exc.code == 2
         return
     assert code in EXIT_CODES
+
+
+def _parsed(parser, argv):
+    """The parsed namespace's items as text (so a ``nan`` equals itself), or
+    the usage error's stderr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return repr(sorted(vars(parser.parse_args(argv)).items()))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return err.getvalue()
+
+
+@settings(FUZZ, max_examples=120)
+@given(argv=cli_argv())
+def test_shared_parser_parses_as_a_fresh_one(cli_paths, argv):
+    """The parser ``main`` keeps across calls (built by ``cli_paths``) gives
+    the namespace, or the usage error, that a new tree gives."""
+    argv = [cli_paths.get(arg, arg) for arg in argv]
+    assert cli._parser is not None
+    assert _parsed(cli._parser, argv) == _parsed(cli.build_parser(), argv)
