@@ -6,7 +6,7 @@ command is reproducible by default. Output files are written to a
 temporary path and renamed, so failures never leave partial artifacts.
 
 Exit codes: 0 ok, 2 config/manifest error, 3 data error, 4 training
-failure, 5 schema mismatch.
+failure, 5 schema mismatch; an unusable output path is found up front.
 """
 
 from __future__ import annotations
@@ -101,6 +101,25 @@ def _schema_from_manifest(manifest) -> model.PropertySchema:
     )
 
 
+def _check_out(flag: str, path, directory=False) -> None:
+    """``path`` can be written as a file (not naming a directory), or with
+    ``directory=True`` as a directory: the first of its directory and that
+    one's parents to exist is a directory this process may write into.
+    Checked before any work starts; nothing is created."""
+    path = Path(path)
+    try:  # a stat can fail for more than a missing path: EACCES, say
+        if not directory and path.is_dir():
+            raise ConfigError(f"{flag} {path} names a directory")
+        target = path if directory else path.parent
+        nearest = next(p for p in (target, *target.parents) if p.exists())
+        usable = nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc}") from None
+    if not usable:
+        raise ConfigError(f"{flag} {path}: {nearest} is not a directory "
+                          f"that can be written into")
+
+
 def _check_flags(args, *counts) -> None:
     """Each named count flag is at least 1 and ``--seed`` at least 0, which
     numpy's seeding requires: checked before any work starts."""
@@ -114,6 +133,9 @@ def _check_flags(args, *counts) -> None:
 
 def cmd_pretrain(args) -> int:
     _check_flags(args, "--epochs", "--search-samples")
+    _check_out("--out", args.out)
+    log_path = Path(args.out).with_suffix(".search.csv")
+    _check_out("--out", log_path)
     manifest = parse_manifest(args.manifest)
     if args.algo and manifest.algorithm != args.algo:
         raise ConfigError(
@@ -135,7 +157,6 @@ def cmd_pretrain(args) -> int:
     state, log = training.pretrain(records, schema, space=space,
                                    seed=args.seed, epochs=args.epochs)
     _atomic_write(args.out, lambda tmp: model.save(state, tmp))
-    log_path = Path(args.out).with_suffix(".search.csv")
     _atomic_write(log_path, lambda tmp: _write_search_log(log, tmp))
     chosen = next(e for e in log if e.chosen)
     print(f"chosen config: dropout={chosen.dropout_rate} "
@@ -162,6 +183,7 @@ def _write_search_log(log, path):
 
 def cmd_finetune(args) -> int:
     _check_flags(args)
+    _check_out("--out", args.out)
     state = model.load(args.model)
     records = load_dataset(args.samples,
                            dataio.canonical_manifest_from_schema(state.schema))
@@ -240,6 +262,7 @@ def cmd_evaluate(args) -> int:
     _check_flags(args, "--contexts", "--max-splits", "--pretrain-epochs",
                  "--search-samples", "--workers")
     methods = evalharness.check_methods(args.methods.split(","))
+    _check_out("--out-dir", args.out_dir, directory=True)
     manifest = parse_manifest(args.manifest)
     records = load_dataset(args.data, manifest)
     schema = _schema_from_manifest(manifest)
@@ -258,7 +281,6 @@ def cmd_evaluate(args) -> int:
     )
     table = evalharness.run_comparison(records, schema, config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "metrics.csv",
                   lambda tmp: evalharness.write_metrics_csv(table, tmp))
     _atomic_write(out_dir / "ecdf.csv",

@@ -210,24 +210,28 @@ def _context_of(manifest_props, values: dict) -> ContextKey:
 def load_dataset(csv_path, manifest: DatasetManifest) -> list[RunRecord]:
     """Load one CSV file into records, validating every cell.
 
-    Raises :class:`DataError` naming the row index for unparsable or
-    missing cells, non-finite or non-positive runtimes, and natural numbers
-    outside the binary encoder's range.
+    Raises :class:`DataError` for a file that cannot be read or is not
+    UTF-8 text, and naming the row index for unparsable or missing cells,
+    non-finite or non-positive runtimes, and natural numbers outside the
+    binary encoder's range.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise DataError(f"dataset file not found: {csv_path}")
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [manifest.scale_out_column, manifest.runtime_column]
-        needed += [p.column for p in manifest.essential]
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise DataError(f"{csv_path}: missing columns {missing}")
-        records = []
-        for i, row in enumerate(reader):
-            records.append(_parse_row(csv_path, manifest, i, row))
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            needed = [manifest.scale_out_column, manifest.runtime_column]
+            needed += [p.column for p in manifest.essential]
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise DataError(f"{csv_path}: missing columns {missing}")
+            records = []
+            for i, row in enumerate(reader):
+                records.append(_parse_row(csv_path, manifest, i, row))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read dataset file {csv_path}: {exc}") from None
     if not records:
         raise DataError(f"{csv_path}: no data rows")
     return records

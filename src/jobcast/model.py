@@ -18,11 +18,13 @@ the same path over a stack of models (see :class:`ModelState`).
 
 The forward pass, the joint loss and the backward pass take a buffer holder
 ``buf`` (see :mod:`jobcast.nn`). Pre-training's stack passes its own: the
-blocks' outputs and caches, ``z``'s assembled input, the loss terms'
-elementwise arrays and the backward pass's scatter inputs are then written
-into the same arrays at every step, and last until the next step. Every
-other caller, :func:`predict_batch` among them, passes none and gets new
-arrays: nothing this module returns to a caller is ever written again.
+blocks' outputs, caches and scratch (each block's from its own scope),
+``z``'s assembled input and the essential codes gathered for it, the loss
+terms' elementwise arrays and the backward pass's scatter inputs are then
+written into arrays of their own sites at every step, and last until the
+next step. Every other caller, :func:`predict_batch` among them, passes
+none and gets new arrays: nothing this module returns to a caller is ever
+written again.
 """
 
 from __future__ import annotations
@@ -310,8 +312,8 @@ def _assemble(schema, e, codes, ess_rows, opt_weights, buf=_FRESH):
     """
     lead = e.shape[:-1]
     m = schema.essential_count
-    r, pooled = buf("assemble", lead, ((schema.combined_width,), (CODE_DIM,)))
-    (ess,) = buf.scratch(lead, ((m, CODE_DIM),))
+    r, pooled, ess = buf("assemble", lead,
+                         ((schema.combined_width,), (CODE_DIM,), (m, CODE_DIM)))
     # mode="clip" writes straight into ess (the rows are in range anyway)
     ess = codes.reshape(-1, CODE_DIM).take(ess_rows, axis=0, out=ess, mode="clip")
     pooled = np.matmul(opt_weights, codes, out=pooled)
@@ -398,8 +400,9 @@ def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, drecons,
     return grad
 
 
-def joint_loss(state: ModelState, records, train=False, rng=None):
-    """Total, runtime, and reconstruction loss terms over a batch of records.
+def joint_loss(state: ModelState, records):
+    """Total, runtime, and reconstruction loss terms over a batch of records,
+    in inference mode (no dropout).
 
     The runtime term is mean-reduced Huber error in seconds; the
     reconstruction term is the MSE over every (record, property)
@@ -409,7 +412,7 @@ def joint_loss(state: ModelState, records, train=False, rng=None):
     if not records:
         raise ValueError("joint_loss needs a nonempty batch")
     batch = encode_batch(state.schema, state.normalizer, records)
-    total, runtime, recon, _ = _joint_terms(state, batch, train, rng)
+    total, runtime, recon, _ = _joint_terms(state, batch)
     if not np.isfinite(total):
         raise NumericsError("joint loss is non-finite")
     return total, runtime, recon

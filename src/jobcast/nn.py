@@ -26,8 +26,11 @@ the same arrays at every step: a block's forward outputs and cache, its
 backward pass's deltas and input gradient, the dropout outputs and masks,
 and the Huber terms. Those arrays stay valid until the same operation runs
 again under the same holder, at the next step; the loop never hands them
-out. After the first step such a step allocates nothing large. Adam owns
-the scratch of its update beside its moments.
+out. Each block's scope of the holder owns its scratch. A site's first
+request sizes its arrays and must be its largest, as a stack's first step
+is: its first minibatch is full, and rows only leave. After the first
+step such a step allocates nothing large. Adam owns the scratch of its
+update beside its moments.
 """
 
 from __future__ import annotations
@@ -62,73 +65,39 @@ class _Buffers:
     ``buf(site, lead, widths)`` returns one array of shape ``lead + w`` for
     each trailing shape ``w`` in ``widths``; a site asks with the same
     ``widths`` every time. Each array is a contiguous prefix of a flat
-    arena of its own, which grows to the largest request, so the short last
-    minibatch of an epoch, or a stack after rows left it, reuses the
-    arenas of the first step. The views are kept per ``(site, lead)``: the
-    same request returns the same arrays, overwriting what the last one
-    wrote. ``buf.arrays`` is the same call, for a site that fills its
-    arrays in place (see :class:`_Fresh`). ``scope(name)`` is a holder of
-    its own for one block's sites.
-
-    ``scratch(lead, widths)`` gives arrays in the same way, all over one
-    arena that the holder shares with its scopes: an operation uses them
-    one at a time, and never across a call to another.
+    arena of its own, sized by the site's first request, which must be its
+    largest: in a stack the first minibatch is a full one and rows only
+    leave, so the short last minibatch of an epoch, or a stack after rows
+    left it, reuses the arenas of the first step. The views are kept per
+    ``(site, lead)``: the same request returns the same arrays, overwriting
+    what the last one wrote. ``buf.arrays`` is the same call, for a site
+    that fills its arrays in place (see :class:`_Fresh`). ``scope(name)``
+    is a holder of its own for one block's sites, its scratch among them.
     """
 
-    def __init__(self, scratch=None):
+    def __init__(self):
         self._arenas: dict = {}
         self._views: dict = {}
         self._scopes: dict = {}
-        self.scratch = scratch or _Scratch()
 
     def __call__(self, site, lead, widths, dtype=np.float64):
         views = self._views.get((site, lead))
         if views is None:
-            views = self._views[site, lead] = self._carve(site, lead, widths, dtype)
+            shapes = [lead + w for w in widths]
+            arenas = self._arenas.get(site)
+            if arenas is None:
+                arenas = self._arenas[site] = [np.empty(math.prod(s), dtype) for s in shapes]
+            views = self._views[site, lead] = tuple(
+                arena[: math.prod(s)].reshape(s) for arena, s in zip(arenas, shapes))
         return views
-
-    def _carve(self, site, lead, widths, dtype):
-        views = []
-        for i, w in enumerate(widths):
-            shape = lead + w
-            size = math.prod(shape)
-            arena = self._arenas.get((site, i))
-            if arena is None or arena.size < size:
-                arena = self._arenas[site, i] = np.empty(size, dtype)
-                # Views into the old arena would keep it alive.
-                for key in [k for k in self._views if k[0] == site]:
-                    del self._views[key]
-            views.append(arena[:size].reshape(shape))
-        return tuple(views)
 
     arrays = __call__
 
     def scope(self, name):
         child = self._scopes.get(name)
         if child is None:
-            child = self._scopes[name] = _Buffers(self.scratch)
+            child = self._scopes[name] = _Buffers()
         return child
-
-
-class _Scratch:
-    """The scratch arena that a holder and its scopes share (see
-    :class:`_Buffers`). It refers to no holder, so that a holder is freed
-    as soon as its loop lets it go."""
-
-    def __init__(self):
-        self._arena = np.empty(0)
-        self._views: dict = {}
-
-    def __call__(self, lead, widths):
-        views = self._views.get((widths, lead))
-        if views is None:
-            sizes = [math.prod(lead + w) for w in widths]
-            if self._arena.size < max(sizes):
-                self._arena = np.empty(max(sizes))
-                self._views.clear()
-            views = self._views[widths, lead] = tuple(
-                self._arena[:size].reshape(lead + w) for size, w in zip(sizes, widths))
-        return views
 
 
 class _Fresh:
@@ -141,9 +110,6 @@ class _Fresh:
     """
 
     def __call__(self, site, lead, widths, dtype=np.float64):
-        return (None,) * len(widths)
-
-    def scratch(self, lead, widths):
         return (None,) * len(widths)
 
     def arrays(self, site, lead, widths, dtype=np.float64):
@@ -326,15 +292,17 @@ class TwoLayerBlock:
     each activation in training mode only.
 
     Over a stack ``(S, n)`` the block holds S blocks: ``w1`` is
-    ``(S, H, D)``, inputs are ``(S, B, D)`` or one ``(B, D)`` batch shared by
-    every row, ``dropout_rate`` may be one rate per row, and ``rng`` one
-    generator per row. A stacked block does not raise on a non-finite
-    output; its caller decides row by row.
+    ``(S, H, D)``, inputs are stacked too, ``(S, B, D)`` (a lone ``(B, D)``
+    batch is rejected), ``dropout_rate`` may be one rate per row, and
+    ``rng`` one generator per row. A stacked block does not raise on a
+    non-finite output; its caller decides row by row.
 
     :meth:`forward` and :meth:`backward` take their arrays from ``buf``.
     Under a training loop's holder, a forward pass's output and cache, and a
     backward pass's input gradient, are overwritten by the next call of the
-    same method under that holder; without one they are new arrays.
+    same method under that holder; without one they are new arrays. Both
+    passes take their scratch from the holder's ``"scratch"`` site, which
+    they share: neither keeps it past its own return.
     """
 
     def __init__(self, flat, in_dim, hidden_dim, out_dim, bias=True, tanh_out=False,
@@ -378,25 +346,25 @@ class TwoLayerBlock:
         return self.w2.shape[-2]
 
     def forward(self, x, train=False, rng=None, buf=_FRESH):
-        """Run the block on a batch ``(B, D)``; returns ``(out, cache)``.
+        """Run the block on a batch ``(B, D)``, or a stacked block on a
+        stack ``(S, B, D)``; returns ``(out, cache)``.
 
         ``cache`` holds what :meth:`backward` needs. The output is
         ``(B, K)``, or ``(S, B, K)`` for a stacked block.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-1] != self.in_dim:
-            raise ValueError(f"input of shape {x.shape} is not a batch of "
-                             f"width {self.in_dim}")
+        if x.ndim != self.w1.ndim or x.shape[-1] != self.in_dim:
+            raise ValueError(f"input of shape {x.shape} is not a "
+                             f"{'stack of batches' if self.w1.ndim > 2 else 'batch'}"
+                             f" of width {self.in_dim}")
         rate = self.dropout_rate
         drop = train and bool(rate.any() if isinstance(rate, np.ndarray) else rate)
         if drop and rng is None:
             raise ValueError("training with dropout requires an rng")
 
         lead = x.shape[:-1]
-        if len(lead) < self.w1.ndim - 1:  # one batch shared by every row
-            lead = self.w1.shape[:-2] + lead
         pre1, act1, pre2, a2 = buf("forward", lead, self._forward_widths)
-        tmp1, tmp2 = buf.scratch(lead, self._scratch_widths)
+        tmp1, tmp2 = buf("scratch", lead, self._scratch_widths)
         pre1 = np.matmul(x, self._w1t, out=pre1)
         if self._b1 is not None:
             pre1 += self._b1
@@ -429,7 +397,7 @@ class TwoLayerBlock:
                                     self.out_dim, self.b1 is not None)
         lead = pre1.shape[:-1]
         dact1, delta1, delta2 = buf("backward", lead, self._backward_widths)
-        tmp1, tmp2 = buf.scratch(lead, self._scratch_widths)
+        tmp1, tmp2 = buf("scratch", lead, self._scratch_widths)
         if self.tanh_out:
             delta2 = np.multiply(a2, a2, out=delta2)
             np.subtract(1.0, delta2, out=delta2)

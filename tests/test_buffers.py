@@ -83,6 +83,43 @@ def test_a_stacked_step_allocates_nothing_large():
         assert kept < STEP_ALLOCATION_LIMIT
 
 
+def _arenas(buf):
+    """Every arena of a holder and of its scopes."""
+    return [arena for arenas in buf._arenas.values() for arena in arenas] + [
+        arena for scope in buf._scopes.values() for arena in _arenas(scope)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_stack_carves_no_arena_after_its_first_step():
+    """A site's first request is its largest: rows only leave a stack, and
+    an epoch's last minibatch is its shortest, so every later step reuses
+    the arenas of the first."""
+    # test_lockstep's DIVERGING space: three of its five rows blow up, one
+    # within three epochs and two after 18.
+    space = SearchSpace(dropout_rates=(0.0, 0.2), learning_rates=(1e-2, 1e5, 1e20),
+                        weight_decays=(1e-3,), sample_count=5)
+    records = corpus(make_contexts(4, seed=4)[:3], repetitions=1, seed=4)
+    search = _Search(records, 3, SYNTH_SCHEMA, space.grid(), space.sample_count,
+                     time.perf_counter())
+    lock = _Lockstep([search])
+    n = lock.orders.shape[1]
+    assert n == 14  # minibatches of 8 and 6
+    steps, gradients = [], lock.gradients
+
+    def spy(start, size):
+        result = gradients(start, size)
+        steps.append((lock.ids.size, min(size, n - start), _arenas(lock.buf)))
+        return result
+
+    lock.gradients = spy
+    lock.train(30, 8)
+    assert {(rows, size) for rows, size, _ in steps} >= {(5, 8), (5, 6), (2, 8), (2, 6)}
+    first = steps[0][2]
+    for _, _, arenas in steps[1:]:
+        assert len(arenas) == len(first)
+        assert all(a is b for a, b in zip(arenas, first))
+
+
 @functools.lru_cache(maxsize=None)
 def _pretrained():
     records = corpus(make_contexts(3, seed=4), repetitions=1, seed=4)

@@ -550,6 +550,66 @@ class TestNaturalValues:
         assert context.get("dataset_size") == natural
 
 
+class TestUnusableFiles:
+    @pytest.mark.parametrize("command,out,named", [
+        ("pretrain", "blocker/m.jcm", "blocker/m.jcm"), ("pretrain", ".", "."),
+        ("pretrain", "log.jcm", "log.search.csv"),
+        ("finetune", "blocker/deeper/m.jcm", "blocker/deeper/m.jcm"), ("finetune", ".", "."),
+        ("evaluate", "blocker/results", "blocker/results"), ("evaluate", "blocker", "blocker"),
+    ])
+    def test_unusable_output_path_is_config_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, out, named):
+        """An output under a file, or a file output (pretrain's search log
+        among them) naming a directory, fails before anything is read, and
+        nothing is left behind. The error names the path at fault."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "parse_manifest", no_work)
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        monkeypatch.setattr(cli.model, "load", no_work)
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        (tmp_path / "log.search.csv").mkdir()  # where log.jcm's search log goes
+        inputs = (["--model", str(tmp_path / "m.jcm"), "--samples", str(tmp_path / "s.csv")]
+                  if command == "finetune" else
+                  ["--data", str(DATA / "sort_runs.csv"),
+                   "--manifest", str(DATA / "sort_manifest.txt")])
+        flag = "--out-dir" if command == "evaluate" else "--out"
+        code = cli.main([command, *inputs, flag, str(tmp_path / out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{flag} {tmp_path / named}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "log.search.csv"]
+
+    def test_a_path_that_cannot_be_looked_up_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """A stat that fails, as under a directory the user may not enter,
+        is a config error too."""
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.Path, "exists", denied)
+        monkeypatch.setattr(cli.Path, "is_dir", denied)
+        code = cli.main(["evaluate", "--data", "d.csv", "--manifest", "m.txt",
+                         "--out-dir", str(tmp_path / "locked" / "results")])
+        assert code == cli.EXIT_CONFIG
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_unreadable_data_file_is_data_error(self, trained_model, tmp_path, capsys):
+        """A directory or a file that is not UTF-8 text, given as data, is a
+        data error."""
+        binary = tmp_path / "samples.csv"
+        binary.write_bytes(bytes(range(256)))
+        code = cli.main(["evaluate", "--data", str(DATA),
+                         "--manifest", str(DATA / "sort_manifest.txt"),
+                         "--out-dir", str(tmp_path / "results")])
+        assert code == cli.EXIT_DATA
+        code = cli.main(["finetune", "--model", str(trained_model),
+                         "--samples", str(binary), "--out", str(tmp_path / "t.jcm")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.count("cannot read dataset file") == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
+
 class TestExitCodeMapping:
     def test_training_error_maps_to_4(self, monkeypatch, tmp_path):
         def boom(args):

@@ -113,6 +113,16 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="missing columns"):
             load_dataset(bad, manifest)
 
+    def test_a_directory_is_a_data_error(self, tmp_path, manifest):
+        with pytest.raises(DataError, match="cannot read dataset file"):
+            load_dataset(tmp_path, manifest)
+
+    def test_a_binary_file_is_a_data_error(self, tmp_path, manifest):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((DATA / "sort_runs.csv").read_text().encode("utf-16"))
+        with pytest.raises(DataError, match="cannot read dataset file"):
+            load_dataset(bad, manifest)
+
     def test_unparsable_cell_reports_row(self, tmp_path, manifest):
         good = (DATA / "sort_runs.csv").read_text().splitlines()
         bad = tmp_path / "bad.csv"

@@ -359,15 +359,12 @@ class TestStack:
                    for f, r in zip(flats, rates)]
         return stacked, singles
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_block_rows_match_single_blocks(self, shared):
+    def test_block_rows_match_single_blocks(self):
         dims, rates = (5, 7, 3), (0.2, 0.0, 0.1)
         stacked, singles = self._stack(dims, rates)
         x = np.random.default_rng(6).standard_normal((len(rates), 9, 5))
-        if shared:  # one batch fed to every row
-            x = np.broadcast_to(x[0], x.shape)
         dout = np.random.default_rng(7).standard_normal((len(rates), 9, 3))
-        out, cache = stacked.forward(x[0] if shared else x, train=True,
+        out, cache = stacked.forward(x, train=True,
                                      rng=[np.random.default_rng(s) for s in range(3)])
         grad = np.zeros((len(rates), TwoLayerBlock.size(*dims)))
         dx = stacked.backward(cache, dout, grad)
@@ -377,6 +374,12 @@ class TestStack:
             d = block.backward(c, dout[s], g)
             assert np.array_equal(out[s], o) and np.array_equal(grad[s], g)
             assert np.array_equal(dx[s], d)
+
+    def test_stacked_block_rejects_a_single_batch(self):
+        """A stacked block takes one batch per row, never one batch for all."""
+        stacked, _ = self._stack((5, 7, 3), (0.0, 0.0))
+        with pytest.raises(ValueError):
+            stacked.forward(np.ones((9, 5)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stacked_block_leaves_non_finite_rows_to_the_caller(self):
