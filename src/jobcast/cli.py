@@ -16,7 +16,6 @@ import csv
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import dataio, evalharness, model, training
@@ -31,11 +30,20 @@ EXIT_SCHEMA = 5
 
 
 def _atomic_write(path, write_fn):
-    """Write via temp file + rename so failures leave nothing behind."""
+    """Write via temp file + rename so failures leave nothing behind.
+
+    The temporary file is created with mode 0666 less the umask, as a
+    plain ``open`` creates a file, and the rename keeps that mode.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
+    while True:
+        tmp = str(path.parent / f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            break
+        except FileExistsError:  # taken: draw another name
+            pass
     try:
         write_fn(tmp)
         os.replace(tmp, path)

@@ -11,7 +11,6 @@ are recorded as excluded rows rather than dropped.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -354,6 +353,14 @@ def _cell_task(args):
                            context_label=label)
 
 
+def _process_pool(max_workers: int):
+    """A process pool of ``max_workers``. Imported here, on first use, so
+    that importing the package loads no multiprocessing machinery."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_comparison(records, schema: PropertySchema,
                    config: ComparisonConfig | None = None) -> MetricsTable:
     """Run the full protocol over chosen contexts and sample counts."""
@@ -400,7 +407,7 @@ def run_comparison(records, schema: PropertySchema,
     if config.workers > 1 and tasks:
         # Under fork, Python 3.10 and 3.11 start every worker at the first
         # submit: never more workers than cells.
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
+        with _process_pool(min(config.workers, len(tasks))) as pool:
             for rows in pool.map(_cell_task, tasks):
                 table.rows.extend(rows)
     else:

@@ -31,6 +31,11 @@ request sizes its arrays and must be its largest, as a stack's first step
 is: its first minibatch is full, and rows only leave. After the first
 step such a step allocates nothing large. Adam owns the scratch of its
 update beside its moments.
+
+A loop that runs one block on the same input array at every epoch, as
+fine-tuning does, binds its arrays once instead (:class:`_Bound`); bound
+passes and the block's own run the same per-layer steps, :func:`_dense`
+and :func:`_dense_backward`.
 """
 
 from __future__ import annotations
@@ -132,7 +137,6 @@ def selu(x, out=None, tmp=None):
     second term is -0.0, which leaves every sum, signed zeros included, as
     it was. So each element equals the branch the definition picks.
     """
-    x = np.asarray(x, dtype=np.float64)
     y = np.minimum(x, 0.0, out=out)
     np.expm1(y, out=y)
     y *= SELU_ALPHA
@@ -141,22 +145,19 @@ def selu(x, out=None, tmp=None):
     return y
 
 
-# alpha + (1 - alpha) is exactly 1.0, and 1 - alpha is exact (Sterbenz).
-_SELU_STEP = 1.0 - SELU_ALPHA
-
-
-def selu_deriv(x, out=None, tmp=None):
+def selu_deriv(x, out=None, greater=None):
     """Derivative of SELU at the pre-activation array ``x``, into ``out``
-    when given, with ``tmp`` as scratch.
+    when given, with ``greater``, a bool array of the same shape, as
+    scratch for the mask ``x > 0``.
 
-    ``lambda * (alpha * exp(min(x, 0)) + [x > 0] * (1 - alpha))``: the
-    bracket turns ``alpha * exp(0)`` into exactly 1.0 for ``x > 0`` and adds
-    -0.0 elsewhere, as :func:`selu` does.
+    ``lambda * (alpha * exp(min(x, 0)))``, except that the bracket is
+    exactly 1.0 where ``x > 0``, so the derivative there is exactly
+    ``lambda``; a NaN stays NaN.
     """
     d = np.minimum(x, 0.0, out=out)
     np.exp(d, out=d)
     d *= SELU_ALPHA
-    d += np.multiply(np.greater(x, 0, out=tmp), _SELU_STEP, out=tmp)
+    np.putmask(d, np.greater(x, 0.0, out=greater), 1.0)
     d *= SELU_LAMBDA
     return d
 
@@ -276,10 +277,59 @@ def huber_grad(pred, target, buf=_FRESH) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     (g,) = buf("huber_grad", pred.shape, ((),))
     g = np.subtract(pred, target, out=g)
+    return _huber_slope(g, g)
+
+
+def _huber_slope(residual, out):
+    """:func:`huber_grad` from the residual ``pred - target``, into ``out``
+    (which may be ``residual``)."""
     # np.clip, faster
-    np.minimum(np.maximum(g, -HUBER_DELTA, out=g), HUBER_DELTA, out=g)
-    g /= g.shape[-1]
-    return g
+    np.minimum(np.maximum(residual, -HUBER_DELTA, out=out), HUBER_DELTA, out=out)
+    out /= out.shape[-1]
+    return out
+
+
+def _check_finite(out) -> None:
+    """Raise :class:`NumericsError` unless every element of a block's
+    output is finite."""
+    # A finite sum clears every element at once (see model.diverged_rows).
+    if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
+        raise NumericsError("two-layer block produced a non-finite output")
+
+
+def _dense(x, wt, b, pre, out, tmp, tanh):
+    """One layer of a block: ``pre = x @ wt + b`` and ``out = sigma(pre)``,
+    with SELU, or tanh when ``tanh``, as ``sigma``; returns ``(pre, out)``.
+
+    ``wt`` is the layer's weights transposed (over a stack, its last two
+    axes swapped) and ``b`` its bias with a batch axis, or None. ``pre``,
+    ``out`` and the scratch ``tmp`` are the arrays written, or None.
+    """
+    pre = np.matmul(x, wt, out=pre)
+    if b is not None:
+        pre += b
+    return pre, (np.tanh(pre, out=out) if tanh else selu(pre, out, tmp))
+
+
+def _dense_backward(dout, x, w, pre, out, gw, gb, delta, greater, tanh, need_dx, dx):
+    """Backpropagate ``dout``, dLoss/d(out), through one layer that
+    :func:`_dense` ran on ``x`` (writing ``pre`` and ``out``).
+
+    Writes the weight gradients into ``gw`` and ``gb`` (None without a
+    bias) and dLoss/d(pre) into ``delta``, with ``greater`` as SELU's
+    mask scratch. Returns dLoss/d(x), into ``dx``, or None without
+    ``need_dx``. ``delta``, ``greater`` and ``dx`` may be None.
+    """
+    if tanh:
+        delta = np.multiply(out, out, out=delta)
+        np.subtract(1.0, delta, out=delta)
+    else:
+        delta = selu_deriv(pre, delta, greater)
+    delta *= dout
+    np.matmul(delta.swapaxes(-1, -2), x, out=gw)
+    if gb is not None:
+        np.add.reduce(delta, axis=-2, out=gb)
+    return np.matmul(delta, w, out=dx) if need_dx else None
 
 
 class TwoLayerBlock:
@@ -301,8 +351,9 @@ class TwoLayerBlock:
     Under a training loop's holder, a forward pass's output and cache, and a
     backward pass's input gradient, are overwritten by the next call of the
     same method under that holder; without one they are new arrays. Both
-    passes take their scratch from the holder's ``"scratch"`` site, which
-    they share: neither keeps it past its own return.
+    passes take their float scratch from the holder's ``"scratch"`` site,
+    which they share, and the backward pass its SELU masks from
+    ``"masks"``: neither keeps them past its own return.
     """
 
     def __init__(self, flat, in_dim, hidden_dim, out_dim, bias=True, tanh_out=False,
@@ -365,24 +416,16 @@ class TwoLayerBlock:
         lead = x.shape[:-1]
         pre1, act1, pre2, a2 = buf("forward", lead, self._forward_widths)
         tmp1, tmp2 = buf("scratch", lead, self._scratch_widths)
-        pre1 = np.matmul(x, self._w1t, out=pre1)
-        if self._b1 is not None:
-            pre1 += self._b1
-        act1 = selu(pre1, act1, tmp1)
+        pre1, act1 = _dense(x, self._w1t, self._b1, pre1, act1, tmp1, False)
         dmul1 = None
         if drop:
             act1, dmul1 = alpha_dropout(act1, rate, rng, train, buf.scope("hidden"))
-
-        pre2 = np.matmul(act1, self._w2t, out=pre2)
-        if self._b2 is not None:
-            pre2 += self._b2
-        a2 = np.tanh(pre2, out=a2) if self.tanh_out else selu(pre2, a2, tmp2)
+        pre2, a2 = _dense(act1, self._w2t, self._b2, pre2, a2, tmp2, self.tanh_out)
         out, dmul2 = a2, None
         if drop:
             out, dmul2 = alpha_dropout(a2, rate, rng, train, buf.scope("output"))
-
-        if self.w1.ndim == 2 and not np.isfinite(out).all():
-            raise NumericsError("two-layer block produced a non-finite output")
+        if self.w1.ndim == 2:
+            _check_finite(out)
         return out, (x, pre1, act1, dmul1, pre2, a2, dmul2)
 
     def backward(self, cache, dout, grad, need_dx=True, buf=_FRESH):
@@ -397,30 +440,61 @@ class TwoLayerBlock:
                                     self.out_dim, self.b1 is not None)
         lead = pre1.shape[:-1]
         dact1, delta1, delta2 = buf("backward", lead, self._backward_widths)
-        tmp1, tmp2 = buf("scratch", lead, self._scratch_widths)
-        if self.tanh_out:
-            delta2 = np.multiply(a2, a2, out=delta2)
-            np.subtract(1.0, delta2, out=delta2)
-        else:
-            delta2 = selu_deriv(pre2, delta2, tmp2)
-        if dmul2 is not None:  # tmp2 is free again once delta2 is in
+        greater1, greater2 = buf("masks", lead, self._scratch_widths, np.bool_)
+        if dmul2 is not None:
+            _, tmp2 = buf("scratch", lead, self._scratch_widths)
             dout = np.multiply(dout, dmul2, out=tmp2)
-        delta2 *= dout
-        np.matmul(delta2.swapaxes(-1, -2), act1, out=gw2)
-        if gb2 is not None:
-            delta2.sum(axis=-2, out=gb2)
-        dact1 = np.matmul(delta2, self.w2, out=dact1)
+        dact1 = _dense_backward(dout, act1, self.w2, pre2, a2, gw2, gb2, delta2, greater2,
+                                self.tanh_out, True, dact1)
         if dmul1 is not None:
             dact1 *= dmul1
-        delta1 = selu_deriv(pre1, delta1, tmp1)
-        delta1 *= dact1
-        np.matmul(delta1.swapaxes(-1, -2), x, out=gw1)
-        if gb1 is not None:
-            delta1.sum(axis=-2, out=gb1)
-        if not need_dx:
-            return None
-        (dx,) = buf("input_grad", lead, self._in_width)
-        return np.matmul(delta1, self.w1, out=dx)
+        (dx,) = buf("input_grad", lead, self._in_width) if need_dx else (None,)
+        return _dense_backward(dact1, x, self.w1, pre1, act1, gw1, gb1, delta1, greater1,
+                               False, need_dx, dx)
+
+
+class _Bound:
+    """A block's passes over arrays bound once: the input ``x`` (read at
+    every pass, so its owner may rewrite it in place), the weight views,
+    the gradient views into ``grad`` (laid out like the block's weights),
+    and every array a pass writes, ``out`` and ``dx`` among them.
+
+    Each pass runs the per-layer steps of :meth:`TwoLayerBlock.forward` and
+    :meth:`~TwoLayerBlock.backward`, without dropout, input checks or
+    holder lookups. ``x`` may carry the block's stack axis, ``(S, B, D)``;
+    a single block raises :class:`NumericsError` on a non-finite output.
+    """
+
+    def __init__(self, block, x, grad):
+        lead = x.shape[:-1]
+        (h,), (k,) = block._scratch_widths
+        pre1, act1, tmp1, delta1, dact1 = np.empty((5, *lead, h))
+        pre2, self.out, tmp2, delta2 = np.empty((4, *lead, k))
+        greater1, greater2 = np.empty((*lead, h), np.bool_), np.empty((*lead, k), np.bool_)
+        self.dx = np.empty_like(x)
+        gw1, gb1, gw2, gb2 = _split(grad, block.in_dim, h, k, block.b1 is not None)
+        self._layers = ((x, block._w1t, block._b1, pre1, act1, tmp1, False),
+                        (act1, block._w2t, block._b2, pre2, self.out, tmp2, block.tanh_out))
+        self._dact1 = dact1
+        self._back2 = (act1, block.w2, pre2, self.out, gw2, gb2, delta2, greater2,
+                       block.tanh_out, True, dact1)
+        self._back1 = (x, block.w1, pre1, act1, gw1, gb1, delta1, greater1, False)
+        self._single = block.w1.ndim == 2
+
+    def forward(self) -> None:
+        """Run the block on ``x`` into ``out``."""
+        first, second = self._layers
+        _dense(*first)
+        _dense(*second)
+        if self._single:
+            _check_finite(self.out)
+
+    def backward(self, dout, need_dx=True) -> None:
+        """Backpropagate ``dout`` through the last forward pass: the weight
+        gradient into ``grad``'s views and, with ``need_dx``, dLoss/dx into
+        ``dx``."""
+        _dense_backward(dout, *self._back2)
+        _dense_backward(self._dact1, *self._back1, need_dx, self.dx)
 
 
 def _split(flat, in_dim, hidden_dim, out_dim, bias):

@@ -10,6 +10,8 @@ frozen, the predictor trainable from the start, and the scale-out block
 joining after an epoch threshold that grows with the number of samples.
 Fine-tuning stops early once the training MAE drops to the target or
 stalls past the patience window, and always returns the best snapshot seen.
+Its loop binds the arrays it touches once per call (see
+:class:`jobcast.nn._Bound`), so an epoch is a fixed sequence of numpy calls.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .encoding import Normalizer
 from .errors import ConfigError, DataError, NumericsError, TrainingError
 from .model import F_DIM, EncodedBatch, ModelState, PropertySchema, \
     encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms
-from .nn import Adam, _Buffers, huber_grad
+from .nn import Adam, _Bound, _Buffers, _huber_slope
 
 MAX_EPOCHS = 2500
 MAE_TARGET_SECONDS = 5.0
@@ -100,6 +102,10 @@ def lr_at(epoch: int) -> float:
     frac = (epoch % LR_PERIOD) / LR_PERIOD
     tri = 2.0 * frac if frac <= 0.5 else 2.0 * (1.0 - frac)
     return (1.0 - tri) * LR_HIGH + tri * LR_LOW
+
+
+# The learning-rate wave repeats every period: lr_at(e) is _LR_WAVE[e % LR_PERIOD].
+_LR_WAVE = tuple(map(lr_at, range(LR_PERIOD)))
 
 
 class _Lockstep:
@@ -379,6 +385,9 @@ def finetune(state: ModelState | PropertySchema, samples,
     With zero samples (or ``reuse="none"``) the input state is returned
     unchanged together with an inference-only report whose
     ``stopping_reason`` is ``"no_data"`` / ``"not_trained"``.
+
+    The loop binds its arrays once per call and computes, bit for bit,
+    what the blocks' own passes would, failing with the same errors.
     """
     if reuse not in REUSE_STRATEGIES:
         raise ValueError(f"unknown reuse strategy {reuse!r}")
@@ -405,26 +414,42 @@ def finetune(state: ModelState | PropertySchema, samples,
         else unfreeze_epoch(len(samples))
 
     batch = encode_batch(work.schema, work.normalizer, samples)
-    # The autoencoder is frozen, so z's input r is assembled once: the codes
-    # never change, and f's columns change only once f trains.
-    codes, _ = work.g.forward(batch.pvecs)
-    e, _ = work.f.forward(batch.sfeat)
-    r = _assemble(work.schema, e, codes, batch.ess_rows, batch.opt_weights)
     grad = np.zeros_like(work.vector)
+    seg = work.segments
+    # Every array an epoch touches is bound once: f's passes over the
+    # scale-out features, z's over its input r, the residual y - t, which
+    # gives both the MAE and the next epoch's Huber gradient dy, and the
+    # optimizers' parameter and gradient views. The autoencoder is frozen,
+    # so r is assembled once: the codes never change, and f's columns
+    # change only once f trains. f's output is copied into them (written
+    # there directly, strided, it is slower).
+    codes, _ = work.g.forward(batch.pvecs)
+    f = _Bound(work.f, batch.sfeat, grad[seg["f"]])
+    f.forward()
+    r = _assemble(work.schema, f.out, codes, batch.ess_rows, batch.opt_weights)
+    z = _Bound(work.z, r, grad[seg["z"]])
+    r_f, dr_f = r[:, :F_DIM], z.dx[:, :F_DIM]
+    y, t = z.out[:, 0], batch.runtimes
+    residual, dy, abs_err = np.empty((3, len(t)))
+    dout = dy[:, None]
 
     def trainer(c):
         """A fresh optimizer for component ``c`` with the views it steps."""
-        sl = work.segments[c]
+        sl = seg[c]
         return (Adam(lr_at(0), work.vector[sl].shape,
                      lambda i: work.param_name(sl.start + i),
                      weight_decay=FINETUNE_WEIGHT_DECAY), work.vector[sl], grad[sl])
 
+    def mae() -> float:
+        """The MAE of z's output, leaving its residual in ``residual``."""
+        np.subtract(y, t, out=residual)
+        return float(np.add.reduce(np.abs(residual, out=abs_err))) / len(t)
+
     # The autoencoder never trains: it gets no optimizer. z trains from the
     # start, and f joins at f_join with one of its own.
-    trainers = [trainer("z")]
-    y2, z_cache = work.z.forward(r)
-    y = y2[:, 0]
-    best_mae = _mean_abs_error(y, batch.runtimes)
+    z_optim, z_params, z_grad = trainer("z")
+    z.forward()
+    best_mae = mae()
     best_epoch = 0
     best = work.vector.copy()
     history = [best_mae]
@@ -437,30 +462,29 @@ def finetune(state: ModelState | PropertySchema, samples,
         budget = 0
     for epoch in range(budget):
         f_trains = epoch >= f_join
-        if epoch == f_join:
-            trainers.insert(0, trainer("f"))  # in vector order
-            _, f_cache = work.f.forward(batch.sfeat)  # f has not moved: r and y stand
-        dy = huber_grad(y, batch.runtimes)
-        dr = work.z.backward(z_cache, dy[:, None], grad[work.segments["z"]],
-                             need_dx=f_trains)
+        if epoch == f_join:  # f's arrays still hold its first pass
+            f_optim, f_params, f_grad = trainer("f")
+        _huber_slope(residual, dy)
+        z.backward(dout, f_trains)
+        lr = _LR_WAVE[epoch % LR_PERIOD]
         if f_trains:
-            work.f.backward(f_cache, dr[:, :F_DIM], grad[work.segments["f"]],
-                            need_dx=False)
-        for optim, params, grads in trainers:
-            optim.lr = lr_at(epoch)
-            optim.step(params, grads)
+            f.backward(dr_f, False)
+            f_optim.lr = lr  # f first, in vector order
+            f_optim.step(f_params, f_grad)
+        z_optim.lr = lr
+        z_optim.step(z_params, z_grad)
         epochs_run = epoch + 1
 
         if f_trains:
-            r[:, :F_DIM], f_cache = work.f.forward(batch.sfeat)
-        y2, z_cache = work.z.forward(r)
-        y = y2[:, 0]
-        mae = _mean_abs_error(y, batch.runtimes)
-        if not math.isfinite(mae):
+            f.forward()
+            np.copyto(r_f, f.out)
+        z.forward()
+        mae_now = mae()
+        if not math.isfinite(mae_now):
             raise TrainingError("fine-tuning diverged (non-finite MAE)")
-        history.append(mae)
-        if mae < best_mae - PATIENCE_TOLERANCE:
-            best_mae = mae
+        history.append(mae_now)
+        if mae_now < best_mae - PATIENCE_TOLERANCE:
+            best_mae = mae_now
             best_epoch = epochs_run
             np.copyto(best, work.vector)
         if best_mae <= MAE_TARGET_SECONDS:

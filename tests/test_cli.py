@@ -677,6 +677,31 @@ class TestOneParser:
         assert code == 0
 
 
+class TestOutputModes:
+    def test_outputs_take_the_umask(self, tmp_path, capsys):
+        """Every output is created as ``open`` creates a file, mode 0666
+        less the umask, and no temporary file is left beside it."""
+        old = os.umask(0o022)
+        try:
+            assert cli.main([
+                "pretrain", "--data", str(DATA / "sort_runs.csv"),
+                "--manifest", str(DATA / "sort_manifest.txt"),
+                "--epochs", "2", "--search-samples", "1", "--out", str(tmp_path / "m.jcm"),
+            ]) == 0
+            assert cli.main([
+                "evaluate", "--data", str(DATA / "sort_runs.csv"),
+                "--manifest", str(DATA / "sort_manifest.txt"), "--methods", "nnls",
+                "--n-train", "2", "--max-splits", "2", "--contexts", "1",
+                "--out-dir", str(tmp_path / "results"),
+            ]) == 0
+        finally:
+            os.umask(old)
+        outputs = [tmp_path / "m.jcm", tmp_path / "m.search.csv",
+                   tmp_path / "results" / "metrics.csv"]
+        assert [oct(p.stat().st_mode & 0o777) for p in outputs] == [oct(0o644)] * 3
+        assert not [p for p in tmp_path.rglob(".*")]
+
+
 def _grab(text: str, prefix: str) -> str:
     for line in text.splitlines():
         if line.startswith(prefix):

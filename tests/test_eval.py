@@ -1,7 +1,11 @@
 """Tests for split generation, the comparison harness, and metric output."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +316,7 @@ class TestRunComparison:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evalharness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evalharness, "_process_pool", RecordingPool)
         base = dict(methods=("nnls", "bell"), n_train_values=(1, 2, 3),
                     contexts=[ctx_records[0].context], max_splits=3, seed=4)
         serial = run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(**base))
@@ -320,6 +324,20 @@ class TestRunComparison:
                                 ComparisonConfig(**base, workers=5000))
         assert asked == [3]
         assert pooled.rows == serial.rows
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        """The pool's module, and multiprocessing with it, load only when a
+        run with more than one worker starts a pool."""
+        src = Path(evalharness.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, jobcast, jobcast.cli; "
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+                "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_interpolation_error_shrinks_with_more_data(self, ctx_records):
         """Statistical sanity on parametric-shaped data: the hybrid and the

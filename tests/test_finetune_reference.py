@@ -1,0 +1,190 @@
+"""Fine-tuning against a reference loop built on the generic block passes.
+
+``training.finetune`` binds each trained block's arrays once per call and
+then runs a fixed sequence of numpy calls per epoch. The reference below
+is the same loop written over the generic pieces: ``TwoLayerBlock.forward``
+and ``backward`` with their caches and new arrays, ``huber_grad`` on every
+epoch, and ``_mean_abs_error``. Both must agree bit for bit on every MAE
+they record, on where and why they stop and on the model they return, and
+must fail alike, with the same class and message.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from jobcast import evalharness
+from jobcast.encoding import Normalizer
+from jobcast.errors import NumericsError, TrainingError
+from jobcast.evalharness import evaluate_splits, generate_splits
+from jobcast.model import F_DIM, ModelState, PropertySchema, _assemble, encode_batch
+from jobcast.nn import Adam, huber_grad
+from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
+from jobcast.training import (FINETUNE_WEIGHT_DECAY, MAE_TARGET_SECONDS,
+                              PATIENCE_EPOCHS, PATIENCE_TOLERANCE, FineTuneReport,
+                              SearchSpace, _mean_abs_error, finetune, lr_at, pretrain,
+                              unfreeze_epoch)
+
+REUSE_MODES = ("partial-unfreeze", "full-unfreeze", "partial-reset", "full-reset")
+STRATEGIES = ("pretrained", "local")
+EPOCHS = 250  # f joins within it at n = 1 and 2 in the partial modes
+
+
+def reference_finetune(state, samples, reuse, seed, epochs):
+    """``finetune``'s loop over the generic block passes, for samples to
+    train on and a reuse mode that trains."""
+    samples = list(samples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if isinstance(state, PropertySchema):
+        state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
+    work = state.copy()
+    if reuse == "partial-reset":
+        work.z.init(rng)
+    elif reuse == "full-reset":
+        work.f.init(rng)
+        work.z.init(rng)
+    f_join = 0 if reuse in ("full-unfreeze", "full-reset") \
+        else unfreeze_epoch(len(samples))
+
+    batch = encode_batch(work.schema, work.normalizer, samples)
+    codes, _ = work.g.forward(batch.pvecs)
+    e, _ = work.f.forward(batch.sfeat)
+    r = _assemble(work.schema, e, codes, batch.ess_rows, batch.opt_weights)
+    grad = np.zeros_like(work.vector)
+
+    def trainer(c):
+        sl = work.segments[c]
+        return (Adam(lr_at(0), work.vector[sl].shape,
+                     lambda i: work.param_name(sl.start + i),
+                     weight_decay=FINETUNE_WEIGHT_DECAY), work.vector[sl], grad[sl])
+
+    trainers = [trainer("z")]
+    y2, z_cache = work.z.forward(r)
+    y = y2[:, 0]
+    best_mae = _mean_abs_error(y, batch.runtimes)
+    best_epoch, best, history = 0, work.vector.copy(), [best_mae]
+    reason, epochs_run, budget = "epoch_cap", 0, epochs
+    if best_mae <= MAE_TARGET_SECONDS:
+        reason, budget = "mae_threshold", 0
+    for epoch in range(budget):
+        f_trains = epoch >= f_join
+        if epoch == f_join:
+            trainers.insert(0, trainer("f"))
+            _, f_cache = work.f.forward(batch.sfeat)
+        dy = huber_grad(y, batch.runtimes)
+        dr = work.z.backward(z_cache, dy[:, None], grad[work.segments["z"]],
+                             need_dx=f_trains)
+        if f_trains:
+            work.f.backward(f_cache, dr[:, :F_DIM], grad[work.segments["f"]],
+                            need_dx=False)
+        for optim, params, grads in trainers:
+            optim.lr = lr_at(epoch)
+            optim.step(params, grads)
+        epochs_run = epoch + 1
+        if f_trains:
+            r[:, :F_DIM], f_cache = work.f.forward(batch.sfeat)
+        y2, z_cache = work.z.forward(r)
+        y = y2[:, 0]
+        mae = _mean_abs_error(y, batch.runtimes)
+        if not math.isfinite(mae):
+            raise TrainingError("fine-tuning diverged (non-finite MAE)")
+        history.append(mae)
+        if mae < best_mae - PATIENCE_TOLERANCE:
+            best_mae, best_epoch = mae, epochs_run
+            np.copyto(best, work.vector)
+        if best_mae <= MAE_TARGET_SECONDS:
+            reason = "mae_threshold"
+            break
+        if epochs_run - best_epoch >= PATIENCE_EPOCHS:
+            reason = "patience"
+            break
+    np.copyto(work.vector, best)
+    return work, FineTuneReport(epochs_run, best_epoch, best_mae, reason,
+                                mae_history=history)
+
+
+@functools.lru_cache(maxsize=None)
+def _setup():
+    contexts = make_contexts(4, seed=4)
+    state, _ = pretrain(corpus(contexts[:3], repetitions=1, seed=4), SYNTH_SCHEMA,
+                        space=SearchSpace(sample_count=2), seed=11, epochs=40)
+    # 20% noise keeps the MAE target out of reach: these run to the cap.
+    noisy = context_records(contexts[3], scale_outs=(2, 4, 6, 8, 10), repetitions=1,
+                            noise=0.2, seed=6)
+    clean = context_records(contexts[3], repetitions=1, seed=5)
+    return state, noisy, clean
+
+
+def _outcome(tuned, report):
+    return (report.epochs_run, report.best_epoch, report.stopping_reason,
+            [float(v).hex() for v in report.mae_history], tuned.fingerprint())
+
+
+def _cases():
+    cases = [(s, r, "noisy", n) for s in STRATEGIES for r in REUSE_MODES
+             for n in range(1, 6)]
+    return cases + [(s, r, "clean", 3) for s in STRATEGIES for r in REUSE_MODES]
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: "-".join(map(str, case)))
+def test_finetune_matches_the_reference_loop(case):
+    strategy, reuse, which, n = case
+    state, noisy, clean = _setup()
+    samples = {"noisy": noisy, "clean": clean}[which][:n]
+    start = state if strategy == "pretrained" else SYNTH_SCHEMA
+    got = _outcome(*finetune(start, samples, reuse=reuse, seed=3, epochs=EPOCHS))
+    assert got == _outcome(*reference_finetune(start, samples, reuse, 3, EPOCHS))
+
+
+def test_some_cases_train_f_from_a_later_epoch():
+    """In the partial modes f joins at epoch 100 * n: among the cases above,
+    n = 2 runs past that and trains f."""
+    state, noisy, _ = _setup()
+    tuned, report = finetune(state, noisy[:2], reuse="partial-unfreeze", seed=3,
+                             epochs=EPOCHS)
+    assert report.epochs_run > unfreeze_epoch(2)
+    f = state.segments["f"]
+    assert not np.array_equal(tuned.vector[f], state.vector[f])
+
+
+def _nan_output(z):
+    z.b2[...] = np.nan
+
+
+def _overflowing_gradient(z):
+    """z's output is 0 for every input, and the gradient of its first
+    layer overflows: the hidden deltas pass through w2 = 1.5e308."""
+    z.w1[...] = z.b1[...] = z.b2[...] = 0.0
+    z.w2[...] = 1.5e308
+
+
+def _overflowing_mae(z):
+    """Every output is finite but about 1.5e308: their sum is not."""
+    z.b2[...] = 1.4e308
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("craft, error, message", [
+    (_nan_output, NumericsError, "two-layer block produced a non-finite output"),
+    (_overflowing_gradient, TrainingError, "non-finite gradient for parameter 'z.w1'"),
+    (_overflowing_mae, TrainingError, "fine-tuning diverged (non-finite MAE)"),
+])
+def test_divergence_fails_as_the_reference_and_is_excluded(craft, error, message):
+    state, noisy, _ = _setup()
+    crafted = state.copy()
+    craft(crafted.z)
+    samples = noisy[:2]
+    with pytest.raises(TrainingError) as ours:
+        finetune(crafted, samples, seed=3, epochs=EPOCHS)
+    with pytest.raises(TrainingError) as theirs:
+        reference_finetune(crafted, samples, "partial-unfreeze", 3, EPOCHS)
+    assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
+    assert (type(ours.value), str(ours.value)) == (error, message)
+
+    method = evalharness._model_method("full", SYNTH_SCHEMA, crafted,
+                                       "partial-unfreeze", EPOCHS)
+    splits = generate_splits(noisy, 2, max_splits=1, seed=0)
+    rows = evaluate_splits(noisy, splits, [method], seed=0)
+    assert rows and {row.flag for row in rows} == {f"excluded: {message}"}

@@ -8,7 +8,7 @@ import pytest
 
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SELU_ALPHA, SELU_LAMBDA,
-                        Adam, TwoLayerBlock, _split, alpha_dropout, he_init,
+                        Adam, TwoLayerBlock, _Bound, _split, alpha_dropout, he_init,
                         huber_grad, huber_loss, selu)
 
 
@@ -345,6 +345,43 @@ class TestAdam:
             optim.step(flat, grad)
         out, _ = block.forward(x)
         assert squared_error(out, y) < 1e-3
+
+
+class TestBound:
+    """A bound pass computes what the block's own passes compute, bit for
+    bit, on a single block and on a stack, and reads its input afresh at
+    every pass."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("bias,tanh_out,dim", [
+        (True, False, (3, 16, 8)), (False, True, (4, 8, 40)), (True, False, (28, 8, 1)),
+    ])
+    def test_bound_passes_match_the_block(self, stack, bias, tanh_out, dim):
+        rng = np.random.default_rng(sum(dim))
+        flat = rng.normal(size=(*stack, TwoLayerBlock.size(*dim, bias)))
+        block = TwoLayerBlock(flat, *dim, bias, tanh_out=tanh_out)
+        x = rng.normal(size=(*stack, 5, dim[0]))
+        dout = rng.normal(size=(*stack, 5, dim[2]))
+        grad, bound_grad = np.zeros_like(flat), np.zeros_like(flat)
+        bound = _Bound(block, x, bound_grad)
+        for _ in range(2):  # the second pass runs on a rewritten input
+            out, cache = block.forward(x)
+            dx = block.backward(cache, dout, grad)
+            bound.forward()
+            bound.backward(dout)
+            assert [a.tobytes() for a in (bound.out, bound_grad, bound.dx)] == \
+                [a.tobytes() for a in (out, grad, dx)]
+            x *= -0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_single_bound_block_raises_on_a_non_finite_output(self):
+        rng = np.random.default_rng(9)
+        block, flat = new_block(2, 3, 2, rng)
+        block.w2[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="non-finite output"):
+            _Bound(block, np.ones((4, 2)), np.zeros_like(flat)).forward()
+        stacked = TwoLayerBlock(np.stack([flat, flat]), 2, 3, 2)
+        _Bound(stacked, np.ones((2, 4, 2)), np.zeros((2, flat.size))).forward()
 
 
 class TestStack:
