@@ -117,6 +117,15 @@ def _loo_error(points, fit, predict) -> float:
     return total
 
 
+def _median(values) -> float:
+    """The median of a nonempty list as ``np.median`` gives it: the middle
+    value, or the mean of the two middle values (``np.median`` would import
+    ``numpy.ma`` on its first call)."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def bell_fit(points) -> BellModel:
     """Fit both members and choose by leave-one-out absolute error.
 
@@ -132,7 +141,7 @@ def bell_fit(points) -> BellModel:
 
     def med_pairs(ps):
         xs = sorted({x for x, _ in ps})
-        return xs, [float(np.median([r for q, r in ps if q == x])) for x in xs]
+        return xs, [_median([r for q, r in ps if q == x]) for x in xs]
 
     def predict_np(model, x):
         xs, ms = model

@@ -16,15 +16,14 @@ one mapping; :func:`predict` is a batch of one. The decoder
 ``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
 the same path over a stack of models (see :class:`ModelState`).
 
-The forward pass, the joint loss and the backward pass take a buffer holder
-``buf`` (see :mod:`jobcast.nn`). Pre-training's stack passes its own: the
-blocks' outputs, caches and scratch (each block's from its own scope),
-``z``'s assembled input and the essential codes gathered for it, the loss
-terms' elementwise arrays and the backward pass's scatter inputs are then
-written into arrays of their own sites at every step, and last until the
-next step. Every other caller, :func:`predict_batch` among them, passes
-none and gets new arrays: nothing this module returns to a caller is ever
-written again.
+Inference keeps no cache: :func:`forward_batch` alone runs each block's
+inference pass and drops each intermediate array once the next block has
+read it. Training binds the joint step once (:class:`_JointStep`): the four
+blocks' passes (see :class:`jobcast.nn._Bound`), ``z``'s assembled input,
+the loss terms' arrays and the backward pass's scatter arrays. Pre-training's
+stack binds one per minibatch length; :func:`joint_loss` and the
+single-state gradient bind one per call. Nothing this module returns to a
+caller is written again, except a binding's own arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from . import encoding
 from .encoding import Normalizer, PropertyValue, encode_property
 from .errors import ModelFileError, NumericsError, SchemaError
-from .nn import _FRESH, TwoLayerBlock, huber_grad, huber_loss
+from .nn import TwoLayerBlock, _Bound, huber_grad, huber_loss
 
 SCALE_FEATURES = 3
 F_HIDDEN = 16
@@ -304,43 +303,86 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
     return EncodedBatch(sfeat, pvecs, ess_rows, opt_weights, usage, runtimes)
 
 
-def _assemble(schema, e, codes, ess_rows, opt_weights, buf=_FRESH):
-    """``z``'s input: embedding, essential codes, pooled optional codes.
+def _assemble(schema, e, codes, ess_rows, opt_weights, r=None):
+    """``z``'s input: embedding, essential codes, pooled optional codes,
+    into ``r`` when given.
 
     ``ess_rows`` index ``codes`` flattened to ``(-1, CODE_DIM)``, which for a
-    stack is all rows' codes one after another (see ``EncodedBatch``).
+    stack is all rows' codes one after another (see ``EncodedBatch``). Each
+    part goes straight into its columns of ``r``, the essential codes one
+    property at a time, so nothing else of ``r``'s size is allocated.
     """
-    lead = e.shape[:-1]
-    m = schema.essential_count
-    r, pooled, ess = buf("assemble", lead,
-                         ((schema.combined_width,), (CODE_DIM,), (m, CODE_DIM)))
-    # mode="clip" writes straight into ess (the rows are in range anyway)
-    ess = codes.reshape(-1, CODE_DIM).take(ess_rows, axis=0, out=ess, mode="clip")
-    pooled = np.matmul(opt_weights, codes, out=pooled)
-    return np.concatenate((e, ess.reshape(*lead, m * CODE_DIM), pooled), axis=-1, out=r)
+    if r is None:
+        r = np.empty((*e.shape[:-1], schema.combined_width))
+    r[..., :F_DIM] = e
+    flat = codes.reshape(-1, CODE_DIM)
+    for j in range(schema.essential_count):
+        col = F_DIM + j * CODE_DIM
+        r[..., col : col + CODE_DIM] = flat[ess_rows[..., j]]
+    np.matmul(opt_weights, codes, out=r[..., -CODE_DIM:])
+    return r
 
 
-def forward_batch(state: ModelState, batch: EncodedBatch, train=False, rng=None,
-                  buf=_FRESH):
-    """The runtime path over an encoded batch: ``f``, ``g`` and ``z``.
+def forward_batch(state: ModelState, batch: EncodedBatch, step=None) -> np.ndarray:
+    """The runtime path over an encoded batch, ``f``, ``g`` and ``z``:
+    returns the outputs, ``(B,)``, or ``(S, B)`` when a stacked state runs
+    every row at once on a stacked batch (one minibatch per row, see
+    ``EncodedBatch``). The decoder ``h`` serves only the joint loss, which
+    runs it (see :func:`_joint_terms`).
 
-    Returns ``(outputs, detail)`` where ``detail`` carries the blocks'
-    outputs and the caches :func:`backward_batch` needs. The decoder ``h``
-    serves only the joint loss, which runs it (see :func:`_joint_terms`).
-    The blocks read their weights straight from views into ``state.vector``.
+    Without ``step`` this is inference: each block keeps no cache, and the
+    embedding is dropped before ``z`` runs, so the peak is ``z``'s input
+    and its first layer. With ``step``, a :class:`_JointStep` of this state
+    and batch, it runs the step's bound passes and returns its outputs.
 
-    A stacked state runs every row at once on a stacked batch (one
-    minibatch per row, see ``EncodedBatch``) and raises nothing
-    for a row gone non-finite; :func:`diverged_rows` tells them apart.
+    A stacked state raises nothing for a row gone non-finite;
+    :func:`diverged_rows` tells them apart.
     """
-    e, f_cache = state.f.forward(batch.sfeat, train, rng, buf.scope("f"))
-    codes, g_cache = state.g.forward(batch.pvecs, train, rng, buf.scope("g"))
-    r = _assemble(state.schema, e, codes, batch.ess_rows, batch.opt_weights, buf)
-    y2, z_cache = state.z.forward(r, train, rng, buf.scope("z"))
-    y = y2[..., 0]
-    detail = {"e": e, "codes": codes, "y": y,
-              "f_cache": f_cache, "g_cache": g_cache, "z_cache": z_cache}
-    return y, detail
+    f, g, z, r = (None,) * 4 if step is None else (step.f, step.g, step.z, step.r)
+    e = state.f.forward(batch.sfeat, f)
+    r = _assemble(state.schema, e, state.g.forward(batch.pvecs, g), batch.ess_rows,
+                  batch.opt_weights, r)
+    del e
+    return state.z.forward(r, z)[..., 0]
+
+
+class _JointStep:
+    """The joint loss's training pass over one batch, bound once: ``f``
+    over ``batch.sfeat``, ``g`` over ``batch.pvecs``, ``z`` over its
+    assembled input ``r`` and ``h`` over ``g``'s codes (each a
+    :class:`~jobcast.nn._Bound` writing its gradient into its views of
+    ``grad``), the Huber and reconstruction terms' arrays, and the code
+    scatter's. Every array comes from ``empty``.
+
+    The batch's owner may rewrite its arrays in place between passes: each
+    pass reads them afresh and overwrites every array of the step, which
+    stay valid until the next pass. ``rng`` (one generator per row of a
+    stack) turns alpha-dropout on; without ``grad`` the step only scores
+    (:func:`joint_loss`). ``detail`` holds the blocks' outputs that
+    :func:`diverged_rows` reads.
+    """
+
+    def __init__(self, state, batch, grad=None, rng=None, empty=np.empty):
+        seg, lead = state.segments, batch.sfeat.shape[:-1]
+        self.batch, self.grad = batch, grad
+        views = np.empty_like(state.vector) if grad is None else grad
+
+        def bind(c, x):
+            return _Bound(getattr(state, c), x, views[..., seg[c]], rng, empty)
+
+        self.f, self.g = bind("f", batch.sfeat), bind("g", batch.pvecs)
+        self.r = empty((*lead, state.schema.combined_width))
+        self.z, self.h = bind("z", self.r), bind("h", self.g.out)
+        self.huber = (*empty((3, *lead)), empty(lead, np.bool_))
+        self.dy = empty(lead)
+        self.recon = empty((2, *self.h.out.shape))
+        # The scatter's cells and weights, per property and record
+        ess_rows = batch.ess_rows.swapaxes(-1, -2)
+        self.cells = empty((*ess_rows.shape, CODE_DIM), np.intp)
+        self.weights = empty(self.cells.shape)
+        self.dpooled = empty(self.g.out.shape)
+        self.detail = {"e": self.f.out, "codes": self.g.out, "recons": self.h.out,
+                       "y": self.z.out[..., 0]}
 
 
 def diverged_rows(detail, loss, grad) -> np.ndarray | None:
@@ -362,42 +404,34 @@ def diverged_rows(detail, loss, grad) -> np.ndarray | None:
                                    for a in outputs])
 
 
-def backward_batch(state: ModelState, batch: EncodedBatch, detail, dy, drecons,
-                   grad, buf=_FRESH) -> np.ndarray:
-    """Backpropagate the joint loss through all four blocks into ``grad``,
-    a flat buffer aligned with ``state.vector``, and return it.
+def backward_batch(state: ModelState, batch: EncodedBatch, step: _JointStep, dy,
+                   drecons) -> np.ndarray:
+    """Backpropagate the joint loss through all four blocks into
+    ``step.grad``, a flat buffer aligned with ``state.vector``, and return it.
 
-    ``detail`` is a forward pass's, with the decoder's ``h_cache`` that
-    :func:`_joint_terms` adds. ``dy`` is dLoss/d(outputs), shape (B,) or
-    (S, B), and ``drecons`` dLoss/d(reconstructions) over the unique vectors.
+    ``step`` is the binding whose forward pass ran last. ``dy`` is
+    dLoss/d(outputs), shape (B,) or (S, B), and ``drecons``
+    dLoss/d(reconstructions) over the unique vectors.
     """
-    seg = state.segments
     m = state.schema.essential_count
-    dr = state.z.backward(detail["z_cache"], dy[..., None], grad[..., seg["z"]],
-                          buf=buf.scope("z"))
-    codes = detail["codes"]
+    dr = state.z.backward(step.z, dy[..., None])
+    codes = step.g.out
     # Scatter-add the essential codes' gradients onto their unique
     # vectors. bincount adds in index order: property by property, each
     # in record order, as repeated vectors would accumulate in a loop.
     dess = dr[..., F_DIM : F_DIM + m * CODE_DIM].reshape(*dr.shape[:-1], m, CODE_DIM)
-    ess_rows = batch.ess_rows.swapaxes(-1, -2)  # (..., m, B)
-    (cells,) = buf.arrays("cells", ess_rows.shape, ((CODE_DIM,),), np.intp)
-    (weights,) = buf.arrays("cell_weights", ess_rows.shape, ((CODE_DIM,),))
-    (dpooled,) = buf("dpooled", codes.shape[:-1], ((CODE_DIM,),))
-    np.multiply(ess_rows[..., None], CODE_DIM, out=cells)
+    cells, weights = step.cells, step.weights
+    np.multiply(batch.ess_rows.swapaxes(-1, -2)[..., None], CODE_DIM, out=cells)
     cells += _CODE_COLUMNS
     np.copyto(weights, dess.swapaxes(-2, -3))
     dcodes = np.bincount(cells.ravel(), weights=weights.ravel(),
                          minlength=codes.size).reshape(codes.shape)
     dcodes += np.matmul(batch.opt_weights.swapaxes(-1, -2),
-                        dr[..., F_DIM + m * CODE_DIM :], out=dpooled)
-    dcodes += state.h.backward(detail["h_cache"], drecons, grad[..., seg["h"]],
-                               buf=buf.scope("h"))
-    state.g.backward(detail["g_cache"], dcodes, grad[..., seg["g"]], need_dx=False,
-                     buf=buf.scope("g"))
-    state.f.backward(detail["f_cache"], dr[..., :F_DIM], grad[..., seg["f"]],
-                     need_dx=False, buf=buf.scope("f"))
-    return grad
+                        dr[..., F_DIM + m * CODE_DIM :], out=step.dpooled)
+    dcodes += state.h.backward(step.h, drecons)
+    state.g.backward(step.g, dcodes, need_dx=False)
+    state.f.backward(step.f, dr[..., :F_DIM], need_dx=False)
+    return step.grad
 
 
 def joint_loss(state: ModelState, records):
@@ -412,44 +446,45 @@ def joint_loss(state: ModelState, records):
     if not records:
         raise ValueError("joint_loss needs a nonempty batch")
     batch = encode_batch(state.schema, state.normalizer, records)
-    total, runtime, recon, _ = _joint_terms(state, batch)
+    total, runtime, recon = _joint_terms(state, batch)
     if not np.isfinite(total):
         raise NumericsError("joint loss is non-finite")
     return total, runtime, recon
 
 
-def _recon_loss(batch: EncodedBatch, detail, buf=_FRESH):
-    """Occurrence-weighted reconstruction MSE and its gradient (per row of a stack)."""
+def _recon_loss(batch: EncodedBatch, recons, err, dgrad):
+    """Occurrence-weighted reconstruction MSE and its gradient (per row of a
+    stack), into ``dgrad``, with ``err`` as scratch."""
     occ = batch.usage.sum(axis=-2)
     pairs = occ.sum(axis=-1)
-    recons = detail["recons"]
-    err, dgrad = buf("recon", recons.shape[:-1], ((encoding.VECTOR_SIZE,),) * 2)
-    err = np.subtract(recons, batch.pvecs, out=err)
+    np.subtract(recons, batch.pvecs, out=err)
     denom = pairs * encoding.VECTOR_SIZE
     squares = np.multiply(err, err, out=dgrad)  # dgrad's array, before dgrad
     loss = np.sum(occ * np.sum(squares, axis=-1), axis=-1) / denom
-    dgrad = np.multiply((2.0 / denom)[..., None, None] * occ[..., None], err, out=dgrad)
+    np.multiply((2.0 / denom)[..., None, None] * occ[..., None], err, out=dgrad)
     return (loss if loss.ndim else float(loss)), dgrad
 
 
-def _joint_terms(state: ModelState, batch: EncodedBatch, train=False, rng=None,
-                 grad=None, buf=_FRESH):
-    """``(total, runtime, reconstruction)`` loss terms over an encoded batch,
-    plus the forward pass's ``detail``; for a stack, one value per row.
+def _joint_terms(state: ModelState, batch: EncodedBatch, grad=None, step=None):
+    """``(total, runtime, reconstruction)`` loss terms over an encoded batch;
+    for a stack, one value per row.
 
-    The decoder ``h`` runs here, on :func:`forward_batch`'s codes, adding
-    ``recons`` and ``h_cache`` to ``detail``. Given a flat ``grad`` buffer,
-    also backpropagates the total into it.
+    Runs on ``step``, a :class:`_JointStep` of this state and batch, which
+    pre-training's stack binds with dropout; without one it binds the batch
+    once, without dropout, backpropagating into ``grad`` when given. A
+    step bound with a gradient backpropagates the total into it. The
+    decoder ``h`` runs here, on :func:`forward_batch`'s codes.
     """
-    y, detail = forward_batch(state, batch, train, rng, buf)
-    detail["recons"], detail["h_cache"] = state.h.forward(detail["codes"], train, rng,
-                                                          buf.scope("h"))
-    runtime_term = huber_loss(y, batch.runtimes, buf)
-    recon_term, drecons = _recon_loss(batch, detail, buf)
-    if grad is not None:
-        backward_batch(state, batch, detail, huber_grad(y, batch.runtimes, buf),
-                       drecons, grad, buf)
-    return runtime_term + recon_term, runtime_term, recon_term, detail
+    if step is None:
+        step = _JointStep(state, batch, grad)
+    y = forward_batch(state, batch, step)
+    recons = state.h.forward(step.g.out, step.h)
+    runtime_term = huber_loss(y, batch.runtimes, step.huber)
+    recon_term, drecons = _recon_loss(batch, recons, *step.recon)
+    if step.grad is not None:
+        backward_batch(state, batch, step, huber_grad(y, batch.runtimes, step.dy),
+                       drecons)
+    return runtime_term + recon_term, runtime_term, recon_term
 
 
 def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
@@ -466,7 +501,7 @@ def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
     batch = encode_batch(state.schema, state.normalizer,
                          [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs],
                          with_runtimes=False)
-    return forward_batch(state, batch)[0]
+    return forward_batch(state, batch)
 
 
 def predict(state: ModelState, scale_out: int, props: dict) -> Prediction:

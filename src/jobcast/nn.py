@@ -17,30 +17,19 @@ stack axis, reductions run per row, and dropout and Adam take one rate,
 learning rate and weight decay per row. The arithmetic of each row is the
 unstacked arithmetic, so a row computes what it would compute alone.
 
-Every operation takes the arrays it writes from a buffer holder, ``buf``,
-and passes them to numpy as ``out=``. Called without one, an operation gets
-``None`` (numpy allocates) or a new array, so whatever it returns is its
-caller's to keep. A training loop may pass its own :class:`_Buffers`
-instead (pre-training's stack does), and each operation then writes into
-the same arrays at every step: a block's forward outputs and cache, its
-backward pass's deltas and input gradient, the dropout outputs and masks,
-and the Huber terms. Those arrays stay valid until the same operation runs
-again under the same holder, at the next step; the loop never hands them
-out. Each block's scope of the holder owns its scratch. A site's first
-request sizes its arrays and must be its largest, as a stack's first step
-is: its first minibatch is full, and rows only leave. After the first
-step such a step allocates nothing large. Adam owns the scratch of its
-update beside its moments.
-
-A loop that runs one block on the same input array at every epoch, as
-fine-tuning does, binds its arrays once instead (:class:`_Bound`); bound
-passes and the block's own run the same per-layer steps, :func:`_dense`
-and :func:`_dense_backward`.
+Training binds its arrays once (:class:`_Bound`): a block's input, its
+weight and gradient views, its dropout draws, and every array its passes
+write, which each pass overwrites and which stay valid until the next.
+Fine-tuning binds ``f`` and ``z`` once per call, and pre-training's stack
+binds its whole joint step (see :mod:`jobcast.model`). An unbound
+:meth:`TwoLayerBlock.forward` is inference: it keeps no cache, each layer
+computes its activation over or beside its own pre-activation, and what it
+returns is its caller's. Both run the same per-layer step, :func:`_dense`;
+the backward pass is :func:`_dense_backward`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -62,69 +51,6 @@ HUBER_DELTA = 1.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class _Buffers:
-    """The arrays one training loop's operations write at every step.
-
-    ``buf(site, lead, widths)`` returns one array of shape ``lead + w`` for
-    each trailing shape ``w`` in ``widths``; a site asks with the same
-    ``widths`` every time. Each array is a contiguous prefix of a flat
-    arena of its own, sized by the site's first request, which must be its
-    largest: in a stack the first minibatch is a full one and rows only
-    leave, so the short last minibatch of an epoch, or a stack after rows
-    left it, reuses the arenas of the first step. The views are kept per
-    ``(site, lead)``: the same request returns the same arrays, overwriting
-    what the last one wrote. ``buf.arrays`` is the same call, for a site
-    that fills its arrays in place (see :class:`_Fresh`). ``scope(name)``
-    is a holder of its own for one block's sites, its scratch among them.
-    """
-
-    def __init__(self):
-        self._arenas: dict = {}
-        self._views: dict = {}
-        self._scopes: dict = {}
-
-    def __call__(self, site, lead, widths, dtype=np.float64):
-        views = self._views.get((site, lead))
-        if views is None:
-            shapes = [lead + w for w in widths]
-            arenas = self._arenas.get(site)
-            if arenas is None:
-                arenas = self._arenas[site] = [np.empty(math.prod(s), dtype) for s in shapes]
-            views = self._views[site, lead] = tuple(
-                arena[: math.prod(s)].reshape(s) for arena, s in zip(arenas, shapes))
-        return views
-
-    arrays = __call__
-
-    def scope(self, name):
-        child = self._scopes.get(name)
-        if child is None:
-            child = self._scopes[name] = _Buffers()
-        return child
-
-
-class _Fresh:
-    """The holder of every call that passes none, where nothing a caller
-    receives may be written again.
-
-    ``buf(...)`` gives ``None`` for every array, so numpy allocates each
-    output (its ``out=None``); ``buf.arrays(...)`` gives new arrays, for a
-    site that fills them in place.
-    """
-
-    def __call__(self, site, lead, widths, dtype=np.float64):
-        return (None,) * len(widths)
-
-    def arrays(self, site, lead, widths, dtype=np.float64):
-        return [np.empty(lead + w, dtype) for w in widths]
-
-    def scope(self, name):
-        return self
-
-
-_FRESH = _Fresh()
 
 
 def selu(x, out=None, tmp=None):
@@ -174,70 +100,64 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
 
 
-@functools.lru_cache(maxsize=64)
-def _alpha_rows(rates: tuple):
-    """``(keep, a, b)`` as ``(S, 1, 1)`` columns for one rate per stack row,
-    computed in Python floats as for a single rate (read-only, shared);
-    None when no row drops anything."""
-    for rate in rates:
-        _check_rate(rate)
-    if not any(rates):
-        return None
-    cols = [np.array(c)[:, None, None] for c in
-            ([1.0 - r for r in rates], *zip(*map(_alpha_affine, rates)))]
-    for c in cols:
-        c.flags.writeable = False
-    return tuple(cols)
+class _Dropout:
+    """Alpha-dropout of ``v`` at a block's rate, bound to the arrays it
+    writes: the dropped output ``out``, the gradient multiplier ``dmult``
+    (``a`` where a unit is kept, 0 where it is dropped) and the mask.
+
+    ``rate`` is one float, with one generator ``rng``, or one rate per row
+    of a stack ``(S, N, K)``, with one generator per row: at each call row
+    ``s`` draws its mask from ``rng[s]``, and nothing at rate 0, exactly as
+    alone. Dropped units are set to the SELU saturation value and the result
+    is rescaled affinely, so mean and variance are kept in expectation.
+    """
+
+    def __init__(self, v, rate, rng, empty=np.empty):
+        stacked = isinstance(rate, np.ndarray)
+        rates, rngs = (rate.tolist(), rng) if stacked else ([rate], [rng])
+        for r in rates:
+            _check_rate(r)
+        # (keep, a, b) in Python floats, as (S, 1, 1) columns over a stack
+        coeffs = ([1.0 - r for r in rates], *zip(*map(_alpha_affine, rates)))
+        self.keep, self.a, self.b = (np.array(c)[:, None, None] if stacked else c[0]
+                                     for c in coeffs)
+        self.v = v
+        self.out, self.dmult = empty((2, *v.shape))
+        self.mask = empty(v.shape, np.bool_)
+        rows = self.out if stacked else [self.out]
+        self._draws = [(gen if r else None, row) for r, gen, row in zip(rates, rngs, rows)]
+
+    def __call__(self) -> None:
+        out, mask = self.out, self.mask
+        for gen, row in self._draws:
+            if gen is None:
+                row.fill(0.0)  # keeps every unit
+            else:
+                gen.random(out=row)
+        # out holds the uniform draws until the mask is taken from them.
+        np.less(out, self.keep, out=mask)
+        np.copyto(out, _ALPHA_PRIME)
+        np.copyto(out, self.v, where=mask)
+        np.multiply(self.a, out, out=out)
+        out += self.b
+        np.multiply(self.a, mask, out=self.dmult)
 
 
-def alpha_dropout(v, rate, rng, train: bool, buf=_FRESH):
-    """Alpha-dropout that preserves the self-normalizing regime.
+def alpha_dropout(v, rate, rng, train: bool):
+    """Alpha-dropout that preserves the self-normalizing regime (see
+    :class:`_Dropout`, which a training pass binds instead).
 
-    Dropped units are set to the SELU saturation value and the result is
-    rescaled affinely so mean and variance are kept in expectation. In
-    inference mode, or at rate 0, this is the identity.
-
-    A stack ``v`` of shape ``(S, N, K)`` may take one rate per row, an
-    ``(S,)`` array, with ``rng`` a sequence of S generators: row ``s`` draws
-    its mask from ``rng[s]``, and nothing at rate 0, exactly as alone.
-
+    In inference mode, or where no row drops, this is the identity.
     Returns ``(out, dmult)`` where ``dmult`` is the elementwise multiplier
-    to apply to an upstream gradient (all ones outside training), both
-    taken from ``buf``.
+    to apply to an upstream gradient, or None where nothing drops; both are
+    new arrays.
     """
     v = np.asarray(v, dtype=np.float64)
-    if not train:
+    if not train or not np.any(rate):
         return v, None
-    lead, width = v.shape[:-1], v.shape[-1:]
-    if isinstance(rate, np.ndarray):
-        rates = tuple(rate.tolist())
-        coeffs = _alpha_rows(rates)
-        if coeffs is None:
-            return v, None
-        keep, a, b = coeffs
-        out, dmult = buf.arrays("dropout", lead, (width, width))
-        for r, gen, row in zip(rates, rng, out):
-            if r:
-                gen.random(out=row)
-            else:
-                row.fill(0.0)  # keeps every unit
-    else:
-        if rate == 0.0:
-            return v, None
-        _check_rate(rate)
-        keep = 1.0 - rate
-        out, dmult = buf.arrays("dropout", lead, (width, width))
-        rng.random(out=out)
-        a, b = _alpha_affine(rate)
-    # out holds the uniform draws until the mask is taken from them.
-    (mask,) = buf("mask", lead, (width,), np.bool_)
-    mask = np.less(out, keep, out=mask)
-    np.copyto(out, _ALPHA_PRIME)
-    np.copyto(out, v, where=mask)
-    np.multiply(a, out, out=out)
-    out += b
-    np.multiply(a, mask, out=dmult)
-    return out, dmult
+    drop = _Dropout(v, rate, rng)
+    drop()
+    return drop.out, drop.dmult
 
 
 def he_init(shape, fan_in: int, rng) -> np.ndarray:
@@ -247,19 +167,20 @@ def he_init(shape, fan_in: int, rng) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def huber_loss(pred, target, buf=_FRESH):
+def huber_loss(pred, target, out=(None,) * 4):
     """Mean-reduced Huber loss: quadratic inside ``|e| <= HUBER_DELTA``,
     linear outside.
 
     The mean runs over the last axis: a float for a batch, one loss per row
-    for a stack ``(S, B)``.
+    for a stack ``(S, B)``. ``out`` holds the elementwise arrays it writes,
+    ``(e, quad, per, inner)`` of ``pred``'s shape (``inner`` a bool array),
+    or None for each it allocates.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    e, quad, per = buf("huber_loss", pred.shape, ((), (), ()))
-    (inner,) = buf("huber_loss.inner", pred.shape, ((),), np.bool_)
+    e, quad, per, inner = out
     e = np.subtract(pred, target, out=e)
     np.abs(e, out=e)
     quad = np.multiply(0.5, e, out=quad)
@@ -271,12 +192,12 @@ def huber_loss(pred, target, buf=_FRESH):
     return loss if loss.ndim else float(loss)
 
 
-def huber_grad(pred, target, buf=_FRESH) -> np.ndarray:
-    """d(huber_loss)/d(pred), including the 1/n mean factor of each row."""
+def huber_grad(pred, target, out=None) -> np.ndarray:
+    """d(huber_loss)/d(pred), including the 1/n mean factor of each row,
+    into ``out`` when given."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    (g,) = buf("huber_grad", pred.shape, ((),))
-    g = np.subtract(pred, target, out=g)
+    g = np.subtract(pred, target, out=out)
     return _huber_slope(g, g)
 
 
@@ -303,7 +224,9 @@ def _dense(x, wt, b, pre, out, tmp, tanh):
 
     ``wt`` is the layer's weights transposed (over a stack, its last two
     axes swapped) and ``b`` its bias with a batch axis, or None. ``pre``,
-    ``out`` and the scratch ``tmp`` are the arrays written, or None.
+    ``out`` and the scratch ``tmp`` are the arrays written, or None. A pass
+    that keeps no pre-activation may pass ``pre`` as ``out`` under tanh,
+    or as ``tmp`` under SELU.
     """
     pre = np.matmul(x, wt, out=pre)
     if b is not None:
@@ -339,21 +262,17 @@ class TwoLayerBlock:
     The weights are views into one flat buffer, laid out ``w1, b1, w2, b2``,
     so their shapes agree by construction; biases exist only with
     ``bias=True``. Alpha-dropout (when ``dropout_rate > 0``) is applied after
-    each activation in training mode only.
+    each activation of a training pass only.
 
     Over a stack ``(S, n)`` the block holds S blocks: ``w1`` is
     ``(S, H, D)``, inputs are stacked too, ``(S, B, D)`` (a lone ``(B, D)``
-    batch is rejected), ``dropout_rate`` may be one rate per row, and
-    ``rng`` one generator per row. A stacked block does not raise on a
-    non-finite output; its caller decides row by row.
+    batch is rejected), and ``dropout_rate`` may be one rate per row. A
+    stacked block does not raise on a non-finite output; its caller decides
+    row by row.
 
-    :meth:`forward` and :meth:`backward` take their arrays from ``buf``.
-    Under a training loop's holder, a forward pass's output and cache, and a
-    backward pass's input gradient, are overwritten by the next call of the
-    same method under that holder; without one they are new arrays. Both
-    passes take their float scratch from the holder's ``"scratch"`` site,
-    which they share, and the backward pass its SELU masks from
-    ``"masks"``: neither keeps them past its own return.
+    :meth:`forward` alone is inference. A training pass runs over a binding
+    of the block (:class:`_Bound`): ``forward(x, bound)``, then
+    ``backward(bound, dout)``.
     """
 
     def __init__(self, flat, in_dim, hidden_dim, out_dim, bias=True, tanh_out=False,
@@ -369,11 +288,6 @@ class TwoLayerBlock:
         self._w1t, self._w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
         self._b1 = None if b1 is None else b1[..., None, :]
         self._b2 = None if b2 is None else b2[..., None, :]
-        # The trailing shapes of the arrays the passes write (see forward
-        # and backward for their order).
-        h, k = (hidden_dim,), (out_dim,)
-        self._forward_widths, self._backward_widths = (h, h, k, k), (h, h, k)
-        self._scratch_widths, self._in_width = (h, k), ((in_dim,),)
 
     @staticmethod
     def size(in_dim, hidden_dim, out_dim, bias=True) -> int:
@@ -396,87 +310,78 @@ class TwoLayerBlock:
     def out_dim(self) -> int:
         return self.w2.shape[-2]
 
-    def forward(self, x, train=False, rng=None, buf=_FRESH):
+    def forward(self, x, bound=None):
         """Run the block on a batch ``(B, D)``, or a stacked block on a
-        stack ``(S, B, D)``; returns ``(out, cache)``.
+        stack ``(S, B, D)``; returns the output, ``(B, K)`` or ``(S, B, K)``.
 
-        ``cache`` holds what :meth:`backward` needs. The output is
-        ``(B, K)``, or ``(S, B, K)`` for a stacked block.
+        Without ``bound`` this is inference: no dropout and no cache. Each
+        layer writes its activation over its pre-activation (tanh) or with
+        it as scratch (SELU), so a layer holds no more than its input, its
+        pre-activation and its output, and only the output, the caller's,
+        outlives the call. With ``bound``, a binding of this block over
+        ``x``, it runs the bound training pass and returns ``bound.out``.
         """
+        if bound is not None:
+            bound.forward()
+            return bound.out
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != self.w1.ndim or x.shape[-1] != self.in_dim:
             raise ValueError(f"input of shape {x.shape} is not a "
                              f"{'stack of batches' if self.w1.ndim > 2 else 'batch'}"
                              f" of width {self.in_dim}")
-        rate = self.dropout_rate
-        drop = train and bool(rate.any() if isinstance(rate, np.ndarray) else rate)
-        if drop and rng is None:
-            raise ValueError("training with dropout requires an rng")
-
-        lead = x.shape[:-1]
-        pre1, act1, pre2, a2 = buf("forward", lead, self._forward_widths)
-        tmp1, tmp2 = buf("scratch", lead, self._scratch_widths)
-        pre1, act1 = _dense(x, self._w1t, self._b1, pre1, act1, tmp1, False)
-        dmul1 = None
-        if drop:
-            act1, dmul1 = alpha_dropout(act1, rate, rng, train, buf.scope("hidden"))
-        pre2, a2 = _dense(act1, self._w2t, self._b2, pre2, a2, tmp2, self.tanh_out)
-        out, dmul2 = a2, None
-        if drop:
-            out, dmul2 = alpha_dropout(a2, rate, rng, train, buf.scope("output"))
+        for wt, b, tanh in ((self._w1t, self._b1, False), (self._w2t, self._b2, self.tanh_out)):
+            pre = np.empty((*x.shape[:-1], wt.shape[-1]))
+            x = _dense(x, wt, b, pre, pre if tanh else None, pre, tanh)[1]
+            del pre  # x holds the activation; the pre-activation is spent
         if self.w1.ndim == 2:
-            _check_finite(out)
-        return out, (x, pre1, act1, dmul1, pre2, a2, dmul2)
+            _check_finite(x)
+        return x
 
-    def backward(self, cache, dout, grad, need_dx=True, buf=_FRESH):
-        """Backpropagate ``dout`` through the cached forward pass.
+    def backward(self, bound, dout, need_dx=True):
+        """Backpropagate ``dout`` through ``bound``'s last forward pass.
 
-        Writes the weight gradient into ``grad``, a flat buffer laid out like
-        the block's weights (``w1, b1, w2, b2``), and returns ``dx``, or None
-        with ``need_dx=False`` (the input is data, not a parameter's output).
+        Writes the weight gradient into the gradient views ``bound`` holds
+        and returns dLoss/dx (``bound.dx``), or None with ``need_dx=False``
+        (the input is data, not a parameter's output).
         """
-        x, pre1, act1, dmul1, pre2, a2, dmul2 = cache
-        gw1, gb1, gw2, gb2 = _split(grad, self.in_dim, self.w1.shape[-2],
-                                    self.out_dim, self.b1 is not None)
-        lead = pre1.shape[:-1]
-        dact1, delta1, delta2 = buf("backward", lead, self._backward_widths)
-        greater1, greater2 = buf("masks", lead, self._scratch_widths, np.bool_)
-        if dmul2 is not None:
-            _, tmp2 = buf("scratch", lead, self._scratch_widths)
-            dout = np.multiply(dout, dmul2, out=tmp2)
-        dact1 = _dense_backward(dout, act1, self.w2, pre2, a2, gw2, gb2, delta2, greater2,
-                                self.tanh_out, True, dact1)
-        if dmul1 is not None:
-            dact1 *= dmul1
-        (dx,) = buf("input_grad", lead, self._in_width) if need_dx else (None,)
-        return _dense_backward(dact1, x, self.w1, pre1, act1, gw1, gb1, delta1, greater1,
-                               False, need_dx, dx)
+        bound.backward(dout, need_dx)
+        return bound.dx if need_dx else None
 
 
 class _Bound:
-    """A block's passes over arrays bound once: the input ``x`` (read at
-    every pass, so its owner may rewrite it in place), the weight views,
-    the gradient views into ``grad`` (laid out like the block's weights),
-    and every array a pass writes, ``out`` and ``dx`` among them.
+    """A block's training passes over arrays bound once: the input ``x``
+    (read at every pass, so its owner may rewrite it in place), the weight
+    views, the gradient views into ``grad`` (laid out like the block's
+    weights), and every array a pass writes, ``out`` and ``dx`` among them,
+    each taken from ``empty``.
 
-    Each pass runs the per-layer steps of :meth:`TwoLayerBlock.forward` and
-    :meth:`~TwoLayerBlock.backward`, without dropout, input checks or
-    holder lookups. ``x`` may carry the block's stack axis, ``(S, B, D)``;
-    a single block raises :class:`NumericsError` on a non-finite output.
+    Given ``rng`` (a generator, or one per row of a stack), each forward
+    pass applies alpha-dropout after both activations at the block's rate
+    (see :class:`_Dropout`): every row draws its hidden mask, then its
+    output mask, and ``out`` is the dropped output. Without it, or where no
+    row drops, a pass has no dropout.
+
+    Each pass runs the per-layer steps without input checks. ``x`` may carry
+    the block's stack axis, ``(S, B, D)``; a single block raises
+    :class:`NumericsError` on a non-finite output.
     """
 
-    def __init__(self, block, x, grad):
+    def __init__(self, block, x, grad, rng=None, empty=np.empty):
         lead = x.shape[:-1]
-        (h,), (k,) = block._scratch_widths
-        pre1, act1, tmp1, delta1, dact1 = np.empty((5, *lead, h))
-        pre2, self.out, tmp2, delta2 = np.empty((4, *lead, k))
-        greater1, greater2 = np.empty((*lead, h), np.bool_), np.empty((*lead, k), np.bool_)
-        self.dx = np.empty_like(x)
+        h, k = block.w1.shape[-2], block.out_dim
+        pre1, act1, tmp1, delta1, dact1 = empty((5, *lead, h))
+        pre2, out2, tmp2, delta2 = empty((4, *lead, k))
+        greater1, greater2 = empty((*lead, h), np.bool_), empty((*lead, k), np.bool_)
+        self.dx = empty(x.shape)
         gw1, gb1, gw2, gb2 = _split(grad, block.in_dim, h, k, block.b1 is not None)
+        rate = block.dropout_rate
+        self._drops = () if rng is None or not np.any(rate) else (
+            _Dropout(act1, rate, rng, empty), _Dropout(out2, rate, rng, empty))
+        hidden, self.out = (d.out for d in self._drops) if self._drops else (act1, out2)
         self._layers = ((x, block._w1t, block._b1, pre1, act1, tmp1, False),
-                        (act1, block._w2t, block._b2, pre2, self.out, tmp2, block.tanh_out))
-        self._dact1 = dact1
-        self._back2 = (act1, block.w2, pre2, self.out, gw2, gb2, delta2, greater2,
+                        (hidden, block._w2t, block._b2, pre2, out2, tmp2, block.tanh_out))
+        self._dact1, self._tmp2 = dact1, tmp2
+        self._back2 = (hidden, block.w2, pre2, out2, gw2, gb2, delta2, greater2,
                        block.tanh_out, True, dact1)
         self._back1 = (x, block.w1, pre1, act1, gw1, gb1, delta1, greater1, False)
         self._single = block.w1.ndim == 2
@@ -485,7 +390,11 @@ class _Bound:
         """Run the block on ``x`` into ``out``."""
         first, second = self._layers
         _dense(*first)
+        if self._drops:
+            self._drops[0]()
         _dense(*second)
+        if self._drops:
+            self._drops[1]()
         if self._single:
             _check_finite(self.out)
 
@@ -493,7 +402,11 @@ class _Bound:
         """Backpropagate ``dout`` through the last forward pass: the weight
         gradient into ``grad``'s views and, with ``need_dx``, dLoss/dx into
         ``dx``."""
+        if self._drops:
+            dout = np.multiply(dout, self._drops[1].dmult, out=self._tmp2)
         _dense_backward(dout, *self._back2)
+        if self._drops:
+            self._dact1 *= self._drops[0].dmult
         _dense_backward(self._dact1, *self._back1, need_dx, self.dx)
 
 

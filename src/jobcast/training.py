@@ -10,8 +10,10 @@ frozen, the predictor trainable from the start, and the scale-out block
 joining after an epoch threshold that grows with the number of samples.
 Fine-tuning stops early once the training MAE drops to the target or
 stalls past the patience window, and always returns the best snapshot seen.
-Its loop binds the arrays it touches once per call (see
-:class:`jobcast.nn._Bound`), so an epoch is a fixed sequence of numpy calls.
+Both loops bind the arrays they touch once (see :class:`jobcast.nn._Bound`):
+pre-training's stack binds its joint step once per minibatch length, and
+again only when rows leave it, and fine-tuning binds ``f`` and ``z`` once per
+call, so an epoch is a fixed sequence of numpy calls.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .encoding import Normalizer
 from .errors import ConfigError, DataError, NumericsError, TrainingError
 from .model import F_DIM, EncodedBatch, ModelState, PropertySchema, \
-    encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms
-from .nn import Adam, _Bound, _Buffers, _huber_slope
+    encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms, _JointStep
+from .nn import Adam, _Bound, _huber_slope
 
 MAX_EPOCHS = 2500
 MAE_TARGET_SECONDS = 5.0
@@ -108,6 +110,30 @@ def lr_at(epoch: int) -> float:
 _LR_WAVE = tuple(map(lr_at, range(LR_PERIOD)))
 
 
+class _Arena:
+    """``np.empty`` for the bindings of one row set of a stack: the i-th
+    array a binding asks for is a contiguous prefix of the arena's i-th flat
+    array. The first binding, a full minibatch's, sizes them; a short
+    minibatch's binding asks for the same arrays, none larger, and so reuses
+    that memory."""
+
+    def __init__(self):
+        self._flats: list = []
+        self._next = 0
+
+    def rewind(self) -> "_Arena":
+        self._next = 0
+        return self
+
+    def __call__(self, shape, dtype=np.float64):
+        size = math.prod(shape)
+        if self._next == len(self._flats):
+            self._flats.append(np.empty(size, dtype))
+        flat = self._flats[self._next]
+        self._next += 1
+        return flat[:size].reshape(shape)
+
+
 class _Lockstep:
     """The rows of one stack still training: every config of some searches.
 
@@ -120,10 +146,11 @@ class _Lockstep:
     indexes row ``i``'s own records in it and ``pvecs[i]`` holds its own
     unique vectors.
 
-    Every step writes its minibatch, forward pass, loss terms and backward
-    pass into the arrays of one buffer holder, ``buf``, which the stack owns.
-    When rows leave, the next step asks for fewer rows and gets a prefix of
-    the same arrays.
+    ``steps`` maps each minibatch length to its binding: the index array
+    and minibatch arrays a step gathers into, and the joint step bound over
+    them (:class:`~jobcast.model._JointStep`), all from the stack's arena.
+    Rows leaving drop the bindings and the arena, and the next step binds
+    again.
     """
 
     def __init__(self, searches):
@@ -155,8 +182,19 @@ class _Lockstep:
         self.offsets = u * np.arange(size)[:, None, None]
         self.loss = np.full(size, np.nan)
         self.total = np.zeros(size)
-        self.buf = _Buffers()
-        self._minibatch_widths = (self.batch.sfeat.shape[1:], (u,), (u,), ())
+        self.steps, self._arena = {}, _Arena()
+
+    def _bind(self, size: int):
+        """The binding of minibatches of ``size`` records of every row."""
+        empty, b = self._arena.rewind(), self.batch
+        lead = (len(self.ids), size)
+        idx = empty(lead, np.intp)
+        names = ("sfeat", "ess_rows", "opt_weights", "usage", "runtimes")
+        parts = {name: empty((*lead, *getattr(b, name).shape[1:]), getattr(b, name).dtype)
+                 for name in names}
+        minibatch = EncodedBatch(pvecs=self.pvecs, **parts)
+        gathers = [(getattr(b, name), parts[name]) for name in names]
+        return idx, gathers, _JointStep(self.state, minibatch, self.grad, self.rngs, empty)
 
     def gradients(self, start: int, size: int):
         """Joint loss and gradient (into ``grad``) of every row on the
@@ -164,23 +202,17 @@ class _Lockstep:
 
         Returns each row's loss and :func:`~jobcast.model.diverged_rows`.
         """
-        b, buf = self.batch, self.buf
         order = self.orders[:, start : start + size]
-        (idx,) = buf.arrays("order", order.shape, ((),), np.intp)
+        length = order.shape[1]
+        if length not in self.steps:
+            self.steps[length] = self._bind(length)
+        idx, gathers, step = self.steps[length]
         np.copyto(idx, order)  # np.take copies indices that are not contiguous
-        sfeat, opt_weights, usage, runtimes = buf.arrays("minibatch", idx.shape,
-                                                         self._minibatch_widths)
-        (ess_rows,) = buf.arrays("ess_rows", idx.shape, (b.ess_rows.shape[1:],), np.intp)
-        for source, out in ((b.sfeat, sfeat), (b.ess_rows, ess_rows),
-                            (b.opt_weights, opt_weights), (b.usage, usage),
-                            (b.runtimes, runtimes)):
+        for source, out in gathers:
             source.take(idx, axis=0, out=out, mode="clip")  # clip: no copy of out
-        ess_rows += self.offsets
-        minibatch = EncodedBatch(sfeat, self.pvecs, ess_rows, opt_weights, usage,
-                                 runtimes)
-        loss, _, _, detail = _joint_terms(self.state, minibatch, train=True,
-                                          rng=self.rngs, grad=self.grad, buf=buf)
-        return loss, diverged_rows(detail, loss, self.grad)
+        step.batch.ess_rows += self.offsets
+        loss, _, _ = _joint_terms(self.state, step.batch, self.grad, step)
+        return loss, diverged_rows(step.detail, loss, self.grad)
 
     def leave(self, bad, ran) -> None:
         """Log the rows marked in ``bad`` as diverged after ``ran`` epochs
@@ -195,6 +227,7 @@ class _Lockstep:
         self.offsets = self.offsets[: len(rows)]
         for name in ("grad", "pvecs", "ids", "orders", "loss", "total"):
             setattr(self, name, getattr(self, name)[rows])
+        self.steps, self._arena = {}, _Arena()
 
     def train(self, epochs: int, batch_size: int) -> None:
         """Train every row for ``epochs`` epochs, then score the rows left."""
@@ -228,7 +261,7 @@ def _mean_abs_error(y, runtimes) -> float:
 
 
 def _mae(state, batch) -> float:
-    return _mean_abs_error(forward_batch(state, batch)[0], batch.runtimes)
+    return _mean_abs_error(forward_batch(state, batch), batch.runtimes)
 
 
 class _Search:
@@ -423,7 +456,7 @@ def finetune(state: ModelState | PropertySchema, samples,
     # so r is assembled once: the codes never change, and f's columns
     # change only once f trains. f's output is copied into them (written
     # there directly, strided, it is slower).
-    codes, _ = work.g.forward(batch.pvecs)
+    codes = work.g.forward(batch.pvecs)
     f = _Bound(work.f, batch.sfeat, grad[seg["f"]])
     f.forward()
     r = _assemble(work.schema, f.out, codes, batch.ess_rows, batch.opt_weights)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from jobcast import baselines
 from jobcast.baselines import (ErnestModel, bell_fit, bell_predict,
                                ernest_features, ernest_fit, ernest_predict,
                                nnls)
@@ -188,6 +189,22 @@ class TestBell:
         pts = self.DIP_RISE + [(6, 90.0), (6, 70.0)]
         model = bell_fit(pts)
         assert model.medians[model.grid.index(6.0)] == 80.0
+
+    @pytest.mark.parametrize("repeats", [2, 3])
+    @pytest.mark.parametrize("curve", ["LINE", "DIP_RISE"])
+    def test_a_repeated_scale_out_fits_as_with_np_median(self, monkeypatch, curve,
+                                                           repeats):
+        """One scale-out runs 2 or 3 times: the fit equals one that takes
+        every median, the leave-one-out ones included, with np.median."""
+        rng = np.random.default_rng(repeats)
+        points = getattr(self, curve)
+        x, runtime = points[2]
+        pts = points + [(x, runtime * f) for f in rng.uniform(0.5, 1.5, repeats - 1)]
+        ours = bell_fit(pts)
+        monkeypatch.setattr(baselines, "_median", lambda values: float(np.median(values)))
+        theirs = bell_fit(pts)
+        assert ours == theirs
+        assert [m.hex() for m in ours.medians] == [m.hex() for m in theirs.medians]
 
     def test_two_points_rejected(self):
         with pytest.raises(DataError):

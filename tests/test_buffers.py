@@ -1,20 +1,23 @@
-"""Training steps write into buffers they own; callers get arrays of their own.
+"""Training steps write into arrays they bind; callers get arrays of their own.
 
-A stacked pre-training step takes every array it writes from its stack's
-buffer holder, so once the holder has seen both minibatch shapes a step
-allocates next to nothing. And no array handed to a caller is written by a
-later call: each public call below runs twice, and the first result stays
-bit for bit what it was, in memory of its own.
+A stacked pre-training step writes every array into its binding of the joint
+step, one per minibatch length, so once both lengths are bound a step
+allocates next to nothing. Inference keeps no cache, so it peaks far below
+the arrays a training pass binds. And no array handed to a caller is written
+by a later call: each public call below runs twice, and the first result
+stays bit for bit what it was, in memory of its own.
 """
 
 import dataclasses
 import functools
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cached_passes as cached
 from jobcast.model import encode_batch, forward_batch, predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
 from jobcast.training import (SearchSpace, _Lockstep, _Search, finetune,
@@ -83,17 +86,12 @@ def test_a_stacked_step_allocates_nothing_large():
         assert kept < STEP_ALLOCATION_LIMIT
 
 
-def _arenas(buf):
-    """Every arena of a holder and of its scopes."""
-    return [arena for arenas in buf._arenas.values() for arena in arenas] + [
-        arena for scope in buf._scopes.values() for arena in _arenas(scope)]
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_stack_carves_no_arena_after_its_first_step():
-    """A site's first request is its largest: rows only leave a stack, and
-    an epoch's last minibatch is its shortest, so every later step reuses
-    the arenas of the first."""
+def test_a_stack_binds_each_minibatch_length_once_per_row_set():
+    """Each minibatch length binds the joint step once, and a new binding
+    comes only after rows leave. A row set's bindings share one arena: a
+    short minibatch's arrays are prefixes of a full one's, and no step
+    after the first carves a new flat array."""
     # test_lockstep's DIVERGING space: three of its five rows blow up, one
     # within three epochs and two after 18.
     space = SearchSpace(dropout_rates=(0.0, 0.2), learning_rates=(1e-2, 1e5, 1e20),
@@ -108,16 +106,43 @@ def test_a_stack_carves_no_arena_after_its_first_step():
 
     def spy(start, size):
         result = gradients(start, size)
-        steps.append((lock.ids.size, min(size, n - start), _arenas(lock.buf)))
+        length = min(size, n - start)
+        steps.append((lock.ids.size, length, lock.steps[length], lock._arena,
+                      list(lock._arena._flats)))
         return result
 
     lock.gradients = spy
     lock.train(30, 8)
-    assert {(rows, size) for rows, size, _ in steps} >= {(5, 8), (5, 6), (2, 8), (2, 6)}
-    first = steps[0][2]
-    for _, _, arenas in steps[1:]:
-        assert len(arenas) == len(first)
-        assert all(a is b for a, b in zip(arenas, first))
+    assert {(rows, size) for rows, size, *_ in steps} >= {(5, 8), (5, 6), (2, 8), (2, 6)}
+    bindings, arenas = {}, {}
+    for rows, size, binding, arena, flats in steps:
+        assert bindings.setdefault((rows, size), binding) is binding
+        first = arenas.setdefault(rows, (arena, flats))
+        assert arena is first[0] and len(flats) == len(first[1])
+        assert all(a is b for a, b in zip(flats, first[1]))
+    assert len({id(b) for b in bindings.values()}) == len(bindings)
+    for rows in arenas:
+        full, short = (bindings[rows, size][2] for size in (8, 6))
+        assert short.r.ctypes.data == full.r.ctypes.data
+        assert short.r.flags.c_contiguous and short.r.size < full.r.size
+
+
+INFERENCE_LIMIT = 40_000_000
+
+
+def test_inference_keeps_no_cache():
+    """Over 100,000 candidates the forward pass peaks below 40 MB beyond
+    its inputs (a pass that kept the backward caches peaked at 80 MB), and
+    its outputs are bit for bit the cached pass's."""
+    state, records = _pretrained()
+    props = records[0].properties
+    batch = encode_batch(state.schema, state.normalizer,
+                         [SimpleNamespace(scale_out=1 + i % 201, properties=props)
+                          for i in range(100_000)], with_runtimes=False)
+    out = []
+    peak, _ = _traced(lambda: out.append(forward_batch(state, batch)))
+    assert peak < INFERENCE_LIMIT, f"inference peaked at {peak} bytes"
+    assert out[0].tobytes() == cached.forward_batch(state, batch).tobytes()
 
 
 @functools.lru_cache(maxsize=None)

@@ -339,6 +339,24 @@ class TestRunComparison:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_an_evaluate_run_loads_no_masked_arrays(self, tmp_path):
+        """The hybrid baseline takes its medians without np.median, whose
+        first call imports numpy.ma."""
+        src = Path(evalharness.__file__).resolve().parents[1]
+        data = Path(__file__).resolve().parent / "data"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        argv = ["evaluate", "--data", str(data / "sort_runs.csv"),
+                "--manifest", str(data / "sort_manifest.txt"), "--methods", "bell",
+                "--n-train", "3", "--max-splits", "2", "--out-dir", str(tmp_path / "out")]
+        code = (f"import sys; from jobcast import cli; cli.main({argv!r}); "
+                "print('numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "bell" in done.stdout
+        assert done.stdout.strip().splitlines()[-1] == "False"
+
     def test_interpolation_error_shrinks_with_more_data(self, ctx_records):
         """Statistical sanity on parametric-shaped data: the hybrid and the
         learned model interpolate better with 5 training points than with

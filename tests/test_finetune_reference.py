@@ -1,10 +1,10 @@
-"""Fine-tuning against a reference loop built on the generic block passes.
+"""Fine-tuning against a reference loop built on cached block passes.
 
 ``training.finetune`` binds each trained block's arrays once per call and
 then runs a fixed sequence of numpy calls per epoch. The reference below
-is the same loop written over the generic pieces: ``TwoLayerBlock.forward``
-and ``backward`` with their caches and new arrays, ``huber_grad`` on every
-epoch, and ``_mean_abs_error``. Both must agree bit for bit on every MAE
+is the same loop written over generic pieces: the cached block passes of
+``cached_passes`` with their new arrays, ``huber_grad`` on every epoch, and
+``_mean_abs_error``. Both must agree bit for bit on every MAE
 they record, on where and why they stop and on the model they return, and
 must fail alike, with the same class and message.
 """
@@ -15,11 +15,12 @@ import math
 import numpy as np
 import pytest
 
+import cached_passes as cached
 from jobcast import evalharness
 from jobcast.encoding import Normalizer
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.evalharness import evaluate_splits, generate_splits
-from jobcast.model import F_DIM, ModelState, PropertySchema, _assemble, encode_batch
+from jobcast.model import F_DIM, ModelState, PropertySchema, encode_batch
 from jobcast.nn import Adam, huber_grad
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
 from jobcast.training import (FINETUNE_WEIGHT_DECAY, MAE_TARGET_SECONDS,
@@ -33,7 +34,7 @@ EPOCHS = 250  # f joins within it at n = 1 and 2 in the partial modes
 
 
 def reference_finetune(state, samples, reuse, seed, epochs):
-    """``finetune``'s loop over the generic block passes, for samples to
+    """``finetune``'s loop over the cached block passes, for samples to
     train on and a reuse mode that trains."""
     samples = list(samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -49,9 +50,9 @@ def reference_finetune(state, samples, reuse, seed, epochs):
         else unfreeze_epoch(len(samples))
 
     batch = encode_batch(work.schema, work.normalizer, samples)
-    codes, _ = work.g.forward(batch.pvecs)
-    e, _ = work.f.forward(batch.sfeat)
-    r = _assemble(work.schema, e, codes, batch.ess_rows, batch.opt_weights)
+    codes, _ = cached.forward(work.g, batch.pvecs)
+    e, _ = cached.forward(work.f, batch.sfeat)
+    r = cached.assemble(work.schema, e, codes, batch.ess_rows, batch.opt_weights)
     grad = np.zeros_like(work.vector)
 
     def trainer(c):
@@ -61,7 +62,7 @@ def reference_finetune(state, samples, reuse, seed, epochs):
                      weight_decay=FINETUNE_WEIGHT_DECAY), work.vector[sl], grad[sl])
 
     trainers = [trainer("z")]
-    y2, z_cache = work.z.forward(r)
+    y2, z_cache = cached.forward(work.z, r)
     y = y2[:, 0]
     best_mae = _mean_abs_error(y, batch.runtimes)
     best_epoch, best, history = 0, work.vector.copy(), [best_mae]
@@ -72,20 +73,20 @@ def reference_finetune(state, samples, reuse, seed, epochs):
         f_trains = epoch >= f_join
         if epoch == f_join:
             trainers.insert(0, trainer("f"))
-            _, f_cache = work.f.forward(batch.sfeat)
+            _, f_cache = cached.forward(work.f, batch.sfeat)
         dy = huber_grad(y, batch.runtimes)
-        dr = work.z.backward(z_cache, dy[:, None], grad[work.segments["z"]],
+        dr = cached.backward(work.z, z_cache, dy[:, None], grad[work.segments["z"]],
                              need_dx=f_trains)
         if f_trains:
-            work.f.backward(f_cache, dr[:, :F_DIM], grad[work.segments["f"]],
+            cached.backward(work.f, f_cache, dr[:, :F_DIM], grad[work.segments["f"]],
                             need_dx=False)
         for optim, params, grads in trainers:
             optim.lr = lr_at(epoch)
             optim.step(params, grads)
         epochs_run = epoch + 1
         if f_trains:
-            r[:, :F_DIM], f_cache = work.f.forward(batch.sfeat)
-        y2, z_cache = work.z.forward(r)
+            r[:, :F_DIM], f_cache = cached.forward(work.f, batch.sfeat)
+        y2, z_cache = cached.forward(work.z, r)
         y = y2[:, 0]
         mae = _mean_abs_error(y, batch.runtimes)
         if not math.isfinite(mae):

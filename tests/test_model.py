@@ -193,8 +193,8 @@ class TestForward:
         state = fresh_state()
         types = ["m5.xlarge", "m5.2xlarge", "c5.xlarge", "r5.large",
                  "i3.4xlarge", "t2.medium"]
-        codes, _ = state.g.forward(np.stack([encode_property(PropertyValue.text(t))
-                                             for t in types]))
+        codes = state.g.forward(np.stack([encode_property(PropertyValue.text(t))
+                                          for t in types]))
         for i in range(len(codes)):
             for j in range(i + 1, len(codes)):
                 assert not np.array_equal(codes[i], codes[j])
@@ -238,7 +238,7 @@ class TestSharedEncoding:
         batched = predict_batch(state, CANDIDATES, props)
         copies = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props, True),
                               False)
-        expect = forward_batch(state, copies)[0]
+        expect = forward_batch(state, copies)
         assert [float(y).hex() for y in batched] == [float(y).hex() for y in expect]
         singles = [predict(state, x, props).runtime_seconds for x in CANDIDATES]
         np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import cached_passes as cached
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SELU_ALPHA, SELU_LAMBDA,
                         Adam, TwoLayerBlock, _Bound, _split, alpha_dropout, he_init,
@@ -134,7 +135,7 @@ class TestTwoLayerBlock:
         w2 = np.array([[1.0, 1.0]])
         block = TwoLayerBlock(np.concatenate([w1.ravel(), w2.ravel()]), 3, 2, 1,
                               bias=False)
-        out, _ = block.forward(np.zeros((1, 3)))
+        out = block.forward(np.zeros((1, 3)))
         np.testing.assert_array_equal(out, [[0.0]])
 
     def test_matches_scalar_loop_reference(self):
@@ -143,7 +144,7 @@ class TestTwoLayerBlock:
         rng = np.random.default_rng(11)
         block, _ = new_block(4, 6, 3, rng, bias=True)
         x = rng.normal(size=4)
-        out, _ = block.forward(x[None, :])
+        out = block.forward(x[None, :])
 
         def ref_selu(v):
             lam, alpha = SELU_LAMBDA, SELU_ALPHA
@@ -167,8 +168,8 @@ class TestTwoLayerBlock:
         rng = np.random.default_rng(3)
         block, _ = new_block(5, 8, 2, rng, dropout_rate=0.3)
         x = rng.normal(size=(4, 5))
-        a, _ = block.forward(x)
-        b, _ = block.forward(x)
+        a = block.forward(x)
+        b = block.forward(x)
         np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch_rejected(self):
@@ -197,13 +198,13 @@ class TestTwoLayerBlock:
         target = rng.normal(size=(5, dim[2]))
 
         def loss():
-            out, _ = block.forward(x)
-            return squared_error(out, target)
+            return squared_error(block.forward(x), target)
 
-        out, cache = block.forward(x)
-        dout = 2.0 * (out - target) / out.size
         grad = np.full_like(flat, np.nan)
-        dx = block.backward(cache, dout, grad)
+        bound = _Bound(block, x, grad)
+        out = block.forward(x, bound)
+        dout = 2.0 * (out - target) / out.size
+        dx = block.backward(bound, dout)
         assert np.all(np.isfinite(grad))  # every weight gets a gradient
 
         h = 1e-5
@@ -339,18 +340,19 @@ class TestAdam:
         y = rng.normal(size=(10, 2))
         optim = Adam(lr=1e-2, shape=flat.shape, name_of=str)
         grad = np.zeros_like(flat)
+        bound = _Bound(block, x, grad)
         for _ in range(5000):
-            out, cache = block.forward(x)
-            block.backward(cache, 2.0 * (out - y) / out.size, grad)
+            out = block.forward(x, bound)
+            block.backward(bound, 2.0 * (out - y) / out.size)
             optim.step(flat, grad)
-        out, _ = block.forward(x)
-        assert squared_error(out, y) < 1e-3
+        assert squared_error(block.forward(x), y) < 1e-3
 
 
 class TestBound:
-    """A bound pass computes what the block's own passes compute, bit for
-    bit, on a single block and on a stack, and reads its input afresh at
-    every pass."""
+    """A bound pass computes what the cached passes of ``cached_passes``
+    compute, bit for bit, on a single block and on a stack, with and
+    without dropout, and reads its input afresh at every pass; so does the
+    cache-free inference pass."""
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     @pytest.mark.parametrize("bias,tanh_out,dim", [
@@ -365,13 +367,47 @@ class TestBound:
         grad, bound_grad = np.zeros_like(flat), np.zeros_like(flat)
         bound = _Bound(block, x, bound_grad)
         for _ in range(2):  # the second pass runs on a rewritten input
-            out, cache = block.forward(x)
-            dx = block.backward(cache, dout, grad)
-            bound.forward()
-            bound.backward(dout)
+            out, cache = cached.forward(block, x)
+            dx = cached.backward(block, cache, dout, grad)
+            assert block.forward(x, bound) is bound.out
+            assert block.backward(bound, dout) is bound.dx
             assert [a.tobytes() for a in (bound.out, bound_grad, bound.dx)] == \
                 [a.tobytes() for a in (out, grad, dx)]
+            assert block.forward(x).tobytes() == out.tobytes()
             x *= -0.5
+
+    @pytest.mark.parametrize("rates", [0.2, (0.2, 0.0, 0.1), (0.0, 0.0)])
+    @pytest.mark.parametrize("tanh_out", [False, True])
+    def test_bound_dropout_draws_as_the_cached_pass(self, rates, tanh_out):
+        """Each row draws its hidden mask, then its output mask, from its
+        own generator at every pass, and a row at rate 0 draws nothing."""
+        stack = np.shape(rates)
+        dim = (4, 6, 3)
+        rng = np.random.default_rng(13)
+        flat = rng.normal(size=(*stack, TwoLayerBlock.size(*dim)))
+        block = TwoLayerBlock(flat, *dim, tanh_out=tanh_out, dropout_rate=rates)
+        x = rng.normal(size=(*stack, 5, dim[0]))
+        dout = rng.normal(size=(*stack, 5, dim[2]))
+
+        def streams():
+            return [np.random.default_rng(7 + s) for s in range(np.size(rates))]
+
+        def rng(gens):  # one generator per row, or one for a single block
+            return gens if stack else gens[0]
+
+        ours, theirs = streams(), streams()
+        grad, bound_grad = np.zeros_like(flat), np.zeros_like(flat)
+        bound = _Bound(block, x, bound_grad, rng(ours))
+        for _ in range(3):
+            out, cache = cached.forward(block, x, train=True, rng=rng(theirs))
+            dx = cached.backward(block, cache, dout, grad)
+            block.forward(x, bound)
+            block.backward(bound, dout)
+            assert [a.tobytes() for a in (bound.out, bound_grad, bound.dx)] == \
+                [a.tobytes() for a in (out, grad, dx)]
+        for gen, other, new, rate in zip(ours, theirs, streams(), np.ravel(rates)):
+            assert gen.bit_generator.state == other.bit_generator.state
+            assert (gen.bit_generator.state != new.bit_generator.state) == bool(rate)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_single_bound_block_raises_on_a_non_finite_output(self):
@@ -401,14 +437,15 @@ class TestStack:
         stacked, singles = self._stack(dims, rates)
         x = np.random.default_rng(6).standard_normal((len(rates), 9, 5))
         dout = np.random.default_rng(7).standard_normal((len(rates), 9, 3))
-        out, cache = stacked.forward(x, train=True,
-                                     rng=[np.random.default_rng(s) for s in range(3)])
         grad = np.zeros((len(rates), TwoLayerBlock.size(*dims)))
-        dx = stacked.backward(cache, dout, grad)
+        bound = _Bound(stacked, x, grad, [np.random.default_rng(s) for s in range(3)])
+        out = stacked.forward(x, bound)
+        dx = stacked.backward(bound, dout)
         for s, block in enumerate(singles):
-            o, c = block.forward(x[s], train=True, rng=np.random.default_rng(s))
             g = np.zeros(TwoLayerBlock.size(*dims))
-            d = block.backward(c, dout[s], g)
+            alone = _Bound(block, x[s], g, np.random.default_rng(s))
+            o = block.forward(x[s], alone)
+            d = block.backward(alone, dout[s])
             assert np.array_equal(out[s], o) and np.array_equal(grad[s], g)
             assert np.array_equal(dx[s], d)
 
@@ -422,7 +459,7 @@ class TestStack:
     def test_stacked_block_leaves_non_finite_rows_to_the_caller(self):
         stacked, singles = self._stack((2, 3, 2), (0.0, 0.0))
         stacked.w1[1] = singles[1].w1[...] = np.inf
-        out, _ = stacked.forward(np.ones((2, 4, 2)))
+        out = stacked.forward(np.ones((2, 4, 2)))
         assert np.isfinite(out[0]).all() and not np.isfinite(out[1]).all()
         with pytest.raises(NumericsError):
             singles[1].forward(np.ones((4, 2)))
