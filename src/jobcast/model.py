@@ -333,12 +333,15 @@ def forward_batch(state: ModelState, batch: EncodedBatch, step=None) -> np.ndarr
     Without ``step`` this is inference: each block keeps no cache, and the
     embedding is dropped before ``z`` runs, so the peak is ``z``'s input
     and its first layer. With ``step``, a :class:`_JointStep` of this state
-    and batch, it runs the step's bound passes and returns its outputs.
+    and batch (any other batch raises ValueError), it runs the step's
+    bound passes and returns its outputs.
 
     A stacked state raises nothing for a row gone non-finite;
     :func:`diverged_rows` tells them apart.
     """
     f, g, z, r = (None,) * 4 if step is None else (step.f, step.g, step.z, step.r)
+    if step is not None and batch is not step.batch:
+        raise ValueError("a bound step runs on the batch it was bound over")
     e = state.f.forward(batch.sfeat, f)
     r = _assemble(state.schema, e, state.g.forward(batch.pvecs, g), batch.ess_rows,
                   batch.opt_weights, r)
@@ -409,10 +412,13 @@ def backward_batch(state: ModelState, batch: EncodedBatch, step: _JointStep, dy,
     """Backpropagate the joint loss through all four blocks into
     ``step.grad``, a flat buffer aligned with ``state.vector``, and return it.
 
-    ``step`` is the binding whose forward pass ran last. ``dy`` is
-    dLoss/d(outputs), shape (B,) or (S, B), and ``drecons``
-    dLoss/d(reconstructions) over the unique vectors.
+    ``step`` is the binding of ``batch`` whose forward pass ran last (any
+    other batch raises ValueError). ``dy`` is dLoss/d(outputs), shape (B,)
+    or (S, B), and ``drecons`` dLoss/d(reconstructions) over the unique
+    vectors.
     """
+    if batch is not step.batch:
+        raise ValueError("a bound step runs on the batch it was bound over")
     m = state.schema.essential_count
     dr = state.z.backward(step.z, dy[..., None])
     codes = step.g.out

@@ -143,23 +143,6 @@ class _Dropout:
         np.multiply(self.a, mask, out=self.dmult)
 
 
-def alpha_dropout(v, rate, rng, train: bool):
-    """Alpha-dropout that preserves the self-normalizing regime (see
-    :class:`_Dropout`, which a training pass binds instead).
-
-    In inference mode, or where no row drops, this is the identity.
-    Returns ``(out, dmult)`` where ``dmult`` is the elementwise multiplier
-    to apply to an upstream gradient, or None where nothing drops; both are
-    new arrays.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not train or not np.any(rate):
-        return v, None
-    drop = _Dropout(v, rate, rng)
-    drop()
-    return drop.out, drop.dmult
-
-
 def he_init(shape, fan_in: int, rng) -> np.ndarray:
     """Normal He initialization: i.i.d. N(0, 2/fan_in)."""
     if fan_in < 1:
@@ -319,9 +302,12 @@ class TwoLayerBlock:
         it as scratch (SELU), so a layer holds no more than its input, its
         pre-activation and its output, and only the output, the caller's,
         outlives the call. With ``bound``, a binding of this block over
-        ``x``, it runs the bound training pass and returns ``bound.out``.
+        ``x`` (over any other input it raises ValueError), it runs the
+        bound training pass and returns ``bound.out``.
         """
         if bound is not None:
+            if x is not bound.x:
+                raise ValueError("a bound pass runs on the input it was bound over")
             bound.forward()
             return bound.out
         x = np.asarray(x, dtype=np.float64)
@@ -367,7 +353,7 @@ class _Bound:
     """
 
     def __init__(self, block, x, grad, rng=None, empty=np.empty):
-        lead = x.shape[:-1]
+        self.x, lead = x, x.shape[:-1]
         h, k = block.w1.shape[-2], block.out_dim
         pre1, act1, tmp1, delta1, dact1 = empty((5, *lead, h))
         pre2, out2, tmp2, delta2 = empty((4, *lead, k))

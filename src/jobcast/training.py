@@ -111,11 +111,13 @@ _LR_WAVE = tuple(map(lr_at, range(LR_PERIOD)))
 
 
 class _Arena:
-    """``np.empty`` for the bindings of one row set of a stack: the i-th
-    array a binding asks for is a contiguous prefix of the arena's i-th flat
-    array. The first binding, a full minibatch's, sizes them; a short
-    minibatch's binding asks for the same arrays, none larger, and so reuses
-    that memory."""
+    """``np.empty`` for the bindings of a stack: the i-th array a binding
+    asks for is a contiguous prefix of the arena's i-th flat array. The
+    first binding, a full minibatch of every row, sizes them; a short
+    minibatch's binding, or one after rows leave, asks for the same arrays,
+    none larger, and so reuses that memory. A request its flat array cannot
+    hold gets a new one in that place: when the rows that drop leave, the
+    dropout arrays drop out of the sequence."""
 
     def __init__(self):
         self._flats: list = []
@@ -126,10 +128,11 @@ class _Arena:
         return self
 
     def __call__(self, shape, dtype=np.float64):
-        size = math.prod(shape)
-        if self._next == len(self._flats):
-            self._flats.append(np.empty(size, dtype))
-        flat = self._flats[self._next]
+        size, i = math.prod(shape), self._next
+        flat = self._flats[i] if i < len(self._flats) else None
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = np.empty(size, dtype)
+            self._flats[i : i + 1] = [flat]
         self._next += 1
         return flat[:size].reshape(shape)
 
@@ -149,8 +152,8 @@ class _Lockstep:
     ``steps`` maps each minibatch length to its binding: the index array
     and minibatch arrays a step gathers into, and the joint step bound over
     them (:class:`~jobcast.model._JointStep`), all from the stack's arena.
-    Rows leaving drop the bindings and the arena, and the next step binds
-    again.
+    Rows leaving drop the bindings, and the next step binds again in the
+    same arena.
     """
 
     def __init__(self, searches):
@@ -227,7 +230,7 @@ class _Lockstep:
         self.offsets = self.offsets[: len(rows)]
         for name in ("grad", "pvecs", "ids", "orders", "loss", "total"):
             setattr(self, name, getattr(self, name)[rows])
-        self.steps, self._arena = {}, _Arena()
+        self.steps = {}
 
     def train(self, epochs: int, batch_size: int) -> None:
         """Train every row for ``epochs`` epochs, then score the rows left."""

@@ -4,15 +4,61 @@ Before training bound its arrays, a block's generic forward pass allocated
 every array it wrote and returned, beside its output, the cache its backward
 pass read; the runtime path ran over those passes and assembled ``z``'s input
 with one gather and one concatenation. This module keeps that arithmetic,
-written over plain numpy and the public activations. Bound passes and the
-cache-free inference pass must match it bit for bit.
+alpha-dropout's included, written over plain numpy and the public
+activations. Bound passes and the cache-free inference pass must match it
+bit for bit.
 """
 
 import numpy as np
 
 from jobcast.errors import NumericsError
 from jobcast.model import CODE_DIM
-from jobcast.nn import _split, alpha_dropout, selu, selu_deriv
+from jobcast.nn import SELU_ALPHA, SELU_LAMBDA, _split, selu, selu_deriv
+
+_ALPHA_PRIME = -SELU_LAMBDA * SELU_ALPHA
+
+
+def _alpha_affine(rate):
+    keep = 1.0 - rate
+    a = (keep + _ALPHA_PRIME**2 * keep * rate) ** -0.5
+    return a, -a * rate * _ALPHA_PRIME
+
+
+def alpha_dropout(v, rate, rng, train):
+    """``(out, dmult)`` of alpha-dropout of ``v``, allocating both; ``v``
+    and None in inference or where no row drops.
+
+    A stack ``(S, N, K)`` takes one rate per row, with one generator per
+    row: row ``s`` draws its uniforms from ``rng[s]``, and nothing at rate
+    0. A unit is kept where its draw is below ``1 - rate``; a dropped unit
+    is set to SELU's saturation value, and the result is rescaled to
+    ``a * out + b``. ``dmult`` is ``a`` where a unit is kept, else 0.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if not train or not np.any(rate):
+        return v, None
+    if isinstance(rate, np.ndarray):
+        rates = rate.tolist()
+        if not all(0.0 <= r < 1.0 for r in rates):
+            raise ValueError(f"dropout rate must be in [0, 1), got {rates}")
+        keep, a, b = (np.array(c)[:, None, None] for c in
+                      ([1.0 - r for r in rates], *zip(*map(_alpha_affine, rates))))
+        draws = np.empty(v.shape)
+        for r, gen, row in zip(rates, rng, draws):
+            if r:
+                gen.random(out=row)
+            else:
+                row.fill(0.0)  # keeps every unit
+    else:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        keep, (a, b) = 1.0 - rate, _alpha_affine(rate)
+        draws = rng.random(v.shape)
+    mask = draws < keep
+    out = np.where(mask, v, _ALPHA_PRIME)
+    out = a * out
+    out += b
+    return out, a * mask
 
 
 def _layer(x, wt, b, tanh):

@@ -20,7 +20,7 @@ import pytest
 import cached_passes as cached
 from jobcast.model import encode_batch, forward_batch, predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
-from jobcast.training import (SearchSpace, _Lockstep, _Search, finetune,
+from jobcast.training import (SearchSpace, _Arena, _Lockstep, _Search, finetune,
                               pretrain_corpora)
 
 # A step that allocates its arrays allocates (12, 64, 16), (12, 27, 40) or
@@ -89,9 +89,10 @@ def test_a_stacked_step_allocates_nothing_large():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_stack_binds_each_minibatch_length_once_per_row_set():
     """Each minibatch length binds the joint step once, and a new binding
-    comes only after rows leave. A row set's bindings share one arena: a
-    short minibatch's arrays are prefixes of a full one's, and no step
-    after the first carves a new flat array."""
+    comes only after rows leave. Every binding takes its arrays from the
+    stack's one arena: a short minibatch's arrays are prefixes of a full
+    one's, the number of flat arrays never grows after the first step, and
+    while no row leaves no step carves a new one."""
     # test_lockstep's DIVERGING space: three of its five rows blow up, one
     # within three epochs and two after 18.
     space = SearchSpace(dropout_rates=(0.0, 0.2), learning_rates=(1e-2, 1e5, 1e20),
@@ -102,29 +103,59 @@ def test_a_stack_binds_each_minibatch_length_once_per_row_set():
     lock = _Lockstep([search])
     n = lock.orders.shape[1]
     assert n == 14  # minibatches of 8 and 6
-    steps, gradients = [], lock.gradients
+    arena, steps, gradients = lock._arena, [], lock.gradients
 
     def spy(start, size):
         result = gradients(start, size)
         length = min(size, n - start)
-        steps.append((lock.ids.size, length, lock.steps[length], lock._arena,
-                      list(lock._arena._flats)))
+        steps.append((lock.ids.size, length, lock.steps[length], list(arena._flats)))
         return result
 
     lock.gradients = spy
     lock.train(30, 8)
+    assert lock._arena is arena
     assert {(rows, size) for rows, size, *_ in steps} >= {(5, 8), (5, 6), (2, 8), (2, 6)}
-    bindings, arenas = {}, {}
-    for rows, size, binding, arena, flats in steps:
+    bindings = {}
+    for rows, size, binding, flats in steps:
         assert bindings.setdefault((rows, size), binding) is binding
-        first = arenas.setdefault(rows, (arena, flats))
-        assert arena is first[0] and len(flats) == len(first[1])
-        assert all(a is b for a, b in zip(flats, first[1]))
+        assert len(flats) == len(steps[0][3])
+        if rows == 5:
+            assert all(a is b for a, b in zip(flats, steps[0][3]))
     assert len({id(b) for b in bindings.values()}) == len(bindings)
-    for rows in arenas:
+    for rows in {rows for rows, _ in bindings}:
         full, short = (bindings[rows, size][2] for size in (8, 6))
         assert short.r.ctypes.data == full.r.ctypes.data
         assert short.r.flags.c_contiguous and short.r.size < full.r.size
+
+
+@pytest.mark.parametrize("leaving", ["one row", "every row that drops"])
+def test_rows_leaving_on_a_full_minibatch_leave_later_steps_right(leaving):
+    """Rows that leave on a full minibatch, before the short one, let the
+    short minibatch bind first and the next epoch's full one after it. Both
+    steps compute, bit for bit, what a binding in a fresh arena computes,
+    also when no row left drops and the dropout arrays are gone."""
+    space = SearchSpace(dropout_rates=(0.0, 0.2), sample_count=5)
+    records = corpus(make_contexts(4, seed=4)[:3], repetitions=1, seed=4)
+    search = _Search(records, 3, SYNTH_SCHEMA, space.grid(), space.sample_count,
+                     time.perf_counter())
+    lock = _Lockstep([search])
+    assert lock.orders.shape[1] == 14  # minibatches of 8 and 6
+    rates = lock.state.g.dropout_rate
+    bad = np.arange(rates.size) == 0 if leaving == "one row" else rates > 0
+    assert bad.any() and not bad.all()
+    lock.gradients(0, 8)
+    lock.leave(bad, 0)
+    for start in (8, 0):  # the short minibatch, then the next epoch's full one
+        streams = [gen.bit_generator.state for gen in lock.rngs]
+        loss, _ = lock.gradients(start, 8)
+        ours = _hex(loss), _hex(lock.grad)
+        kept = lock.steps, lock._arena
+        lock.steps, lock._arena = {}, _Arena()
+        for gen, state in zip(lock.rngs, streams):
+            gen.bit_generator.state = state
+        loss, _ = lock.gradients(start, 8)
+        assert (_hex(loss), _hex(lock.grad)) == ours
+        lock.steps, lock._arena = kept
 
 
 INFERENCE_LIMIT = 40_000_000

@@ -9,7 +9,7 @@ import pytest
 import cached_passes as cached
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SELU_ALPHA, SELU_LAMBDA,
-                        Adam, TwoLayerBlock, _Bound, _split, alpha_dropout, he_init,
+                        Adam, TwoLayerBlock, _Bound, _Dropout, _split, he_init,
                         huber_grad, huber_loss, selu)
 
 
@@ -47,32 +47,44 @@ class TestActivations:
 
 
 class TestAlphaDropout:
+    """:class:`_Dropout`, the dropout a training pass binds, checked here
+    on its own; ``TestBound`` checks it bit for bit against the reference
+    in ``cached_passes``."""
+
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=100)
-        out, dmul = alpha_dropout(v, 0.0, rng, train=True)
-        np.testing.assert_array_equal(out, v)
-        assert dmul is None
+        drawn = rng.bit_generator.state
+        drop = _Dropout(v, 0.0, rng)
+        drop()
+        np.testing.assert_array_equal(drop.out, v)
+        np.testing.assert_array_equal(drop.dmult, 1.0)
+        assert rng.bit_generator.state == drawn
 
     def test_infer_mode_is_identity(self):
+        """An unbound pass, inference, drops nothing at any rate."""
         rng = np.random.default_rng(0)
-        v = rng.normal(size=100)
-        out, _ = alpha_dropout(v, 0.5, rng, train=False)
-        np.testing.assert_array_equal(out, v)
+        block, _ = new_block(5, 8, 2, rng, dropout_rate=0.5)
+        x = rng.normal(size=(4, 5))
+        out, _ = cached.forward(block, x)
+        assert block.forward(x).tobytes() == out.tobytes()
 
     def test_preserves_mean_and_variance_in_expectation(self):
         """Applied to a large standard-normal sample, alpha-dropout must
         keep mean near 0 and variance near 1."""
         rng = np.random.default_rng(42)
         v = rng.standard_normal(200_000)
-        out, _ = alpha_dropout(v, 0.2, rng, train=True)
-        assert abs(out.mean()) < 0.02
-        assert abs(out.var() - 1.0) < 0.05
+        drop = _Dropout(v, 0.2, rng)
+        drop()
+        assert abs(drop.out.mean()) < 0.02
+        assert abs(drop.out.var() - 1.0) < 0.05
 
     def test_invalid_rate_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            alpha_dropout(np.zeros(3), 1.0, rng, train=True)
+            _Dropout(np.zeros(3), 1.0, rng)
+        with pytest.raises(ValueError):
+            _Dropout(np.zeros((2, 1, 3)), np.array([0.1, 1.0]), [rng, rng])
 
 
 class TestHeInit:
@@ -443,8 +455,9 @@ class TestStack:
         dx = stacked.backward(bound, dout)
         for s, block in enumerate(singles):
             g = np.zeros(TwoLayerBlock.size(*dims))
-            alone = _Bound(block, x[s], g, np.random.default_rng(s))
-            o = block.forward(x[s], alone)
+            xs = x[s]
+            alone = _Bound(block, xs, g, np.random.default_rng(s))
+            o = block.forward(xs, alone)
             d = block.backward(alone, dout[s])
             assert np.array_equal(out[s], o) and np.array_equal(grad[s], g)
             assert np.array_equal(dx[s], d)
