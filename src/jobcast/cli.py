@@ -129,18 +129,18 @@ def _check_out(flag: str, path, directory=False) -> None:
 
 
 def _check_flags(args, *counts) -> None:
-    """Each named count flag is at least 1 and ``--seed`` at least 0, which
-    numpy's seeding requires: checked before any work starts."""
+    """Each named count flag is at least 1, when given, and ``--seed`` at
+    least 0, which numpy's seeding requires: checked before any work starts."""
     for flag in counts:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
+        if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {args.seed}")
 
 
 def cmd_pretrain(args) -> int:
-    _check_flags(args, "--epochs", "--search-samples")
+    _check_flags(args, "--epochs", "--search-samples", "--workers")
     _check_out("--out", args.out)
     log_path = Path(args.out).with_suffix(".search.csv")
     _check_out("--out", log_path)
@@ -163,7 +163,8 @@ def cmd_pretrain(args) -> int:
     schema = _schema_from_manifest(manifest)
     space = training.SearchSpace(sample_count=args.search_samples)
     state, log = training.pretrain(records, schema, space=space,
-                                   seed=args.seed, epochs=args.epochs)
+                                   seed=args.seed, epochs=args.epochs,
+                                   workers=args.workers)
     _atomic_write(args.out, lambda tmp: model.save(state, tmp))
     _atomic_write(log_path, lambda tmp: _write_search_log(log, tmp))
     chosen = next(e for e in log if e.chosen)
@@ -347,6 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=training.MAX_EPOCHS)
     p.add_argument("--search-samples", type=int, default=12)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes the search's configs train in (default: "
+                        "two where the platform forks, for a search of at "
+                        "least 1,000 optimizer steps; else one)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("finetune", help="adapt a pre-trained model to samples")

@@ -353,14 +353,6 @@ def _cell_task(args):
                            context_label=label)
 
 
-def _process_pool(max_workers: int):
-    """A process pool of ``max_workers``. Imported here, on first use, so
-    that importing the package loads no multiprocessing machinery."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 def run_comparison(records, schema: PropertySchema,
                    config: ComparisonConfig | None = None) -> MetricsTable:
     """Run the full protocol over chosen contexts and sample counts."""
@@ -383,15 +375,17 @@ def run_comparison(records, schema: PropertySchema,
             raise ConfigError(f"n_train {bad} leaves no test scale-out on the "
                               f"{grid}-point grid of context {context_id(ctx)}")
 
-    # Every (context, variant) corpus pre-trains in one engine call; one that
-    # cannot (too few records, every config diverged) leaves its variant
-    # without a model, and that variant's rows are excluded.
+    # Every (context, variant) corpus pre-trains in one engine call, in this
+    # process: split into parts, its small shape groups cost more CPU and
+    # no less wall time. A corpus that cannot pre-train (too few records,
+    # every config diverged) leaves its variant without a model, and that
+    # variant's rows are excluded.
     corpora = [(ctx, variant) for ctx in chosen for variant in ("filtered", "full")
                if variant in tokens]
     results = pretrain_corpora(
         [(filter_for_variant(records, ctx, variant), _variant_seed(config, variant, ctx))
          for ctx, variant in corpora],
-        schema, space=config.pretrain_space, epochs=config.pretrain_epochs)
+        schema, space=config.pretrain_space, epochs=config.pretrain_epochs, workers=1)
     states: dict = {ctx: {} for ctx in chosen}
     for (ctx, variant), result in zip(corpora, results):
         states[ctx][variant] = None if isinstance(result, Exception) else result[0]
@@ -406,8 +400,9 @@ def run_comparison(records, schema: PropertySchema,
     table = MetricsTable()
     if config.workers > 1 and tasks:
         # Under fork, Python 3.10 and 3.11 start every worker at the first
-        # submit: never more workers than cells.
-        with _process_pool(min(config.workers, len(tasks))) as pool:
+        # submit: never more workers than cells, nor than CPUs.
+        workers = min(config.workers, len(tasks), training._cpus())
+        with training._process_pool(workers) as pool:
             for rows in pool.map(_cell_task, tasks):
                 table.rows.extend(rows)
     else:

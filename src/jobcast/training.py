@@ -14,11 +14,20 @@ Both loops bind the arrays they touch once (see :class:`jobcast.nn._Bound`):
 pre-training's stack binds its joint step once per minibatch length, and
 again only when rows leave it, and fine-tuning binds ``f`` and ``z`` once per
 call, so an epoch is a fixed sequence of numpy calls.
+
+A stack's rows are independent, so pre-training may split them into
+contiguous parts across processes (``workers``): this process trains the
+first part and a process pool the others, which send back each row's
+epochs, last loss, finishing time and final weights. This process alone
+scores and logs every row, so the results are those of one stack, bit for
+bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -70,8 +79,8 @@ class SearchEntry:
     Every config of every corpus in one :func:`pretrain_corpora` call trains
     in one shared run, so ``wall_time_s`` is measured from the start of that
     run (every corpus's split, encoding and initialization included) until
-    this config finished, or left the run by diverging; it is not the
-    config's own cost.
+    this config finished training, or left the run by diverging, in
+    whichever process trained it; it is not the config's own cost.
     """
 
     config_id: int
@@ -147,13 +156,18 @@ class _Lockstep:
     searches' training batches have the same record count and the same
     unique-vector count ``U``: ``batch`` is their union, ``orders[i]``
     indexes row ``i``'s own records in it and ``pvecs[i]`` holds its own
-    unique vectors.
+    unique vectors. A search is a :class:`_Search` or a :class:`_Part` of
+    one.
 
     ``steps`` maps each minibatch length to its binding: the index array
     and minibatch arrays a step gathers into, and the joint step bound over
     them (:class:`~jobcast.model._JointStep`), all from the stack's arena.
     Rows leaving drop the bindings, and the next step binds again in the
     same arena.
+
+    ``outcomes[r]`` is what became of ``rows[r]``: ``(epochs run, last
+    loss, perf_counter when it finished or left, final vector)``, with no
+    vector for a row that left by diverging.
     """
 
     def __init__(self, searches):
@@ -185,6 +199,7 @@ class _Lockstep:
         self.offsets = u * np.arange(size)[:, None, None]
         self.loss = np.full(size, np.nan)
         self.total = np.zeros(size)
+        self.outcomes: list = [None] * size
         self.steps, self._arena = {}, _Arena()
 
     def _bind(self, size: int):
@@ -218,11 +233,11 @@ class _Lockstep:
         return loss, diverged_rows(step.detail, loss, self.grad)
 
     def leave(self, bad, ran) -> None:
-        """Log the rows marked in ``bad`` as diverged after ``ran`` epochs
+        """Record the rows marked in ``bad`` as diverged after ``ran`` epochs
         and drop them; the other rows carry on unchanged."""
+        at = time.perf_counter()
         for i in np.flatnonzero(bad):
-            search, cid = self.rows[self.ids[i]]
-            search.enter(cid, ran, self.loss[i])
+            self.outcomes[self.ids[i]] = (ran, float(self.loss[i]), at, None)
         rows = np.flatnonzero(~bad)
         self.state = self.state.take(rows)
         self.optim.keep_rows(rows)
@@ -232,8 +247,8 @@ class _Lockstep:
             setattr(self, name, getattr(self, name)[rows])
         self.steps = {}
 
-    def train(self, epochs: int, batch_size: int) -> None:
-        """Train every row for ``epochs`` epochs, then score the rows left."""
+    def train(self, epochs: int, batch_size: int) -> list:
+        """Train every row for ``epochs`` epochs; returns ``outcomes``."""
         n = self.orders.shape[1]
         for epoch in range(epochs):
             if not self.ids.size:
@@ -253,9 +268,10 @@ class _Lockstep:
             self.loss = self.total / n
             if not np.isfinite(self.loss).all():
                 self.leave(~np.isfinite(self.loss), epoch + 1)
+        at = time.perf_counter()
         for i, r in enumerate(self.ids.tolist()):
-            search, cid = self.rows[r]
-            search.finish(cid, self.state.take(i), epochs, self.loss[i])
+            self.outcomes[r] = (epochs, float(self.loss[i]), at, self.state.vector[i].copy())
+        return self.outcomes
 
 
 def _mean_abs_error(y, runtimes) -> float:
@@ -267,7 +283,30 @@ def _mae(state, batch) -> float:
     return _mean_abs_error(forward_batch(state, batch), batch.runtimes)
 
 
-class _Search:
+class _Part:
+    """Some configs of one search, and what a stack needs to train them:
+    their picks and rng streams and the search's encoded training records.
+    It pickles, so a pool worker can be sent one."""
+
+    def __init__(self, schema, normalizer, train_batch, configs, rngs):
+        self.schema = schema
+        self.normalizer = normalizer
+        self.train_batch = train_batch
+        self.configs = configs
+        self.rngs = rngs
+
+    @property
+    def shape(self) -> tuple:
+        """Training records and unique property vectors: rows stack only
+        when these match."""
+        return len(self.train_batch.runtimes), len(self.train_batch.pvecs)
+
+    def initial_states(self):
+        return [ModelState.new(self.schema, self.normalizer, rng, dropout_rate=dropout)
+                for (dropout, _, _), rng in zip(self.configs, self.rngs)]
+
+
+class _Search(_Part):
     """One corpus's search: its held-out split, normalizer, config picks and
     rng streams, encoded batches, trained states and log."""
 
@@ -281,46 +320,37 @@ class _Search:
         if not train_records:
             train_records, val_records = val_records, val_records
 
-        self.normalizer = Normalizer.fit(r.scale_out for r in train_records)
+        normalizer = Normalizer.fit(r.scale_out for r in train_records)
         pick_rng = np.random.default_rng(pick_seq)
         picks = pick_rng.choice(len(grid), size=k, replace=False)
-        self.train_batch = encode_batch(schema, self.normalizer, train_records)
-        self.val_batch = encode_batch(schema, self.normalizer, val_records)
-        self.configs = [grid[pick] for pick in picks]
-        self.rngs = [np.random.default_rng(cseed) for cseed in config_seeds]
-        self.schema = schema
+        super().__init__(schema, normalizer, encode_batch(schema, normalizer, train_records),
+                         [grid[pick] for pick in picks],
+                         [np.random.default_rng(cseed) for cseed in config_seeds])
+        self.val_batch = encode_batch(schema, normalizer, val_records)
         self.started = started
         self.log: list = [None] * k
         self.states: dict = {}
 
-    @property
-    def shape(self) -> tuple:
-        """Training records and unique property vectors: rows stack only
-        when these match."""
-        return len(self.train_batch.runtimes), len(self.train_batch.pvecs)
+    def part(self, cids) -> _Part:
+        return _Part(self.schema, self.normalizer, self.train_batch,
+                     [self.configs[c] for c in cids], [self.rngs[c] for c in cids])
 
-    def initial_states(self):
-        return [ModelState.new(self.schema, self.normalizer, rng, dropout_rate=dropout)
-                for (dropout, _, _), rng in zip(self.configs, self.rngs)]
-
-    def enter(self, cid, ran, loss, train_mae=float("nan"), val_mae=float("inf"),
-              status="diverged"):
-        self.log[cid] = SearchEntry(cid, *self.configs[cid], ran, float(loss), train_mae,
-                                    val_mae, time.perf_counter() - self.started,
-                                    status=status)
-
-    def finish(self, cid, state, ran, loss):
-        """Score a config that trained all ``ran`` epochs."""
-        state.normalizer = self.normalizer  # the stack carried its first row's
-        self.states[cid] = state
-        train_mae, val_mae = float("nan"), float("inf")
-        try:
-            train_mae = _mae(state, self.train_batch)
-            val_mae = _mae(state, self.val_batch)
-        except NumericsError:
-            pass
-        self.enter(cid, ran, loss, train_mae, val_mae,
-                   "ok" if np.isfinite(val_mae) else "diverged")
+    def record(self, cid, ran, loss, at, vector) -> None:
+        """Log config ``cid`` from its stack's outcome (see
+        :class:`_Lockstep`): scored on both splits if it trained all ``ran``
+        epochs into ``vector``, else diverged."""
+        train_mae, val_mae, status = float("nan"), float("inf"), "diverged"
+        if vector is not None:
+            state = ModelState(vector, self.normalizer, self.schema, self.configs[cid][0])
+            self.states[cid] = state
+            try:
+                train_mae = _mae(state, self.train_batch)
+                val_mae = _mae(state, self.val_batch)
+            except NumericsError:
+                pass
+            status = "ok" if np.isfinite(val_mae) else "diverged"
+        self.log[cid] = SearchEntry(cid, *self.configs[cid], ran, loss, train_mae, val_mae,
+                                    at - self.started, status=status)
 
     def result(self):
         """``(best_state, log)``, or the :class:`TrainingError` of a search
@@ -333,8 +363,81 @@ class _Search:
         return self.states[best.config_id], self.log
 
 
+# A stack splits across processes by default only when it runs at least
+# this many optimizer steps. Forking a one-worker pool, sending it its
+# part and joining it cost about 20 ms, some ten steps of a 12-row stack
+# (1.5-2 ms each), on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4): a
+# 12-config search of 1 epoch (2 steps) took 10-12 ms in one process and
+# 27-32 ms split in two, one of 100 epochs 419 and 309 ms.
+MIN_SPLIT_STEPS = 1000
+
+# The parts a stack splits into by default: the one split measured, 12
+# rows as 6 + 6 on that host, took 0.57-0.65x the wall time of one stack.
+# Each part pays a step's fixed cost (553 us for one row, 1,980 us for 12),
+# so more parts cost more CPU, and more than two have not been measured.
+DEFAULT_PARTS = 2
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _forks() -> bool:
+    """Whether a new process pool forks its workers. Under any other start
+    method (spawn on macOS and Windows, forkserver on Linux from Python
+    3.14) each worker imports the main module, which fails in a script
+    that pre-trains outside an ``if __name__ == "__main__":`` guard."""
+    import multiprocessing
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    return (method or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
+def _process_pool(workers: int):
+    """A process pool of ``workers`` processes. Imported here, on first
+    use, so that importing the package loads no multiprocessing machinery."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _train_part(task) -> list:
+    """Train ``(parts, epochs, batch_size)`` as one stack and return its
+    rows' outcomes; a pool worker's task. ``perf_counter`` reads one clock
+    in every process of a host, so the outcomes' times are the parent's."""
+    parts, epochs, batch_size = task
+    return _Lockstep(parts).train(epochs, batch_size)
+
+
+def _split(group, epochs, batch_size, workers) -> list:
+    """The rows of a shape group, as ``(search, cid)``, in contiguous runs:
+    one per part it trains in, never more than ``workers``, rows or CPUs.
+    ``workers=None`` splits only a stack of at least ``MIN_SPLIT_STEPS``
+    optimizer steps, where the pool forks, into ``DEFAULT_PARTS``."""
+    rows = [(search, cid) for search in group for cid in range(len(search.configs))]
+    if workers is None:
+        steps = epochs * -(-group[0].shape[0] // batch_size)
+        long = len(rows) > 1 and steps >= MIN_SPLIT_STEPS
+        workers = DEFAULT_PARTS if long and _forks() else 1
+    count = min(workers, len(rows), _cpus())
+    cuts = [len(rows) * p // count for p in range(count + 1)]
+    return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _task(run, epochs, batch_size) -> tuple:
+    """The task of one run of rows: its searches' parts, in row order."""
+    parts = [search.part([cid for _, cid in rows])
+             for search, rows in itertools.groupby(run, key=lambda row: row[0])]
+    return parts, epochs, batch_size
+
+
 def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = None,
-                     epochs: int = MAX_EPOCHS, batch_size: int = 64) -> list:
+                     epochs: int = MAX_EPOCHS, batch_size: int = 64,
+                     workers: int | None = None) -> list:
     """Random-search pre-training over several corpora at once.
 
     ``jobs`` is a sequence of ``(records, seed)``. Returns one entry per
@@ -343,14 +446,26 @@ def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = N
     or the :class:`DataError` (fewer than 2 records) or
     :class:`TrainingError` (every config diverged) it raises, as a value.
     A search space that samples nothing raises :class:`ConfigError` when
-    any job has records to train on.
+    any job has records to train on, and so does ``workers`` below 1.
 
     Every job keeps its own held-out split, normalizer, config picks, rng
     streams and encoded records, so it computes what its own call would.
     The rows of all jobs whose training sets have the same number of
     records and of unique property vectors train as one stacked model;
     such groups train one after another.
+
+    A group's rows split into contiguous parts, never more than
+    ``workers``, rows or CPUs this process may use. ``workers=None`` splits
+    only a group that runs at least ``MIN_SPLIT_STEPS`` optimizer steps,
+    into ``DEFAULT_PARTS``, and only where the pool forks its workers, so
+    a script needs no main-module guard unless it asks for ``workers``
+    above 1. This process trains the first part of every group, and a
+    pool of processes the others; the pool is shut down before the call
+    returns. Rows are independent, so every split gives the same results,
+    bit for bit, and this process alone scores and logs them.
     """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     space = space or SearchSpace()
     grid = space.grid()
     k = min(space.sample_count, len(grid))
@@ -367,8 +482,21 @@ def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = N
     groups: dict = {}
     for search in searches.values():
         groups.setdefault(search.shape, []).append(search)
-    for group in groups.values():
-        _Lockstep(group).train(epochs, batch_size)
+    plans = [_split(group, epochs, batch_size, workers) for group in groups.values()]
+    others = max((len(runs) - 1 for runs in plans), default=0)
+    pool = _process_pool(others) if others else None
+    try:
+        pending = [[pool.submit(_train_part, _task(run, epochs, batch_size))
+                    for run in runs[1:]] for runs in plans]
+        own = [_train_part(_task(runs[0], epochs, batch_size)) for runs in plans]
+        for runs, outcomes, futures in zip(plans, own, pending):
+            for future in futures:
+                outcomes = outcomes + future.result()
+            for (search, cid), outcome in zip(itertools.chain(*runs), outcomes):
+                search.record(cid, *outcome)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     for j, search in searches.items():
         results[j] = search.result()
@@ -376,7 +504,8 @@ def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = N
 
 
 def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
-             seed: int = 0, epochs: int = MAX_EPOCHS, batch_size: int = 64):
+             seed: int = 0, epochs: int = MAX_EPOCHS, batch_size: int = 64,
+             workers: int | None = None):
     """Random-search pre-training over a historical corpus.
 
     Returns ``(best_state, search_log)``. Every sampled configuration is
@@ -391,10 +520,11 @@ def pretrain(records, schema: PropertySchema, space: SearchSpace | None = None,
     the dropout masks of ``g`` and ``h``), so each row computes what it
     would compute alone. A row whose block output, gradient or epoch loss
     turns non-finite leaves the stack; the others carry on untouched.
-    This is the one-corpus case of :func:`pretrain_corpora`.
+    The stack's rows may split across ``workers`` processes, with the same
+    results. This is the one-corpus case of :func:`pretrain_corpora`.
     """
     [result] = pretrain_corpora([(records, seed)], schema, space=space, epochs=epochs,
-                                batch_size=batch_size)
+                                batch_size=batch_size, workers=workers)
     if isinstance(result, Exception):
         raise result
     return result

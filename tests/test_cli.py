@@ -390,6 +390,7 @@ COUNT_FLAG_CASES = [
     ("pretrain", "--search-samples", "0"),
     ("pretrain", "--epochs", "-5"),
     ("pretrain", "--epochs", "0"),
+    ("pretrain", "--workers", "0"),
     ("evaluate", "--max-splits", "-3"),
     ("evaluate", "--max-splits", "0"),
     ("evaluate", "--contexts", "0"),

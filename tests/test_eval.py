@@ -1,5 +1,6 @@
 """Tests for split generation, the comparison harness, and metric output."""
 
+import concurrent.futures
 import csv
 import os
 import re
@@ -300,7 +301,8 @@ class TestRunComparison:
 
     def test_pool_starts_no_more_workers_than_cells(self, ctx_records, monkeypatch):
         """A sequential stand-in for the pool records the worker count asked
-        for; the rows are those of an in-process run."""
+        for: never more than the cells, nor than the CPUs this process may
+        use. The rows are those of an in-process run."""
         asked = []
 
         class RecordingPool:
@@ -316,14 +318,16 @@ class TestRunComparison:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evalharness, "_process_pool", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = dict(methods=("nnls", "bell"), n_train_values=(1, 2, 3),
                     contexts=[ctx_records[0].context], max_splits=3, seed=4)
         serial = run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(**base))
-        pooled = run_comparison(ctx_records, SYNTH_SCHEMA,
-                                ComparisonConfig(**base, workers=5000))
-        assert asked == [3]
-        assert pooled.rows == serial.rows
+        for cpus in (64, 2):
+            monkeypatch.setattr(training, "_cpus", lambda: cpus)
+            pooled = run_comparison(ctx_records, SYNTH_SCHEMA,
+                                    ComparisonConfig(**base, workers=5000))
+            assert pooled.rows == serial.rows
+        assert asked == [3, 2]
 
     def test_importing_the_package_loads_no_process_pool(self):
         """The pool's module, and multiprocessing with it, load only when a
