@@ -15,7 +15,8 @@ from .dataio import (ContextKey, DatasetManifest, RunRecord,
 from .encoding import (Normalizer, PropertyValue, binarize, encode_property,
                        hash_text, scaleout_features)
 from .errors import (CapacityError, ConfigError, DataError, JobcastError,
-                     ModelFileError, NumericsError, SchemaError, TrainingError)
+                     ModelFileError, NumericsError, SchemaError, TrainingError,
+                     WorkerError)
 from .evalharness import (ComparisonConfig, EvalSplit, MetricsTable, ecdf,
                           generate_splits, run_comparison, validate_split)
 from .model import (ModelState, Prediction, PropertySchema, joint_loss, load,
@@ -34,7 +35,7 @@ __all__ = [
     "Normalizer", "PropertyValue", "binarize", "encode_property", "hash_text",
     "scaleout_features",
     "CapacityError", "ConfigError", "DataError", "JobcastError",
-    "ModelFileError", "NumericsError", "SchemaError", "TrainingError",
+    "ModelFileError", "NumericsError", "SchemaError", "TrainingError", "WorkerError",
     "ComparisonConfig", "EvalSplit", "MetricsTable", "ecdf",
     "generate_splits", "run_comparison", "validate_split",
     "ModelState", "Prediction", "PropertySchema", "joint_loss", "load",

@@ -6,7 +6,8 @@ command is reproducible by default. Output files are written to a
 temporary path and renamed, so failures never leave partial artifacts.
 
 Exit codes: 0 ok, 2 config/manifest error, 3 data error, 4 training
-failure, 5 schema mismatch; an unusable output path is found up front.
+failure, 5 schema mismatch, 6 a pool worker process died, 130 interrupted
+(Ctrl-C); an unusable output path is found up front.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from pathlib import Path
 from . import dataio, evalharness, model, training
 from .dataio import load_dataset, parse_manifest
 from .encoding import PAYLOAD_BITS, PropertyValue
-from .errors import CapacityError, ConfigError, DataError, SchemaError, TrainingError
+from .errors import (CapacityError, ConfigError, DataError, SchemaError, TrainingError,
+                     WorkerError)
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_SCHEMA = 5
+EXIT_WORKER = 6
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _atomic_write(path, write_fn):
@@ -421,6 +425,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

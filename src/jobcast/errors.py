@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto distinct exit codes, so new error conditions should
-subclass one of the four top-level classes rather than raising bare
-exceptions.
+subclass one of the top-level classes rather than raising bare exceptions.
 """
 
 
@@ -36,3 +35,9 @@ class NumericsError(TrainingError):
 
 class SchemaError(JobcastError):
     """Inputs do not match the property schema a model was built with."""
+
+
+class WorkerError(JobcastError):
+    """A pool worker process died (killed by a signal, such as the
+    out-of-memory killer's SIGKILL) before it returned its share of the
+    work; the message names the rows or tasks that were lost."""

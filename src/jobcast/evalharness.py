@@ -6,6 +6,14 @@ inside the trained range), and one extrapolation test record (strictly
 outside). Methods are fitted per split and scored by relative and absolute
 runtime error; method failures (too few points, no pre-training corpus)
 are recorded as excluded rows rather than dropped.
+
+:func:`run_comparison` runs one task per n_train over every chosen context.
+The baselines fit split by split, and the model rows of every context,
+split and variant fine-tune together, as the rows of one stack that shrinks
+as they stop (:func:`jobcast.training._finetune_rows`); each cell's rows
+are then scored in the order :func:`evaluate_splits` gives them. A model
+row's ``wall_time_s`` is then the time from its stack's start until it
+left, not its own cost.
 """
 
 from __future__ import annotations
@@ -261,40 +269,56 @@ def _model_method(variant: str, schema: PropertySchema,
     return Method(MODEL_METHOD, fit, predict, variant=variant)
 
 
+def _fits(records, splits, seed):
+    """Each split, checked, with its training records and its fit seed."""
+    for si, split in enumerate(splits):
+        validate_split(records, split)
+        fit_seed = int(np.random.SeedSequence((seed, si)).generate_state(1)[0])
+        yield split, [records[i] for i in split.train], fit_seed
+
+
+def _score(records, split, method, result, context_label) -> list[MetricRow]:
+    """One method's metric rows on one split's test tasks: scored from its
+    :class:`MethodResult`, or excluded with the error its fit raised."""
+    tests = [(task, idx) for task, idx in
+             (("interp", split.interp_test), ("extrap", split.extrap_test))
+             if idx is not None]
+    if isinstance(result, Exception):
+        return [MetricRow(method.name, method.variant, context_label, split.n_train, task,
+                          actual=records[idx].runtime_seconds, flag=f"excluded: {result}")
+                for task, idx in tests]
+    rows = []
+    preds = method.predict(result.predictor, [records[idx] for _, idx in tests])
+    for (task, idx), pred in zip(tests, preds):
+        rec = records[idx]
+        pred = float(pred)
+        rows.append(MetricRow(
+            method.name, method.variant, context_label,
+            split.n_train, task,
+            actual=rec.runtime_seconds, predicted=pred,
+            rel_err=abs(pred - rec.runtime_seconds) / rec.runtime_seconds,
+            abs_err=abs(pred - rec.runtime_seconds),
+            epochs=result.epochs, wall_time_s=result.wall_time_s,
+            flag=result.flag))
+    return rows
+
+
+def _fit(method, train, seed):
+    """``method.fit``, with the error that excludes it as a value."""
+    try:
+        return method.fit(train, seed)
+    except (DataError, TrainingError) as exc:
+        return exc
+
+
 def evaluate_splits(records, splits, methods, seed: int = 0,
                     context_label: str = "") -> list[MetricRow]:
     """Fit every method on every split and score both test tasks."""
     rows = []
-    for si, split in enumerate(splits):
-        validate_split(records, split)
-        train = [records[i] for i in split.train]
-        fit_seed = int(np.random.SeedSequence((seed, si)).generate_state(1)[0])
-        tests = [(task, idx) for task, idx in
-                 (("interp", split.interp_test), ("extrap", split.extrap_test))
-                 if idx is not None]
+    for split, train, fit_seed in _fits(records, splits, seed):
         for method in methods:
-            try:
-                result = method.fit(train, fit_seed)
-            except (DataError, TrainingError) as exc:
-                for task, idx in tests:
-                    rows.append(MetricRow(
-                        method.name, method.variant, context_label,
-                        split.n_train, task,
-                        actual=records[idx].runtime_seconds,
-                        flag=f"excluded: {exc}"))
-                continue
-            preds = method.predict(result.predictor, [records[idx] for _, idx in tests])
-            for (task, idx), pred in zip(tests, preds):
-                rec = records[idx]
-                pred = float(pred)
-                rows.append(MetricRow(
-                    method.name, method.variant, context_label,
-                    split.n_train, task,
-                    actual=rec.runtime_seconds, predicted=pred,
-                    rel_err=abs(pred - rec.runtime_seconds) / rec.runtime_seconds,
-                    abs_err=abs(pred - rec.runtime_seconds),
-                    epochs=result.epochs, wall_time_s=result.wall_time_s,
-                    flag=result.flag))
+            rows += _score(records, split, method, _fit(method, train, fit_seed),
+                           context_label)
     return rows
 
 
@@ -333,29 +357,63 @@ def check_methods(tokens) -> tuple:
     return tokens
 
 
-def _cell_task(args):
-    (ctx_records, label, n_train, tokens, schema, states,
-     reuse, finetune_epochs, max_splits, seed) = args
-    methods = []
-    for token in tokens:
-        if token == "nnls":
-            methods.append(_nnls_method())
-        elif token == "bell":
-            methods.append(_bell_method())
-        else:
-            methods.append(_model_method(token, schema, states.get(token),
-                                         reuse, finetune_epochs))
-    cell_seed = int(np.random.SeedSequence(
-        (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
-    ).generate_state(1)[0])
-    splits = generate_splits(ctx_records, n_train, max_splits, seed=cell_seed)
-    return evaluate_splits(ctx_records, splits, methods, seed=cell_seed,
-                           context_label=label)
+def _n_train_task(task) -> list:
+    """The metric rows of every cell of one n_train, one list per context.
+
+    ``task`` is ``(contexts, n_train, tokens, schema, reuse, epochs,
+    max_splits, seed)``, each context ``(records, label, states)``. Each
+    cell draws its splits from its own seed, and the baselines fit split
+    by split. Every model row of every cell, one per split and variant
+    that has a model to start from, fine-tunes in one
+    :func:`training._finetune_rows` call; then each cell's rows are
+    scored in the order :func:`evaluate_splits` gives them.
+    """
+    contexts, n_train, tokens, schema, reuse, epochs, max_splits, seed = task
+    cells, requests, slots = [], [], {}
+    for c, (records, label, states) in enumerate(contexts):
+        methods = [_nnls_method() if token == "nnls" else _bell_method() if token == "bell"
+                   else _model_method(token, schema, states.get(token), reuse, epochs)
+                   for token in tokens]
+        cell_seed = int(np.random.SeedSequence(
+            (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
+        ).generate_state(1)[0])
+        splits = generate_splits(records, n_train, max_splits, seed=cell_seed)
+        fits = list(_fits(records, splits, cell_seed))
+        for s, (_, train, fit_seed) in enumerate(fits):
+            for token in tokens:
+                start = schema if token == "local" else states.get(token)
+                if token in VARIANT_TOKENS and start is not None:
+                    slots[c, s, token] = len(requests)
+                    requests.append((start, train, reuse, fit_seed))
+        cells.append((records, label, methods, fits))
+
+    fitted = training._finetune_rows(requests, epochs)
+    out = []
+    for c, (records, label, methods, fits) in enumerate(cells):
+        rows = []
+        for s, (split, train, fit_seed) in enumerate(fits):
+            for token, method in zip(tokens, methods):
+                if (c, s, token) in slots:
+                    result = fitted[slots[c, s, token]]
+                    if not isinstance(result, Exception):
+                        state, report = result
+                        result = MethodResult(state, epochs=report.epochs_run,
+                                              wall_time_s=report.wall_time_s)
+                else:  # a baseline, or a variant without a model, which fails
+                    result = _fit(method, train, fit_seed)
+                rows += _score(records, split, method, result, label)
+        out.append(rows)
+    return out
 
 
 def run_comparison(records, schema: PropertySchema,
                    config: ComparisonConfig | None = None) -> MetricsTable:
-    """Run the full protocol over chosen contexts and sample counts."""
+    """Run the full protocol over chosen contexts and sample counts.
+
+    With ``config.workers`` above 1 the n_train tasks run in a process pool
+    of at most that many workers, never more than tasks or CPUs; a pool
+    worker that dies raises :class:`WorkerError`, naming the tasks lost.
+    The rows do not depend on the worker count, wall times aside."""
     config = config or ComparisonConfig()
     records = list(records)
     by_context = group_by_context(records)
@@ -390,24 +448,25 @@ def run_comparison(records, schema: PropertySchema,
     for (ctx, variant), result in zip(corpora, results):
         states[ctx][variant] = None if isinstance(result, Exception) else result[0]
 
-    tasks = []
-    for ctx in chosen:
-        for n_train in config.n_train_values:
-            tasks.append((by_context[ctx], context_id(ctx), n_train, tokens,
-                          schema, states[ctx], config.reuse, config.finetune_epochs,
-                          config.max_splits, config.seed))
-
-    table = MetricsTable()
+    # One task per n_train: its model rows, from every context, split and
+    # variant, fine-tune together (see _n_train_task).
+    contexts = [(by_context[ctx], context_id(ctx), states[ctx]) for ctx in chosen]
+    tasks = [(contexts, n_train, tokens, schema, config.reuse, config.finetune_epochs,
+              config.max_splits, config.seed) for n_train in config.n_train_values]
     if config.workers > 1 and tasks:
         # Under fork, Python 3.10 and 3.11 start every worker at the first
-        # submit: never more workers than cells, nor than CPUs.
+        # submit: never more workers than tasks, nor than CPUs.
         workers = min(config.workers, len(tasks), training._cpus())
         with training._process_pool(workers) as pool:
-            for rows in pool.map(_cell_task, tasks):
-                table.rows.extend(rows)
+            futures = [pool.submit(_n_train_task, task) for task in tasks]
+            done = training._collect(futures, [f"n_train {n}" for n in
+                                               config.n_train_values])
     else:
-        for task in tasks:
-            table.rows.extend(_cell_task(task))
+        done = [_n_train_task(task) for task in tasks]
+    table = MetricsTable()
+    for c in range(len(contexts)):  # cells in context order, then n_train order
+        for cells in done:
+            table.rows.extend(cells[c])
     return table
 
 

@@ -466,8 +466,10 @@ class Adam:
         params -= step
 
     def keep_rows(self, rows) -> None:
-        """Keep only the given rows of a stack: their moments, lr and decay;
-        the scratch shrinks to its first rows."""
-        self.m, self.v, self.lr, self.weight_decay = (
-            x[rows] for x in (self.m, self.v, self.lr, self.weight_decay))
+        """Keep only the given rows of a stack: their moments, and their lr
+        and decay where those are columns; the scratch shrinks to its first
+        rows."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self.lr, self.weight_decay = (x[rows] if np.ndim(x) else x
+                                      for x in (self.lr, self.weight_decay))
         self._tmp, self._step = self._tmp[: len(rows)], self._step[: len(rows)]

@@ -15,6 +15,12 @@ pre-training's stack binds its joint step once per minibatch length, and
 again only when rows leave it, and fine-tuning binds ``f`` and ``z`` once per
 call, so an epoch is a fixed sequence of numpy calls.
 
+Many fine-tunes that share a sample count may also train as the rows of one
+stack of ``f`` and ``z`` weights (:func:`_finetune_rows`), which drops each
+row in the epoch it stops and gives every row the bits of its own
+:func:`finetune` call; ``evaluate`` fine-tunes its model rows that way. Both
+stacks let rows leave in one place (:class:`_RowSet`).
+
 A stack's rows are independent, so pre-training may split them into
 contiguous parts across processes (``workers``): this process trains the
 first part and a process pool the others, which send back each row's
@@ -34,10 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import Normalizer
-from .errors import ConfigError, DataError, NumericsError, TrainingError
+from .errors import ConfigError, DataError, NumericsError, TrainingError, WorkerError
 from .model import F_DIM, EncodedBatch, ModelState, PropertySchema, \
-    encode_batch, diverged_rows, forward_batch, _assemble, _joint_terms, _JointStep
-from .nn import Adam, _Bound, _huber_slope
+    encode_batch, diverged_rows, forward_batch, _assemble, _block_dims, _joint_terms, \
+    _JointStep
+from .nn import Adam, TwoLayerBlock, _Bound, _huber_slope
 
 MAX_EPOCHS = 2500
 MAE_TARGET_SECONDS = 5.0
@@ -146,7 +153,30 @@ class _Arena:
         return flat[:size].reshape(shape)
 
 
-class _Lockstep:
+class _RowSet:
+    """The rows of a stack still training, which leave it in one place.
+
+    ``ids[i]`` is row ``i``'s index among the rows the stack started with.
+    Each attribute named in ``per_row`` holds one entry per row, along the
+    first axis of an array or in a list, and each optimizer in ``optims``
+    one row of moments; :meth:`keep` subsets them all.
+    """
+
+    per_row: tuple = ()
+    ids: np.ndarray
+    optims: list
+
+    def keep(self, rows) -> None:
+        """Keep only ``rows``, ascending indices of the current rows."""
+        for name in ("ids", *self.per_row):
+            value = getattr(self, name)
+            setattr(self, name, [value[i] for i in rows] if isinstance(value, list)
+                    else value[rows])
+        for optim in self.optims:
+            optim.keep_rows(rows)
+
+
+class _Lockstep(_RowSet):
     """The rows of one stack still training: every config of some searches.
 
     Row ``i`` trains config ``cid`` of search ``search``, where
@@ -170,6 +200,8 @@ class _Lockstep:
     vector for a row that left by diverging.
     """
 
+    per_row = ("grad", "pvecs", "orders", "loss", "total", "rngs")
+
     def __init__(self, searches):
         self.rows = [(search, cid) for search in searches
                      for cid in range(len(search.configs))]
@@ -183,6 +215,7 @@ class _Lockstep:
                                 first.schema, dropout)
         self.optim = Adam(lr[:, None], self.state.vector.shape, self.state.param_name,
                           weight_decay=wd[:, None])
+        self.optims = [self.optim]
         self.grad = np.zeros_like(self.state.vector)
         self.rngs = [search.rngs[cid] for search, cid in self.rows]
         batches = [search.train_batch for search in searches]
@@ -240,11 +273,8 @@ class _Lockstep:
             self.outcomes[self.ids[i]] = (ran, float(self.loss[i]), at, None)
         rows = np.flatnonzero(~bad)
         self.state = self.state.take(rows)
-        self.optim.keep_rows(rows)
-        self.rngs = [self.rngs[i] for i in rows]
         self.offsets = self.offsets[: len(rows)]
-        for name in ("grad", "pvecs", "ids", "orders", "loss", "total"):
-            setattr(self, name, getattr(self, name)[rows])
+        self.keep(rows)
         self.steps = {}
 
     def train(self, epochs: int, batch_size: int) -> list:
@@ -428,6 +458,34 @@ def _split(group, epochs, batch_size, workers) -> list:
     return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _collect(futures, names) -> list:
+    """The results of a pool's ``futures``, in order. A pool whose worker
+    died fails every task it had not finished: then this raises
+    :class:`WorkerError`, naming each such task by its ``names`` entry."""
+    if not futures:  # no pool: load none of its machinery
+        return []
+    from concurrent.futures.process import BrokenProcessPool
+
+    results, lost = [], []
+    for future, name in zip(futures, names):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool:
+            lost.append(name)
+    if lost:
+        raise WorkerError(f"a worker process died; lost: {'; '.join(lost)}")
+    return results
+
+
+def _named(run, jobs) -> str:
+    """A run of rows, as ``(search, cid)``, named by corpus and configs."""
+    names = []
+    for search, rows in itertools.groupby(run, key=lambda row: row[0]):
+        cids = [cid for _, cid in rows]
+        names.append(f"corpus {jobs[search]} configs {cids[0]}-{cids[-1]}")
+    return ", ".join(names)
+
+
 def _task(run, epochs, batch_size) -> tuple:
     """The task of one run of rows: its searches' parts, in row order."""
     parts = [search.part([cid for _, cid in rows])
@@ -461,8 +519,10 @@ def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = N
     a script needs no main-module guard unless it asks for ``workers``
     above 1. This process trains the first part of every group, and a
     pool of processes the others; the pool is shut down before the call
-    returns. Rows are independent, so every split gives the same results,
-    bit for bit, and this process alone scores and logs them.
+    returns. A pool worker that dies raises :class:`WorkerError`, naming
+    the corpora and configs it lost. Rows are independent, so every split
+    gives the same results, bit for bit, and this process alone scores and
+    logs them.
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -486,12 +546,15 @@ def pretrain_corpora(jobs, schema: PropertySchema, space: SearchSpace | None = N
     others = max((len(runs) - 1 for runs in plans), default=0)
     pool = _process_pool(others) if others else None
     try:
-        pending = [[pool.submit(_train_part, _task(run, epochs, batch_size))
-                    for run in runs[1:]] for runs in plans]
+        futures = [pool.submit(_train_part, _task(run, epochs, batch_size))
+                   for runs in plans for run in runs[1:]]
         own = [_train_part(_task(runs[0], epochs, batch_size)) for runs in plans]
-        for runs, outcomes, futures in zip(plans, own, pending):
-            for future in futures:
-                outcomes = outcomes + future.result()
+        jobs = {search: j for j, search in searches.items()}
+        parts = iter(_collect(futures, [_named(run, jobs)
+                                        for runs in plans for run in runs[1:]]))
+        for runs, outcomes in zip(plans, own):
+            for _ in runs[1:]:
+                outcomes = outcomes + next(parts)
             for (search, cid), outcome in zip(itertools.chain(*runs), outcomes):
                 search.record(cid, *outcome)
     finally:
@@ -535,6 +598,62 @@ def unfreeze_epoch(n_samples: int) -> int:
     return min(100 * n_samples, 1000)
 
 
+def _f_join(reuse: str, n_samples: int) -> int:
+    """The epoch at which ``f`` joins a fine-tune under ``reuse``."""
+    return 0 if reuse in ("full-unfreeze", "full-reset") else unfreeze_epoch(n_samples)
+
+
+# How fine-tuning words a non-finite MAE, and how a single block's pass
+# (nn._check_finite) and Adam.step word the other divergences.
+_DIVERGED = "fine-tuning diverged (non-finite MAE)"
+_NON_FINITE_OUTPUT = "two-layer block produced a non-finite output"
+
+
+class _Start:
+    """One fine-tune's set-up, shared by :func:`finetune` and the stacked
+    engine (:class:`_Stack`): the strategy, the copy ``work``, the resets,
+    the encoded samples ``batch``, and ``z``'s input ``r``.
+
+    The autoencoder is frozen, so ``r`` is assembled once, from the codes
+    and the first pass of ``f``, bound over the scale-out features and
+    writing its gradient into ``grad``: the codes never change, and ``f``'s
+    columns change only once ``f`` trains, at ``f_join``.
+
+    ``done`` is the finished ``(state, report)`` of a fine-tune that does
+    not train (no samples, or ``reuse="none"``), else None.
+    """
+
+    def __init__(self, state, samples, reuse, seed):
+        if reuse not in REUSE_STRATEGIES:
+            raise ValueError(f"unknown reuse strategy {reuse!r}")
+        samples = list(samples)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        if isinstance(state, PropertySchema):
+            if not samples:
+                raise DataError("the local strategy needs at least one sample")
+            state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
+
+        self.work = work = state.copy()
+        self.done = None
+        if not samples or reuse == "none":
+            reason = "no_data" if not samples else "not_trained"
+            self.done = work, FineTuneReport(0, 0, float("nan"), reason)
+            return
+        self.started = time.perf_counter()
+        if reuse == "partial-reset":
+            work.z.init(rng)
+        elif reuse == "full-reset":
+            work.f.init(rng)
+            work.z.init(rng)
+        self.f_join = _f_join(reuse, len(samples))
+        self.batch = batch = encode_batch(work.schema, work.normalizer, samples)
+        self.grad = np.zeros_like(work.vector)
+        codes = work.g.forward(batch.pvecs)
+        self.f = _Bound(work.f, batch.sfeat, self.grad[work.segments["f"]])
+        self.f.forward()
+        self.r = _assemble(work.schema, self.f.out, codes, batch.ess_rows, batch.opt_weights)
+
+
 def finetune(state: ModelState | PropertySchema, samples,
              reuse: str = "partial-unfreeze", seed: int = 0, epochs: int = MAX_EPOCHS):
     """Adapt a model to one concrete context.
@@ -553,49 +672,23 @@ def finetune(state: ModelState | PropertySchema, samples,
     ``stopping_reason`` is ``"no_data"`` / ``"not_trained"``.
 
     The loop binds its arrays once per call and computes, bit for bit,
-    what the blocks' own passes would, failing with the same errors.
+    what the blocks' own passes would, failing with the same errors. This
+    is the one-row path; many fine-tunes of one sample count may train as
+    one stack instead, with the same results (:func:`_finetune_rows`).
     """
-    if reuse not in REUSE_STRATEGIES:
-        raise ValueError(f"unknown reuse strategy {reuse!r}")
-    samples = list(samples)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    if isinstance(state, PropertySchema):
-        if not samples:
-            raise DataError("the local strategy needs at least one sample")
-        state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
-
-    work = state.copy()
-    if not samples or reuse == "none":
-        reason = "no_data" if not samples else "not_trained"
-        return work, FineTuneReport(0, 0, float("nan"), reason)
-
-    started = time.perf_counter()
-    if reuse == "partial-reset":
-        work.z.init(rng)
-    elif reuse == "full-reset":
-        work.f.init(rng)
-        work.z.init(rng)
-    f_join = 0 if reuse in ("full-unfreeze", "full-reset") \
-        else unfreeze_epoch(len(samples))
-
-    batch = encode_batch(work.schema, work.normalizer, samples)
-    grad = np.zeros_like(work.vector)
+    start = _Start(state, samples, reuse, seed)
+    if start.done:
+        return start.done
+    work, f, r, grad, f_join = start.work, start.f, start.r, start.grad, start.f_join
     seg = work.segments
     # Every array an epoch touches is bound once: f's passes over the
     # scale-out features, z's over its input r, the residual y - t, which
     # gives both the MAE and the next epoch's Huber gradient dy, and the
-    # optimizers' parameter and gradient views. The autoencoder is frozen,
-    # so r is assembled once: the codes never change, and f's columns
-    # change only once f trains. f's output is copied into them (written
-    # there directly, strided, it is slower).
-    codes = work.g.forward(batch.pvecs)
-    f = _Bound(work.f, batch.sfeat, grad[seg["f"]])
-    f.forward()
-    r = _assemble(work.schema, f.out, codes, batch.ess_rows, batch.opt_weights)
+    # optimizers' parameter and gradient views. f's output is copied into
+    # r's columns (written there directly, strided, it is slower).
     z = _Bound(work.z, r, grad[seg["z"]])
     r_f, dr_f = r[:, :F_DIM], z.dx[:, :F_DIM]
-    y, t = z.out[:, 0], batch.runtimes
+    y, t = z.out[:, 0], start.batch.runtimes
     residual, dy, abs_err = np.empty((3, len(t)))
     dout = dy[:, None]
 
@@ -647,7 +740,7 @@ def finetune(state: ModelState | PropertySchema, samples,
         z.forward()
         mae_now = mae()
         if not math.isfinite(mae_now):
-            raise TrainingError("fine-tuning diverged (non-finite MAE)")
+            raise TrainingError(_DIVERGED)
         history.append(mae_now)
         if mae_now < best_mae - PATIENCE_TOLERANCE:
             best_mae = mae_now
@@ -662,6 +755,254 @@ def finetune(state: ModelState | PropertySchema, samples,
 
     np.copyto(work.vector, best)
     report = FineTuneReport(epochs_run, best_epoch, best_mae, reason,
-                            wall_time_s=time.perf_counter() - started,
+                            wall_time_s=time.perf_counter() - start.started,
                             mae_history=history)
     return work, report
+
+
+# Fine-tunes that share a schema, a sample count and an unfreeze epoch
+# train as one stack when at least this many train together; a smaller
+# group trains row by row. A stacked epoch costs more numpy calls than a
+# row's own, so a one-row stack takes 1.24-1.29x the time of finetune. On
+# evaluate's rows (each context's full-variant model pre-trained for 2,500
+# epochs, 4 splits, local and full rows, two corpora), a stack of 2 took
+# 0.80-1.24x the time of its rows alone, 1.20-1.24x at one sample, and a
+# stack of 3 took 0.71-0.83x at every sample count from 1 to 5 (2-vCPU
+# x86-64 host, Python 3.11, numpy 2.4).
+MIN_STACK_ROWS = 3
+
+
+class _Stack(_RowSet):
+    """Fine-tunes of one schema, one sample count ``B`` and one unfreeze
+    epoch, trained as the rows of one stack that shrinks as they stop.
+
+    Only ``f`` and ``z`` train, so only their weights stack: ``params``
+    holds each row's ``f`` slice then its ``z`` slice (``cols`` of its
+    vector), and ``grad``, ``best`` and both optimizers' moments match it.
+    ``sfeat`` ``(S, B, 3)``, ``r`` ``(S, B, W)`` and ``runtimes`` ``(S, B)``
+    are the rows' inputs. ``f`` and ``z`` are bound over them
+    (:class:`~jobcast.nn._Bound`), and bound again whenever rows leave.
+
+    Every row takes the epoch's learning rate, and ``f`` joins every row at
+    ``f_join``, so each component has one :class:`~jobcast.nn.Adam` with a
+    scalar rate and one step counter. Each row keeps its own best snapshot,
+    best MAE, best epoch and MAE history, and leaves in the epoch it meets
+    the MAE target, runs out of patience or reaches the cap, or turns
+    non-finite. ``outcomes[r]`` is then what :func:`finetune` gives that
+    row alone: ``(state, report)`` with the row's ``work`` state holding its
+    best snapshot, or its :class:`TrainingError`. A report's
+    ``wall_time_s`` counts from ``started`` until the row left.
+
+    Each row's arithmetic is the one-row loop's: every pass and reduction
+    runs per row over the same shapes, and every row is checked as that
+    loop checks it, so rows are independent and each gets its own bits.
+    """
+
+    per_row = ("params", "grad", "best", "best_mae", "best_epoch", "sfeat", "r",
+               "runtimes", "history")
+
+    def __init__(self, rows, f_join, epochs, started):
+        """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, from its
+        :class:`_Start`."""
+        self.works = [work for work, *_ in rows]
+        first = self.works[0]
+        seg = first.segments
+        self.cols = np.r_[seg["f"], seg["z"]]
+        self.cut = seg["f"].stop - seg["f"].start
+        dims = {c: d for c, d, _ in _block_dims(first.schema)}
+        self.dims = dims["f"], dims["z"]
+        self.params = np.stack([work.vector[self.cols] for work in self.works])
+        self.sfeat, self.r, self.runtimes = (np.stack(column) for column in
+                                             list(zip(*rows))[1:])
+        self.grad = np.zeros_like(self.params)
+        self.ids = np.arange(len(rows))
+        self.optims = [Adam(lr_at(0), self.params[:, cols].shape,
+                            lambda i, at=seg[c].start: first.param_name(at + i),
+                            weight_decay=FINETUNE_WEIGHT_DECAY)
+                       for c, cols in (("f", slice(None, self.cut)),
+                                       ("z", slice(self.cut, None)))]
+        self.f_join, self.epochs, self.started = f_join, epochs, started
+        self.outcomes: list = [None] * len(rows)
+
+    def _bind(self) -> None:
+        """Bind ``f`` and ``z`` over the current rows and run both forward,
+        so their arrays hold the pass the next backward pass reads."""
+        cut = self.cut
+        self.views = ((self.params[:, :cut], self.grad[:, :cut]),
+                      (self.params[:, cut:], self.grad[:, cut:]))
+        self.f, self.z = (_Bound(TwoLayerBlock(params, *dims), x, grad)
+                          for (params, grad), dims, x
+                          in zip(self.views, self.dims, (self.sfeat, self.r)))
+        self.f.forward()
+        self.z.forward()
+        self.y = self.z.out[..., 0]
+        self.r_f, self.dr_f = self.r[..., :F_DIM], self.z.dx[..., :F_DIM]
+        self.residual, self.dy, self.abs_err = np.empty((3, *self.runtimes.shape))
+        self.dout = self.dy[..., None]
+        np.subtract(self.y, self.runtimes, out=self.residual)
+
+    def _mae(self) -> np.ndarray:
+        """Each row's MAE of z's output, leaving its residual in ``residual``."""
+        np.subtract(self.y, self.runtimes, out=self.residual)
+        np.abs(self.residual, out=self.abs_err)
+        return np.add.reduce(self.abs_err, axis=-1) / self.runtimes.shape[-1]
+
+    def _output_errors(self, failed, out, mae=None) -> None:
+        """Add to ``failed`` every row whose block output ``out`` is
+        non-finite, as a single block's pass raises it, or, given ``mae``,
+        whose MAE alone is; a row keeps its first error."""
+        blocks = ~np.isfinite(out).reshape(len(out), -1).all(axis=1)
+        bad = blocks if mae is None else ~np.isfinite(mae)
+        for i in np.flatnonzero(bad).tolist():
+            failed.setdefault(i, NumericsError(_NON_FINITE_OUTPUT) if blocks[i]
+                              else TrainingError(_DIVERGED))
+
+    def _gradient_errors(self, f_trains) -> dict:
+        """The rows whose gradient is non-finite, each with the error the
+        first of its optimizers to step raises, ``f``'s then ``z``'s; their
+        gradients are zeroed, so the optimizers step the stack."""
+        failed: dict = {}
+        if math.isfinite(np.add.reduce(self.grad, axis=None)):
+            return failed
+        finite = np.isfinite(self.grad)
+        for i in np.flatnonzero(~finite.all(axis=1)).tolist():
+            work = self.works[self.ids[i]]
+            for c, cols in (("f", slice(None, self.cut)), ("z", slice(self.cut, None))):
+                bad = np.flatnonzero(~finite[i, cols])
+                if bad.size and (c == "z" or f_trains):
+                    name = work.param_name(work.segments[c].start + int(bad[0]))
+                    failed[i] = TrainingError(f"non-finite gradient for parameter {name!r}")
+                    break
+            self.grad[i] = 0.0
+        return failed
+
+    def train(self) -> list:
+        """Train every row until it stops; returns ``outcomes``."""
+        self._bind()
+        mae, failed = self._mae(), {}
+        if not math.isfinite(np.add.reduce(self.y, axis=None)):
+            self._output_errors(failed, self.y)
+        self.best = self.params.copy()
+        self.best_mae = mae
+        self.best_epoch = np.zeros(len(mae), dtype=np.intp)
+        self.history = [[value] for value in mae.tolist()]
+        self._settle(0, failed, mae)
+        f_optim, z_optim = self.optims
+        for epoch in range(self.epochs):
+            if not self.ids.size:
+                break
+            f_trains = epoch >= self.f_join
+            _huber_slope(self.residual, self.dy)
+            self.z.backward(self.dout, f_trains)
+            if f_trains:
+                self.f.backward(self.dr_f, False)
+            failed = self._gradient_errors(f_trains)
+            lr = _LR_WAVE[epoch % LR_PERIOD]
+            if f_trains:
+                f_optim.lr = lr
+                f_optim.step(*self.views[0])
+            z_optim.lr = lr
+            z_optim.step(*self.views[1])
+
+            if f_trains:
+                self.f.forward()
+                if not math.isfinite(np.add.reduce(self.f.out, axis=None)):
+                    self._output_errors(failed, self.f.out)
+                np.copyto(self.r_f, self.f.out)
+            self.z.forward()
+            mae = self._mae()
+            if not math.isfinite(np.add.reduce(mae)):
+                self._output_errors(failed, self.y, mae)
+            self._settle(epoch + 1, failed, mae)
+        return self.outcomes
+
+    def _settle(self, ran, failed, mae) -> None:
+        """Book the MAEs of epoch ``ran`` and let the rows that stop leave:
+        those in ``failed`` with their error, and those that meet the
+        target, run out of patience or reach the cap with their report."""
+        if ran:
+            improved = np.less(mae, self.best_mae - PATIENCE_TOLERANCE)
+            if improved.any():
+                np.copyto(self.best, self.params, where=improved[:, None])
+                np.copyto(self.best_mae, mae, where=improved)
+                self.best_epoch[improved] = ran
+            for history, value in zip(self.history, mae.tolist()):
+                history.append(value)
+        met = self.best_mae <= MAE_TARGET_SECONDS
+        stalled = ran - self.best_epoch >= PATIENCE_EPOCHS
+        stops = met | stalled
+        if ran == self.epochs:
+            stops[:] = True
+        stops[list(failed)] = True
+        if not stops.any():
+            return
+        at = time.perf_counter()
+        for i in np.flatnonzero(stops).tolist():
+            row = self.ids[i]
+            if i in failed:
+                self.outcomes[row] = failed[i]
+                continue
+            reason = "mae_threshold" if met[i] else "patience" if stalled[i] else "epoch_cap"
+            work = self.works[row]
+            work.vector[self.cols] = self.best[i]
+            self.outcomes[row] = work, FineTuneReport(
+                ran, int(self.best_epoch[i]), float(self.best_mae[i]), reason,
+                wall_time_s=at - self.started, mae_history=self.history[i])
+        self.keep(np.flatnonzero(~stops))
+        if self.ids.size:
+            self._bind()
+
+
+def _finetune_rows(rows, epochs: int = MAX_EPOCHS) -> list:
+    """Fine-tune many models, each row ``(state, samples, reuse, seed)`` as
+    :func:`finetune` takes them. Returns, per row, the ``(state, report)``
+    that ``finetune(state, samples, reuse, seed, epochs)`` returns, or the
+    :class:`DataError` or :class:`TrainingError` it raises, as a value; an
+    unknown reuse strategy raises ValueError before any row trains.
+
+    Rows that train with one schema, sample count and unfreeze epoch form a
+    group. A group of at least ``MIN_STACK_ROWS`` rows trains as one
+    :class:`_Stack`, whose rows leave it as they stop; a smaller one calls
+    ``finetune`` row by row. Rows are independent, so every row gets the
+    bits of its own ``finetune`` call. Only a stacked row's
+    ``wall_time_s`` differs: it counts from the start of its group's
+    set-up until the row left the stack.
+    """
+    rows = [(state, list(samples), reuse, seed) for state, samples, reuse, seed in rows]
+    groups: dict = {}
+    for i, (state, samples, reuse, _) in enumerate(rows):
+        if reuse not in REUSE_STRATEGIES:
+            raise ValueError(f"unknown reuse strategy {reuse!r}")
+        schema = state if isinstance(state, PropertySchema) else state.schema
+        key = schema, len(samples), _f_join(reuse, len(samples))
+        groups.setdefault(key, []).append(i)
+
+    results: list = [None] * len(rows)
+    for (_, _, f_join), members in groups.items():
+        if len(members) < MIN_STACK_ROWS:
+            for i in members:
+                try:
+                    results[i] = finetune(*rows[i], epochs=epochs)
+                except (DataError, TrainingError) as exc:
+                    results[i] = exc
+            continue
+        started = time.perf_counter()
+        # Each row keeps only the arrays the stack reads, not its _Start,
+        # whose f binding and gradient a stack of thousands need not hold.
+        stacked = []
+        for i in members:
+            try:
+                start = _Start(*rows[i])
+            except (DataError, TrainingError) as exc:
+                results[i] = exc
+                continue
+            if start.done:
+                results[i] = start.done
+            else:
+                stacked.append((i, (start.work, start.batch.sfeat, start.r,
+                                    start.batch.runtimes)))
+        if stacked:
+            outcomes = _Stack([row for _, row in stacked], f_join, epochs, started).train()
+            for (i, _), outcome in zip(stacked, outcomes):
+                results[i] = outcome
+    return results

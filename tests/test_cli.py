@@ -723,3 +723,15 @@ def _parse_curve(text: str):
         elif seen_header:
             break
     return curve
+
+@pytest.mark.parametrize("command", ["pretrain", "evaluate", "predict"])
+def test_ctrl_c_exits_130_with_one_line_and_no_traceback(monkeypatch, capfd, command):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, f"cmd_{command}", interrupted)
+    argv = {"pretrain": ["--data", "d.csv", "--manifest", "m.txt", "--out", "m.jcm"],
+            "evaluate": ["--data", "d.csv", "--manifest", "m.txt", "--out-dir", "out"],
+            "predict": ["--model", "m.jcm", "--scale-out", "2"]}[command]
+    assert cli.main([command, *argv]) == cli.EXIT_INTERRUPTED == 130
+    assert capfd.readouterr().err == "interrupted\n"

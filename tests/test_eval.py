@@ -299,10 +299,11 @@ class TestRunComparison:
         with pytest.raises(ConfigError, match="method tokens"):
             run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(methods=methods))
 
-    def test_pool_starts_no_more_workers_than_cells(self, ctx_records, monkeypatch):
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
         """A sequential stand-in for the pool records the worker count asked
-        for: never more than the cells, nor than the CPUs this process may
-        use. The rows are those of an in-process run."""
+        for: never more than the tasks, one per n_train, nor than the CPUs
+        this process may use. Two contexts give six cells but three tasks.
+        The rows are those of an in-process run."""
         asked = []
 
         class RecordingPool:
@@ -315,16 +316,21 @@ class TestRunComparison:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        records = corpus(make_contexts(2, seed=8), repetitions=1, seed=8)
+        contexts = sorted({r.context for r in records}, key=str)
         base = dict(methods=("nnls", "bell"), n_train_values=(1, 2, 3),
-                    contexts=[ctx_records[0].context], max_splits=3, seed=4)
-        serial = run_comparison(ctx_records, SYNTH_SCHEMA, ComparisonConfig(**base))
+                    contexts=contexts, max_splits=3, seed=4)
+        serial = run_comparison(records, SYNTH_SCHEMA, ComparisonConfig(**base))
+        assert {r.context for r in serial.rows} == {context_id(c) for c in contexts}
         for cpus in (64, 2):
             monkeypatch.setattr(training, "_cpus", lambda: cpus)
-            pooled = run_comparison(ctx_records, SYNTH_SCHEMA,
+            pooled = run_comparison(records, SYNTH_SCHEMA,
                                     ComparisonConfig(**base, workers=5000))
             assert pooled.rows == serial.rows
         assert asked == [3, 2]

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from jobcast import cli, model, training
-from jobcast.errors import ConfigError
+from jobcast import cli, evalharness, model, training
+from jobcast.errors import ConfigError, WorkerError
+from jobcast.evalharness import ComparisonConfig, run_comparison
 from jobcast.synthetic import SYNTH_SCHEMA, corpus, make_contexts
 from jobcast.training import SearchSpace, pretrain, pretrain_corpora
 
@@ -219,3 +221,76 @@ def test_the_cli_writes_the_same_model_and_log_at_any_worker_count(tmp_path, mon
             log = [row[:8] + row[9:] for row in csv.reader(fh)]  # wall_time_s aside
         outputs.append((out.read_bytes(), log))
     assert outputs[0] == outputs[1]
+
+
+# The process running the tests, and the pool tasks as the package defines
+# them: the stand-ins below kill only a process other than this one, and
+# only the one running them.
+_TEST_PROCESS = os.getpid()
+_TRAIN_PART = training._train_part
+_N_TRAIN_TASK = evalharness._n_train_task
+
+
+def _train_part_dies_in_a_worker(task):
+    """``_train_part``, except that a pool worker sends itself SIGKILL, the
+    signal the out-of-memory killer sends. Module-level, so a task that
+    names it pickles."""
+    if os.getpid() != _TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _TRAIN_PART(task)
+
+
+def _n_train_task_dies_in_a_worker(task):
+    """``evalharness._n_train_task``, except that a pool worker kills itself."""
+    if os.getpid() != _TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _N_TRAIN_TASK(task)
+
+
+@pytest.fixture
+def forked_pools(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the stand-ins reach the workers by forking")
+    monkeypatch.setattr(training, "_cpus", lambda: 2)
+    monkeypatch.setattr(training, "_process_pool", lambda n: ProcessPoolExecutor(
+        n, mp_context=multiprocessing.get_context("fork")))
+
+
+def test_a_worker_that_dies_fails_pretraining_naming_the_rows_it_lost(forked_pools,
+                                                                      monkeypatch):
+    """Four configs split 2 + 2: this process trains configs 0-1, and the
+    worker given configs 2-3 dies."""
+    monkeypatch.setattr(training, "_train_part", _train_part_dies_in_a_worker)
+    with pytest.raises(WorkerError) as caught:
+        pretrain(_diverging_records(), SYNTH_SCHEMA, space=SearchSpace(sample_count=4),
+                 epochs=3, batch_size=8, workers=2)
+    assert str(caught.value) == "a worker process died; lost: corpus 0 configs 2-3"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_evaluate_naming_the_tasks_it_lost(forked_pools,
+                                                                    monkeypatch):
+    """Every worker dies on its first n_train task, so no task comes back."""
+    monkeypatch.setattr(evalharness, "_n_train_task", _n_train_task_dies_in_a_worker)
+    records = corpus(make_contexts(1, seed=3), repetitions=1, seed=3)
+    config = ComparisonConfig(methods=("nnls",), n_train_values=(1, 2), max_splits=1,
+                              workers=2)
+    with pytest.raises(WorkerError) as caught:
+        run_comparison(records, SYNTH_SCHEMA, config)
+    assert str(caught.value) == "a worker process died; lost: n_train 1; n_train 2"
+    assert multiprocessing.active_children() == []
+
+
+def test_the_cli_reports_a_worker_that_died_without_a_traceback(forked_pools, monkeypatch,
+                                                                tmp_path, capfd):
+    monkeypatch.setattr(training, "_train_part", _train_part_dies_in_a_worker)
+    out = tmp_path / "m.jcm"
+    code = cli.main(["pretrain", "--data", str(DATA / "sort_runs.csv"),
+                     "--manifest", str(DATA / "sort_manifest.txt"), "--epochs", "3",
+                     "--search-samples", "4", "--workers", "2", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == cli.EXIT_WORKER == 6
+    assert err == "worker error: a worker process died; lost: corpus 0 configs 2-3\n"
+    assert "Traceback" not in err
+    assert not out.exists() and not out.with_suffix(".search.csv").exists()
+    assert multiprocessing.active_children() == []
