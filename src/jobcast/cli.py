@@ -232,8 +232,9 @@ def cmd_predict(args) -> int:
 
 
 # The most candidate scale-outs one ``recommend`` scores. Each costs about
-# 4-7 us and 1 KB, so a full range runs in about 1 s and 140 MB, process
-# start included (2-vCPU x86_64, Python 3.11, numpy 2.4).
+# 1 us and 0.4 KB, so a full range runs in about 0.3-0.45 s and 74 MB of
+# peak RSS, process start included (one BLAS thread, 2-vCPU x86-64,
+# Python 3.11, numpy 2.4).
 MAX_CANDIDATES = 100_000
 
 

@@ -8,11 +8,11 @@ optional codes onto a runtime in seconds. Training minimizes Huber runtime
 error plus the autoencoder's reconstruction MSE.
 
 One batched path serves training and inference: :func:`encode_batch`
-encodes records once, each distinct property mapping once and each
-property vector once, and :func:`forward_batch` runs the runtime path
-``f``, ``g``, ``z`` over the whole batch. :func:`predict_batch` scores one
-property set at many scale-outs in one such pass, its candidates sharing
-one mapping; :func:`predict` is a batch of one. The decoder
+encodes records once, each distinct property value once, and
+:func:`forward_batch` runs the runtime path ``f``, ``g``, ``z`` over the
+whole batch. :func:`predict_batch` scores one property set at many
+scale-outs in one such pass: it encodes the set once and broadcasts its
+rows to every candidate. :func:`predict` is a batch of one. The decoder
 ``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
 the same path over a stack of models (see :class:`ModelState`).
 
@@ -34,7 +34,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,7 +228,9 @@ class EncodedBatch:
     ``pvecs`` holds the unique property vectors; the index arrays say which
     rows each record uses. ``usage`` counts, per record and unique vector,
     how many of the record's properties map onto that vector, which weights
-    the reconstruction loss by actual occurrences.
+    the reconstruction loss by actual occurrences. :func:`predict_batch`'s
+    batch broadcasts one row of ``ess_rows`` and ``opt_weights`` to every
+    candidate, read-only, and sets neither ``usage`` nor ``runtimes``.
 
     A stacked batch gives each row of a model stack its own records and its
     own unique vectors: every array gains a leading ``S`` axis (``pvecs`` is
@@ -241,28 +242,17 @@ class EncodedBatch:
     pvecs: np.ndarray  # (U, 40)
     ess_rows: np.ndarray  # (B, m) int
     opt_weights: np.ndarray  # (B, U) mean-pooling weights for optional codes
-    usage: np.ndarray  # (B, U) occurrence counts
-    runtimes: np.ndarray | None  # (B,)
+    usage: np.ndarray | None  # (B, U) occurrence counts; None for inference
+    runtimes: np.ndarray | None  # (B,); None for inference
 
 
-def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
-                 with_runtimes=True) -> EncodedBatch:
-    """Encode records for :func:`forward_batch`.
+def _encode_mappings(schema: PropertySchema, mappings):
+    """``(pvecs, ess_rows, opt_weights, usage)`` of a list of properties
+    mappings, one row of the last three per mapping.
 
-    Each distinct properties mapping, told apart by identity, is checked
-    and encoded once, in order of first appearance. Records that share one
-    mapping object, as :func:`predict_batch`'s candidates do, share its rows
-    of ``ess_rows``, ``opt_weights`` and ``usage``, which one gather copies
-    out. The scale-out features of the whole batch come from one
-    :meth:`Normalizer.transform` call.
+    Each mapping is checked, and each distinct property value is encoded
+    once, in order of first appearance.
     """
-    records = list(records)
-    b = len(records)
-    m = schema.essential_count
-    # The first record to hold each distinct mapping, in order of appearance:
-    # filled from the back, the dict keeps each mapping's first record.
-    keys = [id(r.properties) for r in records]
-    firsts = sorted(dict(zip(reversed(keys), range(b - 1, -1, -1))).values())
     rows: dict[PropertyValue, int] = {}
     vecs: list[np.ndarray] = []
 
@@ -272,9 +262,8 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
             vecs.append(encode_property(value))
         return rows[value]
 
-    hits = []  # per distinct mapping: its essential rows, its optional rows
-    for i in firsts:
-        props = records[i].properties
+    hits = []  # per mapping: its essential rows, its optional rows
+    for i, props in enumerate(mappings):
         schema.check_properties(props, where=f"record {i}")
         hits.append(([row_of(props[name]) for name, _ in schema.essential],
                      [row_of(props[name]) for name, _ in schema.optional if name in props]))
@@ -288,18 +277,24 @@ def encode_batch(schema: PropertySchema, normalizer: Normalizer, records,
             counts[r] += 1.0
         for r in opt:  # a vector shared by two optional properties adds twice
             weights[r] += 1.0 / len(opt)
-    ess_rows = np.array([ess for ess, _ in hits], dtype=np.intp).reshape(k, m)
-    usage = np.array(usage).reshape(k, u)
-    opt_weights = np.array(opt_weights).reshape(k, u)
-    if k < b:  # records share mappings: give each its mapping's rows
-        slot = {keys[i]: g for g, i in enumerate(firsts)}
-        of_record = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=b)
-        ess_rows, opt_weights, usage = (ess_rows[of_record], opt_weights[of_record],
-                                        usage[of_record])
+    ess_rows = np.array([ess for ess, _ in hits], dtype=np.intp)
+    return (pvecs, ess_rows.reshape(k, schema.essential_count),
+            np.array(opt_weights).reshape(k, u), np.array(usage).reshape(k, u))
+
+
+def encode_batch(schema: PropertySchema, normalizer: Normalizer, records) -> EncodedBatch:
+    """Encode training records for :func:`forward_batch` and the joint loss.
+
+    Each record's properties are checked and encoded as in
+    :func:`_encode_mappings`, each distinct value once over the batch, and
+    the scale-out features of the whole batch come from one
+    :meth:`Normalizer.transform` call.
+    """
+    records = list(records)
+    pvecs, ess_rows, opt_weights, usage = _encode_mappings(
+        schema, [r.properties for r in records])
     sfeat = normalizer.transform([r.scale_out for r in records])
-    runtimes = None
-    if with_runtimes:
-        runtimes = np.array([r.runtime_seconds for r in records], dtype=np.float64)
+    runtimes = np.array([r.runtime_seconds for r in records], dtype=np.float64)
     return EncodedBatch(sfeat, pvecs, ess_rows, opt_weights, usage, runtimes)
 
 
@@ -497,16 +492,18 @@ def predict_batch(state: ModelState, scale_outs, props: dict) -> np.ndarray:
     """Predicted runtimes in seconds, one per scale-out, for one property set.
 
     ``props`` maps property names to :class:`PropertyValue`; every
-    essential property must be present, optional ones may be missing. The
-    whole batch is forwarded once, in inference mode and without the
-    decoder ``h``; every candidate holds the one ``props`` mapping, so
-    :func:`encode_batch` encodes it once.
+    essential property must be present, optional ones may be missing. It
+    is checked and encoded once, and every candidate's rows of
+    ``ess_rows`` and ``opt_weights`` are read-only broadcast views of its
+    one row. The whole batch is forwarded once, in inference mode and
+    without the decoder ``h``.
     """
     state.schema.check_properties(props)  # errors name the input, not "record 0"
-    # The candidates are dropped before the forward pass, whose arrays peak.
-    batch = encode_batch(state.schema, state.normalizer,
-                         [SimpleNamespace(scale_out=x, properties=props) for x in scale_outs],
-                         with_runtimes=False)
+    pvecs, ess_rows, opt_weights, _ = _encode_mappings(state.schema, [props])
+    sfeat = state.normalizer.transform(list(scale_outs))
+    b = len(sfeat)
+    batch = EncodedBatch(sfeat, pvecs, np.broadcast_to(ess_rows, (b, ess_rows.shape[1])),
+                         np.broadcast_to(opt_weights, (b, opt_weights.shape[1])), None, None)
     return forward_batch(state, batch)
 
 

@@ -12,12 +12,12 @@ import dataclasses
 import functools
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cached_passes as cached
+from jobcast import model
 from jobcast.model import encode_batch, forward_batch, predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
 from jobcast.training import (SearchSpace, _Arena, _Lockstep, _Search, finetune,
@@ -159,21 +159,33 @@ def test_rows_leaving_on_a_full_minibatch_leave_later_steps_right(leaving):
 
 
 INFERENCE_LIMIT = 40_000_000
+PREDICT_BATCH_LIMIT = 45_000_000
+CANDIDATES = [1 + i % 201 for i in range(100_000)]
 
 
-def test_inference_keeps_no_cache():
+def test_inference_keeps_no_cache(monkeypatch):
     """Over 100,000 candidates the forward pass peaks below 40 MB beyond
     its inputs (a pass that kept the backward caches peaked at 80 MB), and
     its outputs are bit for bit the cached pass's."""
     state, records = _pretrained()
-    props = records[0].properties
-    batch = encode_batch(state.schema, state.normalizer,
-                         [SimpleNamespace(scale_out=1 + i % 201, properties=props)
-                          for i in range(100_000)], with_runtimes=False)
+    caught = []  # the batch predict_batch forwards
+    with monkeypatch.context() as m:
+        m.setattr(model, "forward_batch", lambda s, batch: caught.append(batch))
+        predict_batch(state, CANDIDATES, records[0].properties)
+    [batch] = caught
     out = []
     peak, _ = _traced(lambda: out.append(forward_batch(state, batch)))
     assert peak < INFERENCE_LIMIT, f"inference peaked at {peak} bytes"
     assert out[0].tobytes() == cached.forward_batch(state, batch).tobytes()
+
+
+def test_predict_batch_encodes_one_mapping():
+    """predict_batch over 100,000 candidates, encoding included, peaks below
+    45 MB (about 38 MB; 53 MB when it encoded one record per candidate and
+    gathered each one's rows)."""
+    state, records = _pretrained()
+    peak, _ = _traced(lambda: predict_batch(state, CANDIDATES, records[0].properties))
+    assert peak < PREDICT_BATCH_LIMIT, f"predict_batch peaked at {peak} bytes"
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,6 @@ and the structural width law."""
 
 import math
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,26 +206,41 @@ NO_OPTIONAL = {k: v for k, v in PROPS.items() if k in ("dataset_size", "node_typ
 ENCODED = ("sfeat", "pvecs", "ess_rows", "opt_weights", "usage")
 
 
-def queries(xs, props, copy=False):
-    return [SimpleNamespace(scale_out=x, properties=dict(props) if copy else props)
-            for x in xs]
+def queries(xs, props):
+    """Records of one property set at scale-outs ``xs``, each with its own copy."""
+    return [RunRecord(x, 1.0, dict(props), CTX) for x in xs]
+
+
+def forwarded_batch(state, scale_outs, props, monkeypatch):
+    """The batch predict_batch forwards, caught on its way to forward_batch."""
+    caught = []
+    with monkeypatch.context() as m:
+        m.setattr(model_module, "forward_batch", lambda s, batch: caught.append(batch))
+        predict_batch(state, scale_outs, props)
+    [batch] = caught
+    return batch
 
 
 class TestSharedEncoding:
-    """encode_batch encodes each distinct properties mapping once; records
-    sharing one mapping get exactly the rows they would get alone."""
+    """predict_batch encodes its one property set once and broadcasts its
+    rows to every candidate; encode_batch encodes each distinct property
+    value once over a batch of records."""
 
     @pytest.mark.parametrize("props", [PROPS, NO_OPTIONAL], ids=["optional", "essential"])
-    def test_each_candidate_encodes_as_it_does_alone(self, props):
-        """predict_batch's batch, row by row, is bitwise the batch of one
-        that predict encodes for each candidate."""
+    def test_each_candidate_encodes_as_it_does_alone(self, props, monkeypatch):
+        """predict_batch's batch, row by row, is bitwise the one-record batch
+        that encode_batch gives each candidate; its broadcast rows are
+        read-only, and it carries no usage counts or runtimes."""
         state = fresh_state()
-        batch = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props), False)
+        batch = forwarded_batch(state, CANDIDATES, props, monkeypatch)
+        assert batch.usage is None and batch.runtimes is None
+        assert not (batch.ess_rows.flags.writeable or batch.opt_weights.flags.writeable)
         for i, x in enumerate(CANDIDATES):
-            alone = encode_batch(SCHEMA, state.normalizer, queries([x], props), False)
+            alone = encode_batch(SCHEMA, state.normalizer, queries([x], props))
             assert alone.pvecs.tobytes() == batch.pvecs.tobytes()
-            for name in ("sfeat", "ess_rows", "opt_weights", "usage"):
-                assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes()
+            for name in ("sfeat", "ess_rows", "opt_weights"):
+                one, row = getattr(alone, name)[0], getattr(batch, name)[i]
+                assert (one.dtype, one.tobytes()) == (row.dtype, row.tobytes()), name
 
     @pytest.mark.parametrize("props", [PROPS, NO_OPTIONAL], ids=["optional", "essential"])
     def test_predict_batch_is_hex_equal_to_a_per_record_encoding(self, props):
@@ -236,8 +250,7 @@ class TestSharedEncoding:
         bit: BLAS may take another kernel for a one-row matrix product."""
         state = fresh_state()
         batched = predict_batch(state, CANDIDATES, props)
-        copies = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props, True),
-                              False)
+        copies = encode_batch(SCHEMA, state.normalizer, queries(CANDIDATES, props))
         expect = forward_batch(state, copies)
         assert [float(y).hex() for y in batched] == [float(y).hex() for y in expect]
         singles = [predict(state, x, props).runtime_seconds for x in CANDIDATES]
@@ -245,29 +258,23 @@ class TestSharedEncoding:
         assert predict(state, 9170, props).runtime_seconds == \
             float(predict_batch(state, [9170], props)[0])
 
-    def test_shared_mapping_and_equal_copies_encode_identically(self):
-        xs = [2, 9170, 3, 19143, 2, 5]
-        mixed = [PROPS, NO_OPTIONAL, PROPS, dict(PROPS), NO_OPTIONAL, PROPS]
-        shared = [SimpleNamespace(scale_out=x, properties=p) for x, p in zip(xs, mixed)]
-        copied = [SimpleNamespace(scale_out=x, properties=dict(p)) for x, p in zip(xs, mixed)]
-        a = encode_batch(SCHEMA, Normalizer.fit(xs), shared, False)
-        b = encode_batch(SCHEMA, Normalizer.fit(xs), copied, False)
-        for name in ENCODED:
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
-
-    def test_each_distinct_mapping_is_checked_and_encoded_once(self, monkeypatch):
-        checked, encoded = [], []
-        monkeypatch.setattr(PropertySchema, "check_properties",
-                            lambda self, props, where="input": checked.append(where))
+    def test_each_distinct_value_is_encoded_once(self, monkeypatch):
+        """64 candidates of a set whose memory_mb equals its dataset_size
+        encode 3 values; so do 66 records that each hold their own mapping,
+        plus the one new value of the last two."""
+        encoded = []
         monkeypatch.setattr(model_module, "encode_property",
                             lambda v: encoded.append(v) or encode_property(v))
-        other = dict(PROPS, job_name=PropertyValue.text("join"))
-        records = queries(range(1, 65), PROPS) + queries([3], other) + queries([4], PROPS)
-        batch = encode_batch(SCHEMA, Normalizer.fit([2, 8]), records, False)
-        assert checked == ["record 0", "record 64"]
-        assert len(encoded) == len(set(encoded)) == 5 == len(batch.pvecs)
-        assert batch.ess_rows.shape == (66, 2) and batch.usage.shape == (66, 5)
+        props = dict(PROPS, memory_mb=PROPS["dataset_size"])
+        batch = forwarded_batch(fresh_state(), range(1, 65), props, monkeypatch)
+        assert len(encoded) == len(set(encoded)) == 3 == len(batch.pvecs)
+        assert batch.ess_rows.shape == (64, 2) and batch.opt_weights.shape == (64, 3)
+        encoded.clear()
+        other = dict(props, job_name=PropertyValue.text("join"))
+        records = queries(range(1, 65), props) + queries([3, 4], other)
+        batch = encode_batch(SCHEMA, Normalizer.fit([2, 8]), records)
+        assert len(encoded) == len(set(encoded)) == 4 == len(batch.pvecs)
+        assert batch.ess_rows.shape == (66, 2) and batch.usage.shape == (66, 4)
 
     def test_an_empty_batch_encodes_to_empty_arrays(self):
         batch = encode_batch(SCHEMA, Normalizer.fit([2, 8]), [])
@@ -283,7 +290,7 @@ class TestSharedEncoding:
         props = {"dataset_size": PropertyValue.natural(7),
                  "memory_mb": PropertyValue.natural(3), "cores": PropertyValue.natural(3),
                  "nodes": PropertyValue.natural(7)}
-        batch = encode_batch(schema, Normalizer.fit([2, 8]), queries([2, 4], props), False)
+        batch = encode_batch(schema, Normalizer.fit([2, 8]), queries([2, 4], props))
         third = 1.0 / 3
         np.testing.assert_array_equal(batch.opt_weights, [[third, third + third]] * 2)
         np.testing.assert_array_equal(batch.usage, [[2.0, 2.0]] * 2)
