@@ -20,8 +20,9 @@ unstacked arithmetic, so a row computes what it would compute alone.
 Training binds its arrays once (:class:`_Bound`): a block's input, its
 weight and gradient views, its dropout draws, and every array its passes
 write, which each pass overwrites and which stay valid until the next.
-Fine-tuning binds ``f`` and ``z`` once per call, and pre-training's stack
-binds its whole joint step (see :mod:`jobcast.model`). An unbound
+Fine-tuning's stack binds ``f`` and ``z`` again each time rows leave it,
+and pre-training's stack binds its whole joint step (see
+:mod:`jobcast.model`). An unbound
 :meth:`TwoLayerBlock.forward` is inference: it keeps no cache, each layer
 computes its activation over or beside its own pre-activation, and what it
 returns is its caller's. Both run the same per-layer step, :func:`_dense`;

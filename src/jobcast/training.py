@@ -10,16 +10,17 @@ frozen, the predictor trainable from the start, and the scale-out block
 joining after an epoch threshold that grows with the number of samples.
 Fine-tuning stops early once the training MAE drops to the target or
 stalls past the patience window, and always returns the best snapshot seen.
-Both loops bind the arrays they touch once (see :class:`jobcast.nn._Bound`):
-pre-training's stack binds its joint step once per minibatch length, and
-again only when rows leave it, and fine-tuning binds ``f`` and ``z`` once per
-call, so an epoch is a fixed sequence of numpy calls.
 
-Many fine-tunes that share a sample count may also train as the rows of one
-stack of ``f`` and ``z`` weights (:func:`_finetune_rows`), which drops each
-row in the epoch it stops and gives every row the bits of its own
-:func:`finetune` call; ``evaluate`` fine-tunes its model rows that way. Both
-stacks let rows leave in one place (:class:`_RowSet`).
+Both trainings run on stacks whose rows leave in one place
+(:class:`_RowSet`), and both bind the arrays they touch (see
+:class:`jobcast.nn._Bound`) once, and again only when rows leave, so an
+epoch is a fixed sequence of numpy calls. Pre-training's stack binds its
+joint step once per minibatch length. Fine-tuning trains the rows of one
+stack of ``f`` and ``z`` weights (:class:`_Stack`), which drops each row in
+the epoch it stops: :func:`finetune` is a stack of one row, and
+:func:`_finetune_rows`, which ``evaluate`` calls, stacks the fine-tunes that
+share a sample count, giving every row the bits of its own
+:func:`finetune` call.
 
 A stack's rows are independent, so pre-training may split them into
 contiguous parts across processes (``workers``): this process trains the
@@ -610,13 +611,13 @@ _NON_FINITE_OUTPUT = "two-layer block produced a non-finite output"
 
 
 class _Start:
-    """One fine-tune's set-up, shared by :func:`finetune` and the stacked
-    engine (:class:`_Stack`): the strategy, the copy ``work``, the resets,
-    the encoded samples ``batch``, and ``z``'s input ``r``.
+    """One fine-tune's set-up: the strategy, the copy ``work``, the resets,
+    and ``row``, the ``(work, sfeat, r, runtimes)`` its :class:`_Stack`
+    trains: the encoded samples' scale-out features and runtimes, and
+    ``z``'s input ``r``.
 
     The autoencoder is frozen, so ``r`` is assembled once, from the codes
-    and the first pass of ``f``, bound over the scale-out features and
-    writing its gradient into ``grad``: the codes never change, and ``f``'s
+    and the first pass of ``f``: the codes never change, and ``f``'s
     columns change only once ``f`` trains, at ``f_join``.
 
     ``done`` is the finished ``(state, report)`` of a fine-tune that does
@@ -646,12 +647,11 @@ class _Start:
             work.f.init(rng)
             work.z.init(rng)
         self.f_join = _f_join(reuse, len(samples))
-        self.batch = batch = encode_batch(work.schema, work.normalizer, samples)
-        self.grad = np.zeros_like(work.vector)
+        batch = encode_batch(work.schema, work.normalizer, samples)
         codes = work.g.forward(batch.pvecs)
-        self.f = _Bound(work.f, batch.sfeat, self.grad[work.segments["f"]])
-        self.f.forward()
-        self.r = _assemble(work.schema, self.f.out, codes, batch.ess_rows, batch.opt_weights)
+        r = _assemble(work.schema, work.f.forward(batch.sfeat), codes, batch.ess_rows,
+                      batch.opt_weights)
+        self.row = work, batch.sfeat, r, batch.runtimes
 
 
 def finetune(state: ModelState | PropertySchema, samples,
@@ -671,139 +671,69 @@ def finetune(state: ModelState | PropertySchema, samples,
     unchanged together with an inference-only report whose
     ``stopping_reason`` is ``"no_data"`` / ``"not_trained"``.
 
-    The loop binds its arrays once per call and computes, bit for bit,
-    what the blocks' own passes would, failing with the same errors. This
-    is the one-row path; many fine-tunes of one sample count may train as
-    one stack instead, with the same results (:func:`_finetune_rows`).
+    The fine-tune trains as a stack of one row (:class:`_Stack`); many
+    fine-tunes of one sample count may train as one stack instead, with
+    the same results (:func:`_finetune_rows`).
     """
     start = _Start(state, samples, reuse, seed)
     if start.done:
         return start.done
-    work, f, r, grad, f_join = start.work, start.f, start.r, start.grad, start.f_join
-    seg = work.segments
-    # Every array an epoch touches is bound once: f's passes over the
-    # scale-out features, z's over its input r, the residual y - t, which
-    # gives both the MAE and the next epoch's Huber gradient dy, and the
-    # optimizers' parameter and gradient views. f's output is copied into
-    # r's columns (written there directly, strided, it is slower).
-    z = _Bound(work.z, r, grad[seg["z"]])
-    r_f, dr_f = r[:, :F_DIM], z.dx[:, :F_DIM]
-    y, t = z.out[:, 0], start.batch.runtimes
-    residual, dy, abs_err = np.empty((3, len(t)))
-    dout = dy[:, None]
-
-    def trainer(c):
-        """A fresh optimizer for component ``c`` with the views it steps."""
-        sl = seg[c]
-        return (Adam(lr_at(0), work.vector[sl].shape,
-                     lambda i: work.param_name(sl.start + i),
-                     weight_decay=FINETUNE_WEIGHT_DECAY), work.vector[sl], grad[sl])
-
-    def mae() -> float:
-        """The MAE of z's output, leaving its residual in ``residual``."""
-        np.subtract(y, t, out=residual)
-        return float(np.add.reduce(np.abs(residual, out=abs_err))) / len(t)
-
-    # The autoencoder never trains: it gets no optimizer. z trains from the
-    # start, and f joins at f_join with one of its own.
-    z_optim, z_params, z_grad = trainer("z")
-    z.forward()
-    best_mae = mae()
-    best_epoch = 0
-    best = work.vector.copy()
-    history = [best_mae]
-    reason = "epoch_cap"
-    epochs_run = 0
-    budget = epochs
-    if best_mae <= MAE_TARGET_SECONDS:
-        # the starting state already meets the target on these samples
-        reason = "mae_threshold"
-        budget = 0
-    for epoch in range(budget):
-        f_trains = epoch >= f_join
-        if epoch == f_join:  # f's arrays still hold its first pass
-            f_optim, f_params, f_grad = trainer("f")
-        _huber_slope(residual, dy)
-        z.backward(dout, f_trains)
-        lr = _LR_WAVE[epoch % LR_PERIOD]
-        if f_trains:
-            f.backward(dr_f, False)
-            f_optim.lr = lr  # f first, in vector order
-            f_optim.step(f_params, f_grad)
-        z_optim.lr = lr
-        z_optim.step(z_params, z_grad)
-        epochs_run = epoch + 1
-
-        if f_trains:
-            f.forward()
-            np.copyto(r_f, f.out)
-        z.forward()
-        mae_now = mae()
-        if not math.isfinite(mae_now):
-            raise TrainingError(_DIVERGED)
-        history.append(mae_now)
-        if mae_now < best_mae - PATIENCE_TOLERANCE:
-            best_mae = mae_now
-            best_epoch = epochs_run
-            np.copyto(best, work.vector)
-        if best_mae <= MAE_TARGET_SECONDS:
-            reason = "mae_threshold"
-            break
-        if epochs_run - best_epoch >= PATIENCE_EPOCHS:
-            reason = "patience"
-            break
-
-    np.copyto(work.vector, best)
-    report = FineTuneReport(epochs_run, best_epoch, best_mae, reason,
-                            wall_time_s=time.perf_counter() - start.started,
-                            mae_history=history)
-    return work, report
+    [outcome] = _Stack([start.row], start.f_join, epochs, start.started).train()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # Fine-tunes that share a schema, a sample count and an unfreeze epoch
 # train as one stack when at least this many train together; a smaller
-# group trains row by row. A stacked epoch costs more numpy calls than a
-# row's own, so a one-row stack takes 1.24-1.29x the time of finetune. On
-# evaluate's rows (each context's full-variant model pre-trained for 2,500
-# epochs, 4 splits, local and full rows, two corpora), a stack of 2 took
-# 0.80-1.24x the time of its rows alone, 1.20-1.24x at one sample, and a
-# stack of 3 took 0.71-0.83x at every sample count from 1 to 5 (2-vCPU
-# x86-64 host, Python 3.11, numpy 2.4).
+# group calls finetune row by row. On evaluate's rows (two 7-context
+# corpora, one split, each context's full-variant model pre-trained for
+# 2,500 epochs, a local and a full row per context), a stack of 2 took
+# 0.99x the time of two finetune calls at one sample and 0.61-0.77x at 2
+# to 5, and a stack of 3 took 0.53-0.66x the time of three calls at every
+# sample count from 1 to 5 (2-vCPU x86-64 host, Python 3.11, numpy 2.4).
+# Stacks of 2 would not pay at one sample; at 3, an evaluate of one context
+# and one split, whose groups hold two rows, still calls finetune, which
+# perfbench's traced smoke run expects to reach.
 MIN_STACK_ROWS = 3
 
 
 class _Stack(_RowSet):
     """Fine-tunes of one schema, one sample count ``B`` and one unfreeze
-    epoch, trained as the rows of one stack that shrinks as they stop.
+    epoch, trained as the rows of one stack that shrinks as they stop; one
+    fine-tune is a stack of one row.
 
     Only ``f`` and ``z`` train, so only their weights stack: ``params``
-    holds each row's ``f`` slice then its ``z`` slice (``cols`` of its
-    vector), and ``grad``, ``best`` and both optimizers' moments match it.
-    ``sfeat`` ``(S, B, 3)``, ``r`` ``(S, B, W)`` and ``runtimes`` ``(S, B)``
-    are the rows' inputs. ``f`` and ``z`` are bound over them
-    (:class:`~jobcast.nn._Bound`), and bound again whenever rows leave.
+    holds each row's ``f`` slice, its first ``cut`` columns, then its ``z``
+    slice (``cols`` of its vector), and ``grad``, ``best`` and both
+    optimizers' moments match it. ``sfeat`` ``(S, B, 3)``, ``r``
+    ``(S, B, W)`` and ``runtimes`` ``(S, B)`` are the rows' inputs. ``f``
+    and ``z`` are bound over them (:class:`~jobcast.nn._Bound`), and bound
+    again whenever rows leave. Each epoch computes the residual ``y - t``
+    once: it gives both the MAE and the next epoch's Huber gradient.
 
     Every row takes the epoch's learning rate, and ``f`` joins every row at
     ``f_join``, so each component has one :class:`~jobcast.nn.Adam` with a
-    scalar rate and one step counter. Each row keeps its own best snapshot,
-    best MAE, best epoch and MAE history, and leaves in the epoch it meets
-    the MAE target, runs out of patience or reaches the cap, or turns
-    non-finite. ``outcomes[r]`` is then what :func:`finetune` gives that
-    row alone: ``(state, report)`` with the row's ``work`` state holding its
-    best snapshot, or its :class:`TrainingError`. A report's
-    ``wall_time_s`` counts from ``started`` until the row left.
+    scalar rate and one step counter; the autoencoder has none. Each row
+    keeps its own best snapshot, best MAE, best epoch and MAE history, and
+    leaves in the epoch it meets the MAE target, runs out of patience or
+    reaches the cap, or turns non-finite. ``outcomes[r]`` is then the row's
+    ``(state, report)``, its ``work`` state holding its best snapshot, or
+    the :class:`TrainingError` that a single block's pass or optimizer step
+    raises on its arrays. A report's ``wall_time_s`` counts from
+    ``started`` until the row left.
 
-    Each row's arithmetic is the one-row loop's: every pass and reduction
-    runs per row over the same shapes, and every row is checked as that
-    loop checks it, so rows are independent and each gets its own bits.
+    Every pass and reduction runs per row over the same shapes, and every
+    row is checked on its own, so rows are independent and each gets the
+    bits it gets alone.
     """
 
     per_row = ("params", "grad", "best", "best_mae", "best_epoch", "sfeat", "r",
                "runtimes", "history")
 
     def __init__(self, rows, f_join, epochs, started):
-        """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, from its
-        :class:`_Start`."""
+        """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, its
+        :class:`_Start`'s ``row``."""
         self.works = [work for work, *_ in rows]
         first = self.works[0]
         seg = first.segments
@@ -841,11 +771,18 @@ class _Stack(_RowSet):
         self.dout = self.dy[..., None]
         np.subtract(self.y, self.runtimes, out=self.residual)
 
+    def _unbind(self) -> None:
+        """Drop the bindings, which hold views of the per-row arrays that
+        :meth:`keep` replaces, so the old arrays go before the new come."""
+        self.views = self.f = self.z = self.y = self.r_f = self.dr_f = None
+        self.residual = self.dy = self.abs_err = self.dout = None
+
     def _mae(self) -> np.ndarray:
         """Each row's MAE of z's output, leaving its residual in ``residual``."""
         np.subtract(self.y, self.runtimes, out=self.residual)
-        np.abs(self.residual, out=self.abs_err)
-        return np.add.reduce(self.abs_err, axis=-1) / self.runtimes.shape[-1]
+        mae = np.add.reduce(np.abs(self.residual, out=self.abs_err), -1)
+        mae /= self.runtimes.shape[-1]
+        return mae
 
     def _output_errors(self, failed, out, mae=None) -> None:
         """Add to ``failed`` every row whose block output ``out`` is
@@ -862,8 +799,6 @@ class _Stack(_RowSet):
         first of its optimizers to step raises, ``f``'s then ``z``'s; their
         gradients are zeroed, so the optimizers step the stack."""
         failed: dict = {}
-        if math.isfinite(np.add.reduce(self.grad, axis=None)):
-            return failed
         finite = np.isfinite(self.grad)
         for i in np.flatnonzero(~finite.all(axis=1)).tolist():
             work = self.works[self.ids[i]]
@@ -886,8 +821,8 @@ class _Stack(_RowSet):
         self.best_mae = mae
         self.best_epoch = np.zeros(len(mae), dtype=np.intp)
         self.history = [[value] for value in mae.tolist()]
+        self._track()
         self._settle(0, failed, mae)
-        f_optim, z_optim = self.optims
         for epoch in range(self.epochs):
             if not self.ids.size:
                 break
@@ -896,13 +831,15 @@ class _Stack(_RowSet):
             self.z.backward(self.dout, f_trains)
             if f_trains:
                 self.f.backward(self.dr_f, False)
-            failed = self._gradient_errors(f_trains)
-            lr = _LR_WAVE[epoch % LR_PERIOD]
-            if f_trains:
-                f_optim.lr = lr
-                f_optim.step(*self.views[0])
-            z_optim.lr = lr
-            z_optim.step(*self.views[1])
+            lr, failed = _LR_WAVE[epoch % LR_PERIOD], {}
+            first = 0 if f_trains else 1  # f steps first, once it trains
+            for optim, views in zip(self.optims[first:], self.views[first:]):
+                optim.lr = lr
+                try:
+                    optim.step(*views)
+                except TrainingError:  # raised before any update: blame rows, zero them
+                    failed.update(self._gradient_errors(f_trains))
+                    optim.step(*views)
 
             if f_trains:
                 self.f.forward()
@@ -910,32 +847,51 @@ class _Stack(_RowSet):
                     self._output_errors(failed, self.f.out)
                 np.copyto(self.r_f, self.f.out)
             self.z.forward()
-            mae = self._mae()
-            if not math.isfinite(np.add.reduce(mae)):
-                self._output_errors(failed, self.y, mae)
-            self._settle(epoch + 1, failed, mae)
+            self._settle(epoch + 1, failed, self._mae())
         return self.outcomes
+
+    def _track(self) -> None:
+        """Refresh the two scalars that tell :meth:`_settle`, without a pass
+        over the rows, whether one may stop: ``met``, whether some row
+        meets the MAE target, and ``oldest``, the earliest best epoch of
+        any row. A row's best epoch only grows, so between refreshes
+        ``oldest`` is never later than the true one."""
+        self.met = np.fmin.reduce(self.best_mae) <= MAE_TARGET_SECONDS
+        self.oldest = int(np.minimum.reduce(self.best_epoch))
 
     def _settle(self, ran, failed, mae) -> None:
         """Book the MAEs of epoch ``ran`` and let the rows that stop leave:
-        those in ``failed`` with their error, and those that meet the
-        target, run out of patience or reach the cap with their report."""
+        those in ``failed``, or whose MAE is non-finite, with their error,
+        and those that meet the target, run out of patience or reach the cap
+        with their report."""
         if ran:
             improved = np.less(mae, self.best_mae - PATIENCE_TOLERANCE)
-            if improved.any():
-                np.copyto(self.best, self.params, where=improved[:, None])
-                np.copyto(self.best_mae, mae, where=improved)
-                self.best_epoch[improved] = ran
+            count = np.count_nonzero(improved)
+            if count == len(mae):  # as a lone row does whenever it improves
+                np.copyto(self.best, self.params)
+                self.best_mae, self.best_epoch[:] = mae, ran
+            else:  # an MAE that improved is finite: only the others need the check
+                if not math.isfinite(np.add.reduce(mae)):
+                    self._output_errors(failed, self.y, mae)
+                if count:
+                    np.copyto(self.best, self.params, where=improved[:, None])
+                    np.copyto(self.best_mae, mae, where=improved)
+                    self.best_epoch[improved] = ran
+            if count:
+                self.met = np.fmin.reduce(self.best_mae) <= MAE_TARGET_SECONDS
             for history, value in zip(self.history, mae.tolist()):
                 history.append(value)
+            if ran - self.oldest >= PATIENCE_EPOCHS:
+                self._track()
+        if not (failed or self.met or ran - self.oldest >= PATIENCE_EPOCHS
+                or ran >= self.epochs):
+            return
         met = self.best_mae <= MAE_TARGET_SECONDS
         stalled = ran - self.best_epoch >= PATIENCE_EPOCHS
         stops = met | stalled
-        if ran == self.epochs:
+        if ran >= self.epochs:
             stops[:] = True
         stops[list(failed)] = True
-        if not stops.any():
-            return
         at = time.perf_counter()
         for i in np.flatnonzero(stops).tolist():
             row = self.ids[i]
@@ -948,8 +904,10 @@ class _Stack(_RowSet):
             self.outcomes[row] = work, FineTuneReport(
                 ran, int(self.best_epoch[i]), float(self.best_mae[i]), reason,
                 wall_time_s=at - self.started, mae_history=self.history[i])
+        self._unbind()
         self.keep(np.flatnonzero(~stops))
         if self.ids.size:
+            self._track()
             self._bind()
 
 
@@ -987,8 +945,6 @@ def _finetune_rows(rows, epochs: int = MAX_EPOCHS) -> list:
                     results[i] = exc
             continue
         started = time.perf_counter()
-        # Each row keeps only the arrays the stack reads, not its _Start,
-        # whose f binding and gradient a stack of thousands need not hold.
         stacked = []
         for i in members:
             try:
@@ -999,8 +955,7 @@ def _finetune_rows(rows, epochs: int = MAX_EPOCHS) -> list:
             if start.done:
                 results[i] = start.done
             else:
-                stacked.append((i, (start.work, start.batch.sfeat, start.r,
-                                    start.batch.runtimes)))
+                stacked.append((i, start.row))
         if stacked:
             outcomes = _Stack([row for _, row in stacked], f_join, epochs, started).train()
             for (i, _), outcome in zip(stacked, outcomes):

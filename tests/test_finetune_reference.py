@@ -1,12 +1,15 @@
 """Fine-tuning against a reference loop built on cached block passes.
 
-``training.finetune`` binds each trained block's arrays once per call and
+``training.finetune`` trains one row of the stacked fine-tune engine
+(``training._Stack``), which binds each trained block's arrays once and
 then runs a fixed sequence of numpy calls per epoch. The reference below
-is the same loop written over generic pieces: the cached block passes of
-``cached_passes`` with their new arrays, ``huber_grad`` on every epoch, and
-``_mean_abs_error``. Both must agree bit for bit on every MAE
-they record, on where and why they stop and on the model they return, and
-must fail alike, with the same class and message.
+is one fine-tune's loop written over generic pieces: the cached block
+passes of ``cached_passes`` with their new arrays, ``huber_grad`` on every
+epoch, and ``_mean_abs_error``. This is the one independent check of the
+engine's arithmetic. Both must agree bit for bit on every MAE they record,
+on where and why they stop (the target, patience or the cap, the first at
+the start too) and on the model they return, and must fail alike, with
+the same class and message.
 """
 
 import functools
@@ -150,6 +153,40 @@ def test_some_cases_train_f_from_a_later_epoch():
     assert not np.array_equal(tuned.vector[f], state.vector[f])
 
 
+def test_a_stalled_start_stops_on_patience_as_the_reference():
+    """z's output never moves, so the best epoch stays 0 and patience
+    stops the fine-tune PATIENCE_EPOCHS in, well before the cap."""
+    state, noisy, _ = _setup()
+    stalled = state.copy()
+    _stalled(stalled.z)
+    epochs = PATIENCE_EPOCHS + 60
+    got = _outcome(*finetune(stalled, noisy[:5], seed=3, epochs=epochs))
+    assert got == _outcome(*reference_finetune(stalled, noisy[:5], "partial-unfreeze", 3,
+                                               epochs))
+    assert got[:3] == (PATIENCE_EPOCHS, 0, "patience")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_epochs_match_the_reference(strategy):
+    state, noisy, _ = _setup()
+    start = state if strategy == "pretrained" else SYNTH_SCHEMA
+    got = _outcome(*finetune(start, noisy[:3], seed=3, epochs=0))
+    assert got == _outcome(*reference_finetune(start, noisy[:3], "partial-unfreeze", 3, 0))
+    assert got[:3] == (0, 0, "epoch_cap")
+
+
+def test_a_start_that_meets_the_target_trains_no_epoch_as_the_reference():
+    """A model tuned to the target on some samples starts there again on
+    them: the fine-tune stops before its first epoch."""
+    state, _, clean = _setup()
+    tuned, report = finetune(state, clean[:3], seed=3)
+    assert report.stopping_reason == "mae_threshold"
+    got = _outcome(*finetune(tuned, clean[:3], seed=3, epochs=EPOCHS))
+    assert got == _outcome(*reference_finetune(tuned, clean[:3], "partial-unfreeze", 3,
+                                               EPOCHS))
+    assert got[:3] == (0, 0, "mae_threshold")
+
+
 def _nan_output(z):
     z.b2[...] = np.nan
 
@@ -166,26 +203,44 @@ def _overflowing_mae(z):
     z.b2[...] = 1.4e308
 
 
+def _overflowing_f_gradient(f):
+    """f's output is 0 for every input, and the gradient of its first
+    layer overflows through w2 = 1.5e308 once f trains."""
+    f.w1[...] = f.b1[...] = f.b2[...] = 0.0
+    f.w2[...] = 1.5e308
+
+
+def _stalled(z):
+    """z's output saturates at SELU's floor for every input: its gradient
+    is exactly 0, so the MAE never moves and patience runs out."""
+    z.b2[...] = -1e4
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("craft, error, message", [
-    (_nan_output, NumericsError, "two-layer block produced a non-finite output"),
-    (_overflowing_gradient, TrainingError, "non-finite gradient for parameter 'z.w1'"),
-    (_overflowing_mae, TrainingError, "fine-tuning diverged (non-finite MAE)"),
+@pytest.mark.parametrize("block, craft, reuse, error, message", [
+    ("z", _nan_output, "partial-unfreeze", NumericsError,
+     "two-layer block produced a non-finite output"),
+    ("z", _overflowing_gradient, "partial-unfreeze", TrainingError,
+     "non-finite gradient for parameter 'z.w1'"),
+    ("z", _overflowing_mae, "partial-unfreeze", TrainingError,
+     "fine-tuning diverged (non-finite MAE)"),
+    ("f", _overflowing_f_gradient, "full-unfreeze", TrainingError,
+     "non-finite gradient for parameter 'f.w1'"),
 ])
-def test_divergence_fails_as_the_reference_and_is_excluded(craft, error, message):
+def test_divergence_fails_as_the_reference_and_is_excluded(block, craft, reuse, error,
+                                                           message):
     state, noisy, _ = _setup()
     crafted = state.copy()
-    craft(crafted.z)
+    craft(getattr(crafted, block))
     samples = noisy[:2]
     with pytest.raises(TrainingError) as ours:
-        finetune(crafted, samples, seed=3, epochs=EPOCHS)
+        finetune(crafted, samples, reuse=reuse, seed=3, epochs=EPOCHS)
     with pytest.raises(TrainingError) as theirs:
-        reference_finetune(crafted, samples, "partial-unfreeze", 3, EPOCHS)
+        reference_finetune(crafted, samples, reuse, 3, EPOCHS)
     assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
     assert (type(ours.value), str(ours.value)) == (error, message)
 
-    method = evalharness._model_method("full", SYNTH_SCHEMA, crafted,
-                                       "partial-unfreeze", EPOCHS)
+    method = evalharness._model_method("full", SYNTH_SCHEMA, crafted, reuse, EPOCHS)
     splits = generate_splits(noisy, 2, max_splits=1, seed=0)
     rows = evaluate_splits(noisy, splits, [method], seed=0)
     assert rows and {row.flag for row in rows} == {f"excluded: {message}"}

@@ -1,14 +1,17 @@
-"""The stacked fine-tune engine against per-row ``finetune``.
+"""A stacked fine-tune row against the same row trained alone.
 
 ``training._finetune_rows`` trains fine-tunes that share a sample count as
 the rows of one stack (``training._Stack``), which drops each row in the
-epoch it stops. Every row must get exactly what ``finetune`` gives it
-alone: its epochs, best epoch, stopping reason and every MAE it records,
-as hex; its final weights and predictions, byte for byte; or the same
-error, class and message. ``evaluate`` fine-tunes each n_train's rows
-through it, and its output files must not depend on whether groups stack
-or on the worker count. Every check here compares two runs on one host,
-so it holds under any numeric kernels.
+epoch it stops; ``finetune`` trains a stack of one row. So these tests
+check that rows are independent: every row must get exactly what
+``finetune`` gives it alone: its epochs, best epoch, stopping reason and
+every MAE it records, as hex; its final weights and predictions, byte for
+byte; or the same error, class and message. The engine's arithmetic is
+checked against an independent loop in ``test_finetune_reference.py``.
+``evaluate`` fine-tunes each n_train's rows through it, and its output
+files must not depend on whether groups stack or on the worker count.
+Every check here compares two runs on one host, so it holds under any
+numeric kernels.
 """
 
 import csv
@@ -25,7 +28,8 @@ from jobcast.model import predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA
 from jobcast.training import MAX_EPOCHS, _finetune_rows, finetune
 from test_finetune_reference import (EPOCHS, REUSE_MODES, _nan_output,
-                                     _overflowing_gradient, _overflowing_mae, _setup)
+                                     _overflowing_f_gradient, _overflowing_gradient,
+                                     _overflowing_mae, _setup, _stalled)
 
 DATA = Path(__file__).parent / "data"
 STOPPING_REASONS = {"mae_threshold", "patience", "epoch_cap"}
@@ -55,12 +59,6 @@ def _alone(row, epochs):
         return finetune(*row, epochs=epochs)
     except TrainingError as exc:
         return exc
-
-
-def _stalled(z):
-    """z's output saturates at SELU's floor for every input: its gradient
-    is exactly 0, so the MAE never moves and the row runs out of patience."""
-    z.b2[...] = -1e4
 
 
 def _rows(n, reuse):
@@ -94,13 +92,6 @@ def test_a_row_that_stalls_leaves_on_patience(stack_every_group):
     assert [_outcome(r) for r in got] == [_outcome(_alone(row, epochs)) for row in rows]
     assert [r[1].stopping_reason for r in got].count("patience") == 1
     assert {r[1].stopping_reason for r in got} == STOPPING_REASONS
-
-
-def _overflowing_f_gradient(f):
-    """f's output is 0 for every input, and the gradient of its first
-    layer overflows through w2 = 1.5e308 once f trains."""
-    f.w1[...] = f.b1[...] = f.b2[...] = 0.0
-    f.w2[...] = 1.5e308
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -138,43 +138,55 @@ class TestFinetune:
     def test_optimizer_steps_only_live_segments(self, small_pretrained,
                                                 target_context, monkeypatch,
                                                 reuse):
-        """Over a whole fine-tune no optimizer ever steps g or h: z's steps
-        from the first epoch, and f's is created at its unfreeze epoch with
-        fresh moments and a fresh count. The frozen g/h slices come back
+        """Over a whole fine-tune no optimizer ever steps g or h: the stack
+        that trains it holds only f's and z's columns, z's optimizer steps
+        from the first epoch, and f's first steps at its unfreeze epoch with
+        zero moments and a count of 0. The frozen g/h slices come back
         bitwise equal: no weight decay."""
         state, _, _ = small_pretrained
         first = target_context[1][0]
         # contradictory runtimes at one scale-out keep the MAE above target
         samples = [first, RunRecord(first.scale_out, 3 * first.runtime_seconds,
                                     first.properties, first.context)]
-        calls = []
-        step = Adam.step
+        stacks, calls = [], []
+        init, step = training._Stack.__init__, Adam.step
+
+        def spy_init(stack, *args, **kwargs):
+            init(stack, *args, **kwargs)
+            stacks.append(stack)
+
+        def component(params):
+            """The component whose columns of the stack's params ``params``
+            is: f's are the first ``cut``, z's the rest."""
+            [stack] = stacks
+            layout = {"f": slice(None, stack.cut), "z": slice(stack.cut, None)}
+            [c] = [c for c, cols in layout.items()
+                   if np.shares_memory(params, stack.params[:, cols])]
+            assert params.shape == stack.params[:, layout[c]].shape
+            return c
 
         def spy(optim, params, grads):
-            calls.append((optim, params, optim.t, optim.m.any()))
+            calls.append((optim, component(params), optim.t, optim.m.any()))
             step(optim, params, grads)
 
+        monkeypatch.setattr(training._Stack, "__init__", spy_init)
         monkeypatch.setattr(Adam, "step", spy)
         tuned, report = finetune(state, samples, reuse=reuse, seed=3,
                                  epochs=260)
         join = 0 if reuse == "full-reset" else unfreeze_epoch(2)
         assert report.epochs_run > join
+        [stack] = stacks
+        np.testing.assert_array_equal(stack.cols, np.r_[state.segments["f"],
+                                                        state.segments["z"]])
 
-        def component(params):
-            [c] = [c for c in "fghz"
-                   if np.shares_memory(params, tuned.vector[tuned.segments[c]])]
-            assert params.size == tuned.vector[tuned.segments[c]].size
-            return c
-
-        seen = [(component(params), t, moved) for _, params, t, moved in calls]
+        seen = [(c, t, moved) for _, c, t, moved in calls]
         expect = []
         for epoch in range(report.epochs_run):
             if epoch >= join:
                 expect.append(("f", epoch - join, epoch > join))
             expect.append(("z", epoch, epoch > 0))
         assert seen == expect
-        optims = {c: {id(o) for o, params, _, _ in calls if component(params) == c}
-                  for c in "fz"}
+        optims = {c: {id(o) for o, oc, _, _ in calls if oc == c} for c in "fz"}
         assert [len(ids) for ids in optims.values()] == [1, 1]
         for c in ("g", "h"):
             seg = state.segments[c]
