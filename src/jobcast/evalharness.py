@@ -8,11 +8,11 @@ runtime error; method failures (too few points, no pre-training corpus)
 are recorded as excluded rows rather than dropped.
 
 :func:`run_comparison` runs one task per n_train over every chosen context.
-The baselines fit split by split, and the model rows of every context,
-split and variant fine-tune together, as the rows of one stack that shrinks
-as they stop (:func:`jobcast.training._finetune_rows`); each cell's rows
-are then scored in the order :func:`evaluate_splits` gives them. A model
-row's ``wall_time_s`` is then the time from its stack's start until it
+The model rows of every context, split and variant fine-tune together, as
+the rows of one stack that shrinks as they stop
+(:func:`jobcast.training._finetune_rows`). Each split's method tokens are
+then scored in order by :func:`_score`, and the baselines fit there. A
+model row's ``wall_time_s`` is the time from its stack's start until it
 left, not its own cost.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .baselines import bell_fit, bell_predict, ernest_fit, ernest_predict
 from .dataio import ContextKey, filter_for_variant, group_by_context
 from .encoding import fnv1a_64
 from .errors import ConfigError, DataError, TrainingError
-from .model import ModelState, PropertySchema, predict_batch as model_predict_batch
-from .training import SearchSpace, finetune, pretrain_corpora
+from .model import PropertySchema, predict_batch as model_predict_batch
+from .training import SearchSpace, pretrain_corpora
 
 MODEL_METHOD = "model"
 BASELINE_TOKENS = ("nnls", "bell")
@@ -133,30 +132,6 @@ def ecdf(values) -> list[tuple[float, float]]:
 
 
 @dataclass
-class MethodResult:
-    predictor: Any
-    epochs: int | None = None
-    wall_time_s: float | None = None
-    flag: str = "ok"
-
-
-@dataclass
-class Method:
-    """A fit/predict pair the harness can evaluate.
-
-    ``fit(train_records, seed)`` returns a :class:`MethodResult` or raises
-    :class:`DataError` when the method is inapplicable at this sample
-    count; ``predict(predictor, records)`` returns seconds for each record,
-    in one call per split.
-    """
-
-    name: str
-    fit: Callable
-    predict: Callable
-    variant: str = ""
-
-
-@dataclass
 class MetricRow:
     method: str
     variant: str
@@ -170,6 +145,7 @@ class MetricRow:
     epochs: int | None = None
     wall_time_s: float | None = None
     flag: str = "ok"
+    split: EvalSplit | None = None  # a fit's rows share their split
 
 
 @dataclass
@@ -193,9 +169,12 @@ class MetricsTable:
         }
 
     def epochs_of(self, variant: str) -> list[int]:
-        return [r.epochs for r in self.rows
+        """The epochs of every ``variant`` fit that was not excluded, once
+        per fit, whichever test tasks its split has."""
+        fits = {(r.context, r.n_train, r.split): r.epochs for r in self.rows
                 if r.method == MODEL_METHOD and r.variant == variant
-                and r.epochs is not None and r.task == "interp"]
+                and r.epochs is not None}
+        return list(fits.values())
 
 
 def context_id(key: ContextKey) -> str:
@@ -227,98 +206,54 @@ def choose_contexts(records, count: int = 7, seed: int = 0) -> list[ContextKey]:
     return picked[:count]
 
 
-def _nnls_method() -> Method:
-    def fit(train, seed):
-        pts = [(r.scale_out, r.runtime_seconds) for r in train]
-        if not pts:
-            raise DataError("parametric fit needs at least one point")
-        flag = "degenerate" if len(pts) < 2 else "ok"
-        return MethodResult(ernest_fit(pts), flag=flag)
-
-    return Method("nnls", fit,
-                  lambda m, recs: [ernest_predict(m, r.scale_out) for r in recs])
+def _baseline(token) -> tuple:
+    """A baseline token's ``(fit, predict)``. ``fit`` takes a split's
+    ``(scale_out, runtime)`` points and raises :class:`DataError` where it
+    cannot fit them. The names resolve at each call, so a tracer that
+    rebinds them sees every fit."""
+    return {"nnls": (ernest_fit, ernest_predict), "bell": (bell_fit, bell_predict)}[token]
 
 
-def _bell_method() -> Method:
-    def fit(train, seed):
-        return MethodResult(bell_fit(
-            [(r.scale_out, r.runtime_seconds) for r in train]))
+def _score(records, split, token, fitted, label) -> list[MetricRow]:
+    """The metric rows of one method token on one split's test tasks.
 
-    return Method("bell", fit,
-                  lambda m, recs: [bell_predict(m, r.scale_out) for r in recs])
-
-
-def _model_method(variant: str, schema: PropertySchema,
-                  pretrained: ModelState | None, reuse: str,
-                  epochs: int) -> Method:
-    def fit(train, seed):
-        if variant != "local" and pretrained is None:
-            raise DataError(f"no pre-trained model for variant {variant!r}")
-        start = schema if variant == "local" else pretrained  # picks the strategy
-        state, report = finetune(start, train, reuse=reuse, seed=seed, epochs=epochs)
-        return MethodResult(state, epochs=report.epochs_run,
-                            wall_time_s=report.wall_time_s)
-
-    def predict(state, recs):
-        props = recs[0].properties
-        if any(r.properties != props for r in recs):  # optional properties differ
-            return [model_predict_batch(state, [r.scale_out], r.properties)[0]
-                    for r in recs]
-        return model_predict_batch(state, [r.scale_out for r in recs], props)
-
-    return Method(MODEL_METHOD, fit, predict, variant=variant)
-
-
-def _fits(records, splits, seed):
-    """Each split, checked, with its training records and its fit seed."""
-    for si, split in enumerate(splits):
-        validate_split(records, split)
-        fit_seed = int(np.random.SeedSequence((seed, si)).generate_state(1)[0])
-        yield split, [records[i] for i in split.train], fit_seed
-
-
-def _score(records, split, method, result, context_label) -> list[MetricRow]:
-    """One method's metric rows on one split's test tasks: scored from its
-    :class:`MethodResult`, or excluded with the error its fit raised."""
+    ``fitted`` is the token's fit outcome: a variant's ``(state, report)``
+    from :func:`training._finetune_rows`, a baseline's fitted model, or the
+    error that excludes it. A baseline fitted on one point is flagged
+    ``degenerate``."""
+    method, variant = (token, "") if token in BASELINE_TOKENS else (MODEL_METHOD, token)
     tests = [(task, idx) for task, idx in
              (("interp", split.interp_test), ("extrap", split.extrap_test))
              if idx is not None]
-    if isinstance(result, Exception):
-        return [MetricRow(method.name, method.variant, context_label, split.n_train, task,
-                          actual=records[idx].runtime_seconds, flag=f"excluded: {result}")
-                for task, idx in tests]
+    recs = [records[idx] for _, idx in tests]
+    if isinstance(fitted, Exception):
+        return [MetricRow(method, variant, label, split.n_train, task,
+                          actual=rec.runtime_seconds, flag=f"excluded: {fitted}",
+                          split=split)
+                for (task, _), rec in zip(tests, recs)]
+    epochs = wall_time_s = None
+    if method == MODEL_METHOD:
+        state, report = fitted
+        epochs, wall_time_s = report.epochs_run, report.wall_time_s
+        props = recs[0].properties
+        if any(r.properties != props for r in recs):  # optional properties differ
+            preds = [model_predict_batch(state, [r.scale_out], r.properties)[0]
+                     for r in recs]
+        else:
+            preds = model_predict_batch(state, [r.scale_out for r in recs], props)
+    else:
+        predict = _baseline(token)[1]
+        preds = [predict(fitted, r.scale_out) for r in recs]
+    flag = "degenerate" if method != MODEL_METHOD and split.n_train < 2 else "ok"
     rows = []
-    preds = method.predict(result.predictor, [records[idx] for _, idx in tests])
-    for (task, idx), pred in zip(tests, preds):
-        rec = records[idx]
+    for (task, _), rec, pred in zip(tests, recs, preds):
         pred = float(pred)
         rows.append(MetricRow(
-            method.name, method.variant, context_label,
-            split.n_train, task,
+            method, variant, label, split.n_train, task,
             actual=rec.runtime_seconds, predicted=pred,
             rel_err=abs(pred - rec.runtime_seconds) / rec.runtime_seconds,
             abs_err=abs(pred - rec.runtime_seconds),
-            epochs=result.epochs, wall_time_s=result.wall_time_s,
-            flag=result.flag))
-    return rows
-
-
-def _fit(method, train, seed):
-    """``method.fit``, with the error that excludes it as a value."""
-    try:
-        return method.fit(train, seed)
-    except (DataError, TrainingError) as exc:
-        return exc
-
-
-def evaluate_splits(records, splits, methods, seed: int = 0,
-                    context_label: str = "") -> list[MetricRow]:
-    """Fit every method on every split and score both test tasks."""
-    rows = []
-    for split, train, fit_seed in _fits(records, splits, seed):
-        for method in methods:
-            rows += _score(records, split, method, _fit(method, train, fit_seed),
-                           context_label)
+            epochs=epochs, wall_time_s=wall_time_s, flag=flag, split=split))
     return rows
 
 
@@ -362,46 +297,50 @@ def _n_train_task(task) -> list:
 
     ``task`` is ``(contexts, n_train, tokens, schema, reuse, epochs,
     max_splits, seed)``, each context ``(records, label, states)``. Each
-    cell draws its splits from its own seed, and the baselines fit split
-    by split. Every model row of every cell, one per split and variant
-    that has a model to start from, fine-tunes in one
-    :func:`training._finetune_rows` call; then each cell's rows are
-    scored in the order :func:`evaluate_splits` gives them.
+    cell draws its splits from its own seed. Every model row of every cell,
+    one per split and variant that has a model to start from, fine-tunes in
+    one :func:`training._finetune_rows` call; a variant without one is
+    excluded. Then each split's tokens are scored in order, and the
+    baselines fit there, one split at a time.
     """
     contexts, n_train, tokens, schema, reuse, epochs, max_splits, seed = task
-    cells, requests, slots = [], [], {}
+    variants = [token for token in tokens if token in VARIANT_TOKENS]
+    cells, keys, requests, fitted = [], [], [], {}
     for c, (records, label, states) in enumerate(contexts):
-        methods = [_nnls_method() if token == "nnls" else _bell_method() if token == "bell"
-                   else _model_method(token, schema, states.get(token), reuse, epochs)
-                   for token in tokens]
         cell_seed = int(np.random.SeedSequence(
             (seed, fnv1a_64(label.encode()) & 0xFFFF, n_train)
         ).generate_state(1)[0])
         splits = generate_splits(records, n_train, max_splits, seed=cell_seed)
-        fits = list(_fits(records, splits, cell_seed))
-        for s, (_, train, fit_seed) in enumerate(fits):
-            for token in tokens:
+        for s, split in enumerate(splits):
+            validate_split(records, split)
+            fit_seed = int(np.random.SeedSequence((cell_seed, s)).generate_state(1)[0])
+            train = [records[i] for i in split.train]
+            for token in variants:
                 start = schema if token == "local" else states.get(token)
-                if token in VARIANT_TOKENS and start is not None:
-                    slots[c, s, token] = len(requests)
+                if start is None:
+                    fitted[c, s, token] = DataError(
+                        f"no pre-trained model for variant {token!r}")
+                else:
+                    keys.append((c, s, token))
                     requests.append((start, train, reuse, fit_seed))
-        cells.append((records, label, methods, fits))
+        cells.append((records, label, splits))
 
-    fitted = training._finetune_rows(requests, epochs)
+    fitted.update(zip(keys, training._finetune_rows(requests, epochs)))
     out = []
-    for c, (records, label, methods, fits) in enumerate(cells):
+    for c, (records, label, splits) in enumerate(cells):
         rows = []
-        for s, (split, train, fit_seed) in enumerate(fits):
-            for token, method in zip(tokens, methods):
-                if (c, s, token) in slots:
-                    result = fitted[slots[c, s, token]]
-                    if not isinstance(result, Exception):
-                        state, report = result
-                        result = MethodResult(state, epochs=report.epochs_run,
-                                              wall_time_s=report.wall_time_s)
-                else:  # a baseline, or a variant without a model, which fails
-                    result = _fit(method, train, fit_seed)
-                rows += _score(records, split, method, result, label)
+        for s, split in enumerate(splits):
+            points = [(records[i].scale_out, records[i].runtime_seconds)
+                      for i in split.train]
+            for token in tokens:
+                if token in BASELINE_TOKENS:
+                    try:
+                        outcome = _baseline(token)[0](points)
+                    except (DataError, TrainingError) as exc:
+                        outcome = exc
+                else:
+                    outcome = fitted.pop((c, s, token))
+                rows += _score(records, split, token, outcome, label)
         out.append(rows)
     return out
 
@@ -413,8 +352,14 @@ def run_comparison(records, schema: PropertySchema,
     With ``config.workers`` above 1 the n_train tasks run in a process pool
     of at most that many workers, never more than tasks or CPUs; a pool
     worker that dies raises :class:`WorkerError`, naming the tasks lost.
-    The rows do not depend on the worker count, wall times aside."""
+    The rows do not depend on the worker count, wall times aside. An int
+    ``contexts``, ``max_splits`` or ``workers`` below 1 raises
+    :class:`ConfigError` before any pre-training."""
     config = config or ComparisonConfig()
+    for name in ("contexts", "max_splits", "workers"):
+        value = getattr(config, name)
+        if isinstance(value, int) and value < 1:  # contexts may be a list
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     records = list(records)
     by_context = group_by_context(records)
     if isinstance(config.contexts, int):

@@ -13,14 +13,15 @@ import pytest
 
 from jobcast import evalharness, training
 from jobcast.errors import ConfigError, DataError
-from jobcast.evalharness import (ComparisonConfig, EvalSplit, Method,
-                                 MethodResult, MetricsTable, choose_contexts,
-                                 context_id, ecdf, evaluate_splits,
-                                 generate_splits, run_comparison,
-                                 validate_split, write_ecdf_csv,
-                                 write_metrics_csv)
+from jobcast.baselines import ErnestModel
+from jobcast.dataio import filter_for_variant
+from jobcast.evalharness import (ComparisonConfig, EvalSplit, MetricsTable, _score,
+                                 _variant_seed, choose_contexts, context_id, ecdf,
+                                 generate_splits, run_comparison, validate_split,
+                                 write_ecdf_csv, write_metrics_csv)
+from jobcast.model import predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
-from jobcast.training import SearchSpace
+from jobcast.training import SearchSpace, pretrain
 
 
 @pytest.fixture(scope="module")
@@ -111,38 +112,42 @@ class TestEcdf:
             ecdf([])
 
 
-def oracle_method():
-    """Knows the actual runtime of every test record."""
-    return Method("oracle",
-                  fit=lambda train, seed: MethodResult(None),
-                  predict=lambda _m, recs: [r.runtime_seconds for r in recs])
+def constant_nnls(value):
+    """An NNLS model that predicts ``value`` at every scale-out: the first
+    column of ``ernest_features`` is 1.0."""
+    return ErnestModel((value, 0.0, 0.0, 0.0))
 
 
-def constant_method(value):
-    return Method("const",
-                  fit=lambda train, seed: MethodResult(value),
-                  predict=lambda c, recs: [c] * len(recs))
-
-
-class TestEvaluateSplits:
+class TestScore:
     def test_perfect_oracle_has_zero_error(self, ctx_records):
+        """Each test record, scored by the constant model at its own
+        runtime, has no error."""
         splits = generate_splits(ctx_records, 2, max_splits=30, seed=7)
-        rows = evaluate_splits(ctx_records, splits, [oracle_method()], seed=7)
+        rows = []
+        for split in splits:
+            for task, idx in (("interp", split.interp_test), ("extrap", split.extrap_test)):
+                if idx is not None:
+                    oracle = constant_nnls(ctx_records[idx].runtime_seconds)
+                    rows += [r for r in _score(ctx_records, split, "nnls", oracle, "c")
+                             if r.task == task]
         assert rows
         assert all(r.rel_err == 0.0 and r.abs_err == 0.0 for r in rows)
+        assert {(r.method, r.flag) for r in rows} == {("nnls", "ok")}
 
     def test_constant_method_matches_closed_form(self, ctx_records):
         """Aggregated MRE must equal the analytic mean of |c - y| / y over
         the chosen test points."""
         splits = generate_splits(ctx_records, 2, max_splits=30, seed=8)
-        rows = evaluate_splits(ctx_records, splits, [constant_method(250.0)],
-                               seed=8)
+        rows = [row for split in splits
+                for row in _score(ctx_records, split, "nnls", constant_nnls(250.0), "c")]
         table = MetricsTable(rows)
         for (method, _v, _n, task), agg in table.aggregate().items():
             expect = np.mean([abs(250.0 - r.actual) / r.actual
                               for r in rows if r.task == task])
             assert agg["mre"] == pytest.approx(float(expect), rel=1e-12)
 
+
+class TestEvaluateSplits:
     def test_nnls_single_point_flagged_degenerate(self, ctx_records):
         config = ComparisonConfig(methods=("nnls",), n_train_values=(1,),
                                   contexts=[ctx_records[0].context],
@@ -283,15 +288,34 @@ class TestRunComparison:
         excluded = [(variant, context_id(wide.key), "extrap", None,
                      f"excluded: no pre-trained model for variant {variant!r}")
                     for variant in ("filtered", "full")]
-        assert rows == excluded * 3 + [
-            ("filtered", context_id(single.key), "extrap", "0x1.148001bf42fbep+8", "ok"),
-            ("full", context_id(single.key), "extrap", "0x1.7014f02c10d49p+5", "ok"),
-        ]
+        target = records[-1]
+        alone = []
+        for variant in ("filtered", "full"):
+            state, _ = pretrain(filter_for_variant(records, single.key, variant),
+                                SYNTH_SCHEMA, space=config.pretrain_space,
+                                seed=_variant_seed(config, variant, single.key), epochs=20)
+            predicted = predict_batch(state, [target.scale_out], target.properties)[0]
+            alone.append((variant, context_id(single.key), "extrap",
+                          float(predicted).hex(), "ok"))
+        assert rows == excluded * 3 + alone
 
     def test_unknown_method_token(self, ctx_records):
         with pytest.raises(ConfigError, match="must come from"):
             run_comparison(ctx_records, SYNTH_SCHEMA,
                            ComparisonConfig(methods=("magic",)))
+
+    @pytest.mark.parametrize("name, value", [("contexts", 0), ("contexts", -1),
+                                             ("max_splits", 0), ("max_splits", -3),
+                                             ("workers", 0)])
+    def test_a_count_below_one_fails_before_pretraining(self, ctx_records, monkeypatch,
+                                                        name, value):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pre-training started")
+
+        monkeypatch.setattr(evalharness, "pretrain_corpora", no_pretraining)
+        config = ComparisonConfig(methods=("nnls", "full"), **{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be at least 1, got {value}$"):
+            run_comparison(ctx_records, SYNTH_SCHEMA, config)
 
     @pytest.mark.parametrize("methods", [(), ("",), ("nnls", "nnls"),
                                          ("full", "bell", "full")])
@@ -411,6 +435,32 @@ class TestCsvOutput:
         local_steps = [s for s in steps if s["variant"] == "local"]
         assert local_steps
         assert float(local_steps[-1]["cumulative_fraction"]) == 1.0
+
+    def test_ecdf_counts_every_fit_once(self, ctx_records, tmp_path, monkeypatch):
+        """The ECDF holds the epochs of every model fit that was not
+        excluded, once each, whichever test tasks its split has: at n_train
+        1 no split has an interpolation test, and at n_train 5 on a six-point
+        grid each split has only one of the two."""
+        finetune_rows, fits = training._finetune_rows, []
+
+        def recording(rows, epochs):
+            results = finetune_rows(rows, epochs)
+            fits.extend(r for r in results if not isinstance(r, Exception))
+            return results
+
+        monkeypatch.setattr(training, "_finetune_rows", recording)
+        config = ComparisonConfig(methods=("local",), n_train_values=(1, 2, 5),
+                                  contexts=[ctx_records[0].context], max_splits=6,
+                                  seed=3, finetune_epochs=300)
+        table = run_comparison(ctx_records, SYNTH_SCHEMA, config)
+        assert {r.n_train for r in table.rows if r.task == "extrap"} == {1, 2, 5}
+        assert len(table.epochs_of("local")) == len(fits) > 0
+        path = tmp_path / "ecdf.csv"
+        write_ecdf_csv(table, path)
+        with open(path) as fh:
+            steps = [tuple(row.values()) for row in csv.DictReader(fh)]
+        assert steps == [("model", "local", str(value), repr(fraction)) for value, fraction
+                         in ecdf([report.epochs_run for _, report in fits])]
 
     def test_context_id_stable(self, ctx_records):
         ctx = ctx_records[0].context

@@ -22,7 +22,6 @@ import cached_passes as cached
 from jobcast import evalharness
 from jobcast.encoding import Normalizer
 from jobcast.errors import NumericsError, TrainingError
-from jobcast.evalharness import evaluate_splits, generate_splits
 from jobcast.model import F_DIM, ModelState, PropertySchema, encode_batch
 from jobcast.nn import Adam, huber_grad
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
@@ -240,7 +239,6 @@ def test_divergence_fails_as_the_reference_and_is_excluded(block, craft, reuse, 
     assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
     assert (type(ours.value), str(ours.value)) == (error, message)
 
-    method = evalharness._model_method("full", SYNTH_SCHEMA, crafted, reuse, EPOCHS)
-    splits = generate_splits(noisy, 2, max_splits=1, seed=0)
-    rows = evaluate_splits(noisy, splits, [method], seed=0)
+    rows, = evalharness._n_train_task(
+        ([(noisy, "c", {"full": crafted})], 2, ("full",), SYNTH_SCHEMA, reuse, EPOCHS, 1, 0))
     assert rows and {row.flag for row in rows} == {f"excluded: {message}"}
