@@ -7,23 +7,25 @@ embedding, the essential codes (in schema order), and the mean of the
 optional codes onto a runtime in seconds. Training minimizes Huber runtime
 error plus the autoencoder's reconstruction MSE.
 
-One batched path serves training and inference: :func:`encode_batch`
-encodes records once, each distinct property value once, and
-:func:`forward_batch` runs the runtime path ``f``, ``g``, ``z`` over the
-whole batch. :func:`predict_batch` scores one property set at many
-scale-outs in one such pass: it encodes the set once and broadcasts its
-rows to every candidate. :func:`predict` is a batch of one. The decoder
-``h`` serves the joint loss alone (:func:`_joint_terms`). Training may run
-the same path over a stack of models (see :class:`ModelState`).
+:func:`encode_batch` encodes records once, each distinct property value
+once, and :func:`forward_batch` runs the runtime path ``f``, ``g``, ``z``
+over the whole batch in inference mode. :func:`predict_batch` scores one
+property set at many scale-outs in one such pass: it encodes the set once
+and broadcasts its rows to every candidate. :func:`predict` is a batch of
+one. Training runs the same path, and the decoder ``h`` after it, over a
+binding (:func:`_joint_terms`), on one model or a stack of them (see
+:class:`ModelState`).
 
-Inference keeps no cache: :func:`forward_batch` alone runs each block's
+Inference keeps no cache: :func:`forward_batch` runs each block's
 inference pass and drops each intermediate array once the next block has
 read it. Training binds the joint step once (:class:`_JointStep`): the four
 blocks' passes (see :class:`jobcast.nn._Bound`), ``z``'s assembled input,
-the loss terms' arrays and the backward pass's scatter arrays. Pre-training's
-stack binds one per minibatch length; :func:`joint_loss` and the
-single-state gradient bind one per call. Nothing this module returns to a
-caller is written again, except a binding's own arrays.
+the loss terms' arrays and the backward pass's scatter arrays.
+:func:`_joint_terms` runs its passes and :func:`backward_batch` reads the
+batch from it. Pre-training's stack binds one per minibatch length;
+:func:`joint_loss` and the single-state gradient bind one per call.
+Nothing this module returns to a caller is written again, except a
+binding's own arrays.
 """
 
 from __future__ import annotations
@@ -318,30 +320,23 @@ def _assemble(schema, e, codes, ess_rows, opt_weights, r=None):
     return r
 
 
-def forward_batch(state: ModelState, batch: EncodedBatch, step=None) -> np.ndarray:
-    """The runtime path over an encoded batch, ``f``, ``g`` and ``z``:
-    returns the outputs, ``(B,)``, or ``(S, B)`` when a stacked state runs
-    every row at once on a stacked batch (one minibatch per row, see
-    ``EncodedBatch``). The decoder ``h`` serves only the joint loss, which
-    runs it (see :func:`_joint_terms`).
+def forward_batch(state: ModelState, batch: EncodedBatch) -> np.ndarray:
+    """The runtime path over an encoded batch, ``f``, ``g`` and ``z``, in
+    inference mode: returns the outputs, ``(B,)``, or ``(S, B)`` when a
+    stacked state runs every row at once on a stacked batch (one minibatch
+    per row, see ``EncodedBatch``). Training runs the same path through its
+    :class:`_JointStep` (see :func:`_joint_terms`).
 
-    Without ``step`` this is inference: each block keeps no cache, and the
-    embedding is dropped before ``z`` runs, so the peak is ``z``'s input
-    and its first layer. With ``step``, a :class:`_JointStep` of this state
-    and batch (any other batch raises ValueError), it runs the step's
-    bound passes and returns its outputs.
-
-    A stacked state raises nothing for a row gone non-finite;
-    :func:`diverged_rows` tells them apart.
+    Each block keeps no cache, and the embedding is dropped before ``z``
+    runs, so the peak is ``z``'s input and its first layer. A stacked state
+    raises nothing for a row gone non-finite; :func:`diverged_rows` tells
+    them apart.
     """
-    f, g, z, r = (None,) * 4 if step is None else (step.f, step.g, step.z, step.r)
-    if step is not None and batch is not step.batch:
-        raise ValueError("a bound step runs on the batch it was bound over")
-    e = state.f.forward(batch.sfeat, f)
-    r = _assemble(state.schema, e, state.g.forward(batch.pvecs, g), batch.ess_rows,
-                  batch.opt_weights, r)
+    e = state.f.forward(batch.sfeat)
+    r = _assemble(state.schema, e, state.g.forward(batch.pvecs), batch.ess_rows,
+                  batch.opt_weights)
     del e
-    return state.z.forward(r, z)[..., 0]
+    return state.z.forward(r)[..., 0]
 
 
 class _JointStep:
@@ -350,7 +345,8 @@ class _JointStep:
     assembled input ``r`` and ``h`` over ``g``'s codes (each a
     :class:`~jobcast.nn._Bound` writing its gradient into its views of
     ``grad``), the Huber and reconstruction terms' arrays, and the code
-    scatter's. Every array comes from ``empty``.
+    scatter's. Every array comes from ``empty``. :func:`_joint_terms`
+    runs the passes and :func:`backward_batch` backpropagates them.
 
     The batch's owner may rewrite its arrays in place between passes: each
     pass reads them afresh and overwrites every array of the step, which
@@ -402,19 +398,15 @@ def diverged_rows(detail, loss, grad) -> np.ndarray | None:
                                    for a in outputs])
 
 
-def backward_batch(state: ModelState, batch: EncodedBatch, step: _JointStep, dy,
-                   drecons) -> np.ndarray:
-    """Backpropagate the joint loss through all four blocks into
-    ``step.grad``, a flat buffer aligned with ``state.vector``, and return it.
+def backward_batch(state: ModelState, step: _JointStep, dy, drecons) -> np.ndarray:
+    """Backpropagate the joint loss through all four blocks of ``step``,
+    whose forward passes ran last, into ``step.grad``, a flat buffer
+    aligned with ``state.vector``, and return it.
 
-    ``step`` is the binding of ``batch`` whose forward pass ran last (any
-    other batch raises ValueError). ``dy`` is dLoss/d(outputs), shape (B,)
-    or (S, B), and ``drecons`` dLoss/d(reconstructions) over the unique
-    vectors.
+    ``dy`` is dLoss/d(outputs), shape (B,) or (S, B), and ``drecons``
+    dLoss/d(reconstructions) over the unique vectors of ``step.batch``.
     """
-    if batch is not step.batch:
-        raise ValueError("a bound step runs on the batch it was bound over")
-    m = state.schema.essential_count
+    batch, m = step.batch, state.schema.essential_count
     dr = state.z.backward(step.z, dy[..., None])
     codes = step.g.out
     # Scatter-add the essential codes' gradients onto their unique
@@ -472,19 +464,24 @@ def _joint_terms(state: ModelState, batch: EncodedBatch, grad=None, step=None):
 
     Runs on ``step``, a :class:`_JointStep` of this state and batch, which
     pre-training's stack binds with dropout; without one it binds the batch
-    once, without dropout, backpropagating into ``grad`` when given. A
-    step bound with a gradient backpropagates the total into it. The
-    decoder ``h`` runs here, on :func:`forward_batch`'s codes.
+    once, without dropout, backpropagating into ``grad`` when given. Runs
+    the step's bound passes in :func:`forward_batch`'s order, ``f``, ``g``
+    and ``z``, then the decoder ``h`` on the codes; a step bound with a
+    gradient backpropagates the total into it.
     """
     if step is None:
         step = _JointStep(state, batch, grad)
-    y = forward_batch(state, batch, step)
-    recons = state.h.forward(step.g.out, step.h)
+    step.f.forward()
+    step.g.forward()
+    _assemble(state.schema, step.f.out, step.g.out, batch.ess_rows, batch.opt_weights,
+              step.r)
+    step.z.forward()
+    step.h.forward()
+    y = step.z.out[..., 0]
     runtime_term = huber_loss(y, batch.runtimes, step.huber)
-    recon_term, drecons = _recon_loss(batch, recons, *step.recon)
+    recon_term, drecons = _recon_loss(batch, step.h.out, *step.recon)
     if step.grad is not None:
-        backward_batch(state, batch, step, huber_grad(y, batch.runtimes, step.dy),
-                       drecons)
+        backward_batch(state, step, huber_grad(y, batch.runtimes, step.dy), drecons)
     return runtime_term + recon_term, runtime_term, recon_term
 
 

@@ -17,16 +17,16 @@ stack axis, reductions run per row, and dropout and Adam take one rate,
 learning rate and weight decay per row. The arithmetic of each row is the
 unstacked arithmetic, so a row computes what it would compute alone.
 
-Training binds its arrays once (:class:`_Bound`): a block's input, its
-weight and gradient views, its dropout draws, and every array its passes
-write, which each pass overwrites and which stay valid until the next.
-Fine-tuning's stack binds ``f`` and ``z`` again each time rows leave it,
-and pre-training's stack binds its whole joint step (see
-:mod:`jobcast.model`). An unbound
-:meth:`TwoLayerBlock.forward` is inference: it keeps no cache, each layer
-computes its activation over or beside its own pre-activation, and what it
-returns is its caller's. Both run the same per-layer step, :func:`_dense`;
-the backward pass is :func:`_dense_backward`.
+Training runs its passes through a binding (:class:`_Bound`), which holds
+a block's input, its weight and gradient views, its dropout draws, and
+every array its passes write, which each pass overwrites and which stay
+valid until the next. Fine-tuning's stack binds ``f`` and ``z`` again each
+time rows leave it, and pre-training's stack binds its whole joint step
+(see :mod:`jobcast.model`). :meth:`TwoLayerBlock.forward` is inference
+alone: it keeps no cache, each layer computes its activation over or
+beside its own pre-activation, and what it returns is its caller's. Both
+run the same per-layer step, :func:`_dense`; the backward pass is
+:func:`_dense_backward`.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ class TwoLayerBlock:
     stacked block does not raise on a non-finite output; its caller decides
     row by row.
 
-    :meth:`forward` alone is inference. A training pass runs over a binding
-    of the block (:class:`_Bound`): ``forward(x, bound)``, then
+    :meth:`forward` is inference. A training pass runs on a binding of the
+    block (:class:`_Bound`): ``bound.forward()``, then
     ``backward(bound, dout)``.
     """
 
@@ -294,23 +294,16 @@ class TwoLayerBlock:
     def out_dim(self) -> int:
         return self.w2.shape[-2]
 
-    def forward(self, x, bound=None):
+    def forward(self, x):
         """Run the block on a batch ``(B, D)``, or a stacked block on a
-        stack ``(S, B, D)``; returns the output, ``(B, K)`` or ``(S, B, K)``.
+        stack ``(S, B, D)``, in inference mode; returns the output,
+        ``(B, K)`` or ``(S, B, K)``.
 
-        Without ``bound`` this is inference: no dropout and no cache. Each
-        layer writes its activation over its pre-activation (tanh) or with
-        it as scratch (SELU), so a layer holds no more than its input, its
-        pre-activation and its output, and only the output, the caller's,
-        outlives the call. With ``bound``, a binding of this block over
-        ``x`` (over any other input it raises ValueError), it runs the
-        bound training pass and returns ``bound.out``.
+        Inference has no dropout and no cache. Each layer writes its
+        activation over its pre-activation (tanh) or with it as scratch
+        (SELU), so a layer holds no more than its input, its pre-activation
+        and its output, and only the output, the caller's, outlives the call.
         """
-        if bound is not None:
-            if x is not bound.x:
-                raise ValueError("a bound pass runs on the input it was bound over")
-            bound.forward()
-            return bound.out
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != self.w1.ndim or x.shape[-1] != self.in_dim:
             raise ValueError(f"input of shape {x.shape} is not a "
@@ -354,7 +347,7 @@ class _Bound:
     """
 
     def __init__(self, block, x, grad, rng=None, empty=np.empty):
-        self.x, lead = x, x.shape[:-1]
+        lead = x.shape[:-1]
         h, k = block.w1.shape[-2], block.out_dim
         pre1, act1, tmp1, delta1, dact1 = empty((5, *lead, h))
         pre2, out2, tmp2, delta2 = empty((4, *lead, k))

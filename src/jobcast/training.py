@@ -36,7 +36,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class FineTuneReport:
     best_mae_seconds: float
     stopping_reason: str  # mae_threshold | patience | epoch_cap | no_data | not_trained
     wall_time_s: float = 0.0
-    mae_history: list = field(default_factory=list)
 
 
 def lr_at(epoch: int) -> float:
@@ -715,8 +714,8 @@ class _Stack(_RowSet):
     Every row takes the epoch's learning rate, and ``f`` joins every row at
     ``f_join``, so each component has one :class:`~jobcast.nn.Adam` with a
     scalar rate and one step counter; the autoencoder has none. Each row
-    keeps its own best snapshot, best MAE, best epoch and MAE history, and
-    leaves in the epoch it meets the MAE target, runs out of patience or
+    keeps its own best snapshot, best MAE and best epoch, and no other MAE,
+    and leaves in the epoch it meets the MAE target, runs out of patience or
     reaches the cap, or turns non-finite. ``outcomes[r]`` is then the row's
     ``(state, report)``, its ``work`` state holding its best snapshot, or
     the :class:`TrainingError` that a single block's pass or optimizer step
@@ -729,7 +728,7 @@ class _Stack(_RowSet):
     """
 
     per_row = ("params", "grad", "best", "best_mae", "best_epoch", "sfeat", "r",
-               "runtimes", "history")
+               "runtimes")
 
     def __init__(self, rows, f_join, epochs, started):
         """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, its
@@ -820,7 +819,6 @@ class _Stack(_RowSet):
         self.best = self.params.copy()
         self.best_mae = mae
         self.best_epoch = np.zeros(len(mae), dtype=np.intp)
-        self.history = [[value] for value in mae.tolist()]
         self._track()
         self._settle(0, failed, mae)
         for epoch in range(self.epochs):
@@ -879,8 +877,6 @@ class _Stack(_RowSet):
                     self.best_epoch[improved] = ran
             if count:
                 self.met = np.fmin.reduce(self.best_mae) <= MAE_TARGET_SECONDS
-            for history, value in zip(self.history, mae.tolist()):
-                history.append(value)
             if ran - self.oldest >= PATIENCE_EPOCHS:
                 self._track()
         if not (failed or self.met or ran - self.oldest >= PATIENCE_EPOCHS
@@ -903,7 +899,7 @@ class _Stack(_RowSet):
             work.vector[self.cols] = self.best[i]
             self.outcomes[row] = work, FineTuneReport(
                 ran, int(self.best_epoch[i]), float(self.best_mae[i]), reason,
-                wall_time_s=at - self.started, mae_history=self.history[i])
+                wall_time_s=at - self.started)
         self._unbind()
         self.keep(np.flatnonzero(~stops))
         if self.ids.size:

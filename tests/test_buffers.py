@@ -20,8 +20,9 @@ import cached_passes as cached
 from jobcast import model
 from jobcast.model import encode_batch, forward_batch, predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
-from jobcast.training import (SearchSpace, _Arena, _Lockstep, _Search, finetune,
-                              pretrain_corpora)
+from jobcast.training import (SearchSpace, _Arena, _finetune_rows, _Lockstep, _Search,
+                              finetune, pretrain_corpora)
+from test_finetune_reference import _setup
 
 # A step that allocates its arrays allocates (12, 64, 16), (12, 27, 40) or
 # (12, 64, 36) ones, 100-220 KB each, about 2.3 MB in all.
@@ -188,6 +189,24 @@ def test_predict_batch_encodes_one_mapping():
     assert peak < PREDICT_BATCH_LIMIT, f"predict_batch peaked at {peak} bytes"
 
 
+FINETUNE_ROWS_LIMIT = 4_000_000
+
+
+def test_finetune_rows_keep_no_per_epoch_mae():
+    """60 fine-tunes of 5 noisy samples, 30 seeds from each of a pre-trained
+    and a local start, run 686 to 1,716 epochs in one stack and peak below
+    4 MB, the 60 tuned states included (about 3.4 MB on a 2-vCPU x86-64
+    host, Python 3.11, numpy 2.4; 4.9 MB when every report kept one MAE per
+    epoch)."""
+    state, noisy, _ = _setup()
+    rows = [(start, noisy[:5], "partial-unfreeze", seed)
+            for start in (state, SYNTH_SCHEMA) for seed in range(30)]
+    out = []
+    peak, _ = _traced(lambda: out.append(_finetune_rows(rows)))
+    assert peak < FINETUNE_ROWS_LIMIT, f"_finetune_rows peaked at {peak} bytes"
+    assert min(report.epochs_run for _, report in out[0]) > 600
+
+
 @functools.lru_cache(maxsize=None)
 def _pretrained():
     records = corpus(make_contexts(3, seed=4), repetitions=1, seed=4)
@@ -248,11 +267,10 @@ def test_finetune_results_are_the_callers(reuse):
     samples = context_records(make_contexts(4, seed=4)[3], repetitions=1, seed=5)[:3]
     tuned, report = finetune(state, samples, reuse=reuse, seed=3, epochs=300)
     assert report.epochs_run > 0
-    kept = _hex(tuned.vector), _hex(report.mae_history)
-    again, again_report = finetune(state, samples, reuse=reuse, seed=3, epochs=300)
-    assert (_hex(tuned.vector), _hex(report.mae_history)) == kept
+    kept = _hex(tuned.vector)
+    again, _ = finetune(state, samples, reuse=reuse, seed=3, epochs=300)
+    assert _hex(tuned.vector) == kept
     assert not np.shares_memory(tuned.vector, again.vector)
-    assert report.mae_history is not again_report.mae_history
 
 
 def test_pretrain_corpora_results_are_the_callers():

@@ -6,10 +6,11 @@ then runs a fixed sequence of numpy calls per epoch. The reference below
 is one fine-tune's loop written over generic pieces: the cached block
 passes of ``cached_passes`` with their new arrays, ``huber_grad`` on every
 epoch, and ``_mean_abs_error``. This is the one independent check of the
-engine's arithmetic. Both must agree bit for bit on every MAE they record,
-on where and why they stop (the target, patience or the cap, the first at
-the start too) and on the model they return, and must fail alike, with
-the same class and message.
+engine's arithmetic. Both must agree bit for bit on every MAE they compute
+(the engine's as the ``maes`` fixture records them), on where and why they
+stop (the target, patience or the cap, the first at the start too) and on
+the model they return, and must fail alike, with the same class and
+message.
 """
 
 import functools
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import cached_passes as cached
-from jobcast import evalharness
+from jobcast import evalharness, training
 from jobcast.encoding import Normalizer
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.model import F_DIM, ModelState, PropertySchema, encode_batch
@@ -37,7 +38,8 @@ EPOCHS = 250  # f joins within it at n = 1 and 2 in the partial modes
 
 def reference_finetune(state, samples, reuse, seed, epochs):
     """``finetune``'s loop over the cached block passes, for samples to
-    train on and a reuse mode that trains."""
+    train on and a reuse mode that trains: its ``(state, report)`` and
+    every MAE it computed, the starting one first."""
     samples = list(samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(state, PropertySchema):
@@ -104,8 +106,39 @@ def reference_finetune(state, samples, reuse, seed, epochs):
             reason = "patience"
             break
     np.copyto(work.vector, best)
-    return work, FineTuneReport(epochs_run, best_epoch, best_mae, reason,
-                                mae_history=history)
+    return work, FineTuneReport(epochs_run, best_epoch, best_mae, reason), history
+
+
+@pytest.fixture
+def maes(monkeypatch):
+    """Every MAE the fine-tune engine computes, row by row. Wraps
+    ``training._Stack.__init__``, which gives each stack one list per row,
+    and ``_Stack._mae``, which appends each value to the list of the row it
+    belongs to, found through the stack's ``ids``. Returns the lookup from
+    a fine-tune's returned state (its row's ``work``) to that row's list,
+    the starting MAE first."""
+    lists = {}  # stack -> one list per row it started with
+    init, mae = training._Stack.__init__, training._Stack._mae
+
+    def recording_init(stack, rows, *args):
+        init(stack, rows, *args)
+        lists[stack] = [[] for _ in rows]
+
+    def recording_mae(stack):
+        values = mae(stack)
+        for row, value in zip(stack.ids.tolist(), values.tolist()):
+            lists[stack][row].append(value)
+        return values
+
+    monkeypatch.setattr(training._Stack, "__init__", recording_init)
+    monkeypatch.setattr(training._Stack, "_mae", recording_mae)
+
+    def of(tuned):
+        [found] = [rows[i] for stack, rows in lists.items()
+                   for i, work in enumerate(stack.works) if work is tuned]
+        return found
+
+    return of
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,9 +153,15 @@ def _setup():
     return state, noisy, clean
 
 
-def _outcome(tuned, report):
+def _outcome(tuned, report, history):
     return (report.epochs_run, report.best_epoch, report.stopping_reason,
-            [float(v).hex() for v in report.mae_history], tuned.fingerprint())
+            [float(v).hex() for v in history], tuned.fingerprint())
+
+
+def _recorded(maes, result):
+    """A ``finetune`` result with the MAEs ``maes`` recorded for it."""
+    tuned, report = result
+    return tuned, report, maes(tuned)
 
 
 def _cases():
@@ -132,12 +171,13 @@ def _cases():
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: "-".join(map(str, case)))
-def test_finetune_matches_the_reference_loop(case):
+def test_finetune_matches_the_reference_loop(maes, case):
     strategy, reuse, which, n = case
     state, noisy, clean = _setup()
     samples = {"noisy": noisy, "clean": clean}[which][:n]
     start = state if strategy == "pretrained" else SYNTH_SCHEMA
-    got = _outcome(*finetune(start, samples, reuse=reuse, seed=3, epochs=EPOCHS))
+    got = _outcome(*_recorded(maes, finetune(start, samples, reuse=reuse, seed=3,
+                                             epochs=EPOCHS)))
     assert got == _outcome(*reference_finetune(start, samples, reuse, 3, EPOCHS))
 
 
@@ -152,35 +192,35 @@ def test_some_cases_train_f_from_a_later_epoch():
     assert not np.array_equal(tuned.vector[f], state.vector[f])
 
 
-def test_a_stalled_start_stops_on_patience_as_the_reference():
+def test_a_stalled_start_stops_on_patience_as_the_reference(maes):
     """z's output never moves, so the best epoch stays 0 and patience
     stops the fine-tune PATIENCE_EPOCHS in, well before the cap."""
     state, noisy, _ = _setup()
     stalled = state.copy()
     _stalled(stalled.z)
     epochs = PATIENCE_EPOCHS + 60
-    got = _outcome(*finetune(stalled, noisy[:5], seed=3, epochs=epochs))
+    got = _outcome(*_recorded(maes, finetune(stalled, noisy[:5], seed=3, epochs=epochs)))
     assert got == _outcome(*reference_finetune(stalled, noisy[:5], "partial-unfreeze", 3,
                                                epochs))
     assert got[:3] == (PATIENCE_EPOCHS, 0, "patience")
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_zero_epochs_match_the_reference(strategy):
+def test_zero_epochs_match_the_reference(maes, strategy):
     state, noisy, _ = _setup()
     start = state if strategy == "pretrained" else SYNTH_SCHEMA
-    got = _outcome(*finetune(start, noisy[:3], seed=3, epochs=0))
+    got = _outcome(*_recorded(maes, finetune(start, noisy[:3], seed=3, epochs=0)))
     assert got == _outcome(*reference_finetune(start, noisy[:3], "partial-unfreeze", 3, 0))
     assert got[:3] == (0, 0, "epoch_cap")
 
 
-def test_a_start_that_meets_the_target_trains_no_epoch_as_the_reference():
+def test_a_start_that_meets_the_target_trains_no_epoch_as_the_reference(maes):
     """A model tuned to the target on some samples starts there again on
     them: the fine-tune stops before its first epoch."""
     state, _, clean = _setup()
     tuned, report = finetune(state, clean[:3], seed=3)
     assert report.stopping_reason == "mae_threshold"
-    got = _outcome(*finetune(tuned, clean[:3], seed=3, epochs=EPOCHS))
+    got = _outcome(*_recorded(maes, finetune(tuned, clean[:3], seed=3, epochs=EPOCHS)))
     assert got == _outcome(*reference_finetune(tuned, clean[:3], "partial-unfreeze", 3,
                                                EPOCHS))
     assert got[:3] == (0, 0, "mae_threshold")

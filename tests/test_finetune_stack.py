@@ -5,7 +5,7 @@ the rows of one stack (``training._Stack``), which drops each row in the
 epoch it stops; ``finetune`` trains a stack of one row. So these tests
 check that rows are independent: every row must get exactly what
 ``finetune`` gives it alone: its epochs, best epoch, stopping reason and
-every MAE it records, as hex; its final weights and predictions, byte for
+every MAE it computes, as hex; its final weights and predictions, byte for
 byte; or the same error, class and message. The engine's arithmetic is
 checked against an independent loop in ``test_finetune_reference.py``.
 ``evaluate`` fine-tunes each n_train's rows through it, and its output
@@ -29,7 +29,7 @@ from jobcast.synthetic import SYNTH_SCHEMA
 from jobcast.training import MAX_EPOCHS, _finetune_rows, finetune
 from test_finetune_reference import (EPOCHS, REUSE_MODES, _nan_output,
                                      _overflowing_f_gradient, _overflowing_gradient,
-                                     _overflowing_mae, _setup, _stalled)
+                                     _overflowing_mae, _setup, _stalled, maes)
 
 DATA = Path(__file__).parent / "data"
 STOPPING_REASONS = {"mae_threshold", "patience", "epoch_cap"}
@@ -41,16 +41,17 @@ def stack_every_group(monkeypatch):
     monkeypatch.setattr(training, "MIN_STACK_ROWS", 1)
 
 
-def _outcome(result):
-    """A fine-tune's report, MAEs as hex and wall time aside, its weights'
-    bytes and its predictions at scale-outs 1-16, as hex; or its error."""
+def _outcome(result, maes):
+    """A fine-tune's report, wall time aside, every MAE it computed (as
+    ``maes`` recorded them) as hex, its weights' bytes and its predictions
+    at scale-outs 1-16, as hex; or its error."""
     if isinstance(result, Exception):
         return type(result), str(result)
     tuned, report = result
     _, _, clean = _setup()
     preds = predict_batch(tuned, range(1, 17), clean[0].properties)
     return (report.epochs_run, report.best_epoch, report.stopping_reason,
-            [float(v).hex() for v in report.mae_history], tuned.vector.tobytes(),
+            [float(v).hex() for v in maes(tuned)], tuned.vector.tobytes(),
             [float(v).hex() for v in preds])
 
 
@@ -73,13 +74,14 @@ def _rows(n, reuse):
 
 @pytest.mark.parametrize("n, reuse", list(itertools.product((1, 3, 5), REUSE_MODES)),
                          ids=lambda v: str(v))
-def test_stacked_rows_equal_their_own_finetune(stack_every_group, n, reuse):
+def test_stacked_rows_equal_their_own_finetune(stack_every_group, maes, n, reuse):
     rows = _rows(n, reuse)
     got = _finetune_rows(rows, EPOCHS)
-    assert [_outcome(r) for r in got] == [_outcome(_alone(row, EPOCHS)) for row in rows]
+    assert [_outcome(r, maes) for r in got] == \
+        [_outcome(_alone(row, EPOCHS), maes) for row in rows]
 
 
-def test_a_row_that_stalls_leaves_on_patience(stack_every_group):
+def test_a_row_that_stalls_leaves_on_patience(stack_every_group, maes):
     """A stalled row leaves after PATIENCE_EPOCHS while the others carry on:
     the stack holds rows that stop at the target, at patience and at the
     cap, each equal to its own run."""
@@ -89,7 +91,8 @@ def test_a_row_that_stalls_leaves_on_patience(stack_every_group):
     epochs = training.PATIENCE_EPOCHS + 60
     rows = _rows(5, "partial-unfreeze") + [(stalled, noisy[:5], "partial-unfreeze", 3)]
     got = _finetune_rows(rows, epochs)
-    assert [_outcome(r) for r in got] == [_outcome(_alone(row, epochs)) for row in rows]
+    assert [_outcome(r, maes) for r in got] == \
+        [_outcome(_alone(row, epochs), maes) for row in rows]
     assert [r[1].stopping_reason for r in got].count("patience") == 1
     assert {r[1].stopping_reason for r in got} == STOPPING_REASONS
 
@@ -101,8 +104,8 @@ def test_a_row_that_stalls_leaves_on_patience(stack_every_group):
     ("z", _overflowing_mae, "partial-unfreeze"),
     ("f", _overflowing_f_gradient, "full-unfreeze"),
 ], ids=lambda v: getattr(v, "__name__", v))
-def test_a_diverging_row_fails_as_alone_and_the_others_carry_on(stack_every_group, block,
-                                                                 craft, reuse):
+def test_a_diverging_row_fails_as_alone_and_the_others_carry_on(stack_every_group, maes,
+                                                                 block, craft, reuse):
     """The crafted row gets finetune's error, class and message; the
     healthy rows around it in the stack equal their own runs."""
     state, noisy, _ = _setup()
@@ -114,7 +117,7 @@ def test_a_diverging_row_fails_as_alone_and_the_others_carry_on(stack_every_grou
     got = _finetune_rows(rows, EPOCHS)
     alone = [_alone(row, EPOCHS) for row in rows]
     assert isinstance(alone[2], TrainingError)
-    assert [_outcome(r) for r in got] == [_outcome(r) for r in alone]
+    assert [_outcome(r, maes) for r in got] == [_outcome(r, maes) for r in alone]
 
 
 def _evaluate(tmp_path, name, *flags, n_train="1-3", contexts="2", max_splits="2"):

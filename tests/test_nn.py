@@ -214,7 +214,8 @@ class TestTwoLayerBlock:
 
         grad = np.full_like(flat, np.nan)
         bound = _Bound(block, x, grad)
-        out = block.forward(x, bound)
+        bound.forward()
+        out = bound.out
         dout = 2.0 * (out - target) / out.size
         dx = block.backward(bound, dout)
         assert np.all(np.isfinite(grad))  # every weight gets a gradient
@@ -354,8 +355,8 @@ class TestAdam:
         grad = np.zeros_like(flat)
         bound = _Bound(block, x, grad)
         for _ in range(5000):
-            out = block.forward(x, bound)
-            block.backward(bound, 2.0 * (out - y) / out.size)
+            bound.forward()
+            block.backward(bound, 2.0 * (bound.out - y) / bound.out.size)
             optim.step(flat, grad)
         assert squared_error(block.forward(x), y) < 1e-3
 
@@ -381,7 +382,7 @@ class TestBound:
         for _ in range(2):  # the second pass runs on a rewritten input
             out, cache = cached.forward(block, x)
             dx = cached.backward(block, cache, dout, grad)
-            assert block.forward(x, bound) is bound.out
+            bound.forward()
             assert block.backward(bound, dout) is bound.dx
             assert [a.tobytes() for a in (bound.out, bound_grad, bound.dx)] == \
                 [a.tobytes() for a in (out, grad, dx)]
@@ -413,7 +414,7 @@ class TestBound:
         for _ in range(3):
             out, cache = cached.forward(block, x, train=True, rng=rng(theirs))
             dx = cached.backward(block, cache, dout, grad)
-            block.forward(x, bound)
+            bound.forward()
             block.backward(bound, dout)
             assert [a.tobytes() for a in (bound.out, bound_grad, bound.dx)] == \
                 [a.tobytes() for a in (out, grad, dx)]
@@ -451,13 +452,15 @@ class TestStack:
         dout = np.random.default_rng(7).standard_normal((len(rates), 9, 3))
         grad = np.zeros((len(rates), TwoLayerBlock.size(*dims)))
         bound = _Bound(stacked, x, grad, [np.random.default_rng(s) for s in range(3)])
-        out = stacked.forward(x, bound)
+        bound.forward()
+        out = bound.out
         dx = stacked.backward(bound, dout)
         for s, block in enumerate(singles):
             g = np.zeros(TwoLayerBlock.size(*dims))
             xs = x[s]
             alone = _Bound(block, xs, g, np.random.default_rng(s))
-            o = block.forward(xs, alone)
+            alone.forward()
+            o = alone.out
             d = block.backward(alone, dout[s])
             assert np.array_equal(out[s], o) and np.array_equal(grad[s], g)
             assert np.array_equal(dx[s], d)
