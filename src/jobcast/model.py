@@ -42,7 +42,7 @@ import numpy as np
 from . import encoding
 from .encoding import Normalizer, PropertyValue, encode_property
 from .errors import ModelFileError, NumericsError, SchemaError
-from .nn import TwoLayerBlock, _Bound, huber_grad, huber_loss
+from .nn import TwoLayerBlock, _Bound, huber
 
 SCALE_FEATURES = 3
 F_HIDDEN = 16
@@ -478,10 +478,10 @@ def _joint_terms(state: ModelState, batch: EncodedBatch, grad=None, step=None):
     step.z.forward()
     step.h.forward()
     y = step.z.out[..., 0]
-    runtime_term = huber_loss(y, batch.runtimes, step.huber)
+    runtime_term, dy = huber(y, batch.runtimes, (*step.huber, step.dy))
     recon_term, drecons = _recon_loss(batch, step.h.out, *step.recon)
     if step.grad is not None:
-        backward_batch(state, step, huber_grad(y, batch.runtimes, step.dy), drecons)
+        backward_batch(state, step, dy, drecons)
     return runtime_term + recon_term, runtime_term, recon_term
 
 

@@ -151,43 +151,36 @@ def he_init(shape, fan_in: int, rng) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def huber_loss(pred, target, out=(None,) * 4):
-    """Mean-reduced Huber loss: quadratic inside ``|e| <= HUBER_DELTA``,
-    linear outside.
+def huber(pred, target, out=(None,) * 5):
+    """Mean-reduced Huber loss and its gradient: ``(loss, d(loss)/d(pred))``.
 
+    The loss is quadratic inside ``|e| <= HUBER_DELTA`` and linear outside.
     The mean runs over the last axis: a float for a batch, one loss per row
-    for a stack ``(S, B)``. ``out`` holds the elementwise arrays it writes,
-    ``(e, quad, per, inner)`` of ``pred``'s shape (``inner`` a bool array),
-    or None for each it allocates.
+    for a stack ``(S, B)``, and the gradient includes each row's 1/n mean
+    factor. The residual ``pred - target`` is taken once. ``out`` holds the
+    elementwise arrays it writes, ``(e, quad, per, inner, grad)`` of
+    ``pred``'s shape (``inner`` a bool array), or None for each it
+    allocates.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    e, quad, per, inner = out
-    e = np.subtract(pred, target, out=e)
-    np.abs(e, out=e)
+    e, quad, per, inner, grad = out
+    grad = np.subtract(pred, target, out=grad)
+    e = np.abs(grad, out=e)
     quad = np.multiply(0.5, e, out=quad)
     quad *= e
     per = np.subtract(e, 0.5 * HUBER_DELTA, out=per)
     np.multiply(HUBER_DELTA, per, out=per)
     np.copyto(per, quad, where=np.less_equal(e, HUBER_DELTA, out=inner))
     loss = np.add.reduce(per, axis=-1) / per.shape[-1]  # np.mean, without its wrapper
-    return loss if loss.ndim else float(loss)
-
-
-def huber_grad(pred, target, out=None) -> np.ndarray:
-    """d(huber_loss)/d(pred), including the 1/n mean factor of each row,
-    into ``out`` when given."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    g = np.subtract(pred, target, out=out)
-    return _huber_slope(g, g)
+    return loss if loss.ndim else float(loss), _huber_slope(grad, grad)
 
 
 def _huber_slope(residual, out):
-    """:func:`huber_grad` from the residual ``pred - target``, into ``out``
-    (which may be ``residual``)."""
+    """:func:`huber`'s gradient from the residual ``pred - target``, into
+    ``out`` (which may be ``residual``)."""
     # np.clip, faster
     np.minimum(np.maximum(residual, -HUBER_DELTA, out=out), HUBER_DELTA, out=out)
     out /= out.shape[-1]

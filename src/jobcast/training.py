@@ -15,12 +15,12 @@ Both trainings run on stacks whose rows leave in one place
 (:class:`_RowSet`), and both bind the arrays they touch (see
 :class:`jobcast.nn._Bound`) once, and again only when rows leave, so an
 epoch is a fixed sequence of numpy calls. Pre-training's stack binds its
-joint step once per minibatch length. Fine-tuning trains the rows of one
-stack of ``f`` and ``z`` weights (:class:`_Stack`), which drops each row in
-the epoch it stops: :func:`finetune` is a stack of one row, and
-:func:`_finetune_rows`, which ``evaluate`` calls, stacks the fine-tunes that
-share a sample count, giving every row the bits of its own
-:func:`finetune` call.
+joint step once per minibatch length. Fine-tuning sets each row of a
+group up once and trains the group as one stack of ``f`` and ``z`` weights
+(:func:`_finetune_group`), which drops each row in the epoch it stops:
+:func:`finetune` is a group of one row, and :func:`_finetune_rows`, which
+``evaluate`` calls, groups the fine-tunes that share a sample count,
+giving every row the bits of its own :func:`finetune` call.
 
 A stack's rows are independent, so pre-training may split them into
 contiguous parts across processes (``workers``): this process trains the
@@ -347,8 +347,6 @@ class _Search(_Part):
         n_val = max(1, int(round(0.2 * len(records))))
         val_records = [records[i] for i in perm[:n_val]]
         train_records = [records[i] for i in perm[n_val:]]
-        if not train_records:
-            train_records, val_records = val_records, val_records
 
         normalizer = Normalizer.fit(r.scale_out for r in train_records)
         pick_rng = np.random.default_rng(pick_seq)
@@ -599,7 +597,10 @@ def unfreeze_epoch(n_samples: int) -> int:
 
 
 def _f_join(reuse: str, n_samples: int) -> int:
-    """The epoch at which ``f`` joins a fine-tune under ``reuse``."""
+    """The epoch at which ``f`` joins a fine-tune under ``reuse``; an
+    unknown strategy raises ValueError."""
+    if reuse not in REUSE_STRATEGIES:
+        raise ValueError(f"unknown reuse strategy {reuse!r}")
     return 0 if reuse in ("full-unfreeze", "full-reset") else unfreeze_epoch(n_samples)
 
 
@@ -609,48 +610,59 @@ _DIVERGED = "fine-tuning diverged (non-finite MAE)"
 _NON_FINITE_OUTPUT = "two-layer block produced a non-finite output"
 
 
-class _Start:
-    """One fine-tune's set-up: the strategy, the copy ``work``, the resets,
-    and ``row``, the ``(work, sfeat, r, runtimes)`` its :class:`_Stack`
-    trains: the encoded samples' scale-out features and runtimes, and
-    ``z``'s input ``r``.
-
-    The autoencoder is frozen, so ``r`` is assembled once, from the codes
-    and the first pass of ``f``: the codes never change, and ``f``'s
-    columns change only once ``f`` trains, at ``f_join``.
-
-    ``done`` is the finished ``(state, report)`` of a fine-tune that does
-    not train (no samples, or ``reuse="none"``), else None.
+def _set_up(state, samples, reuse, seed):
+    """One fine-tune's set-up from :func:`finetune`'s arguments: the copy
+    ``work`` and its resets. Returns the finished ``(state, report)`` of a
+    fine-tune that does not train (no samples, or ``reuse="none"``), else
+    the ``(work, sfeat, r, runtimes)`` row its :class:`_Stack` trains: the
+    samples' scale-out features and runtimes, and ``z``'s input ``r``. The
+    autoencoder is frozen, so ``r``'s codes are assembled once, here; its
+    first ``F_DIM`` columns are ``f``'s, which the stack writes.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if isinstance(state, PropertySchema):
+        if not samples:
+            raise DataError("the local strategy needs at least one sample")
+        state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
+    work = state.copy()
+    if not samples or reuse == "none":
+        reason = "no_data" if not samples else "not_trained"
+        return work, FineTuneReport(0, 0, float("nan"), reason)
+    if reuse == "partial-reset":
+        work.z.init(rng)
+    elif reuse == "full-reset":
+        work.f.init(rng)
+        work.z.init(rng)
+    batch = encode_batch(work.schema, work.normalizer, samples)
+    r = _assemble(work.schema, np.zeros((len(samples), F_DIM)), work.g.forward(batch.pvecs),
+                  batch.ess_rows, batch.opt_weights)
+    return work, batch.sfeat, r, batch.runtimes
 
-    def __init__(self, state, samples, reuse, seed):
-        if reuse not in REUSE_STRATEGIES:
-            raise ValueError(f"unknown reuse strategy {reuse!r}")
-        samples = list(samples)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        if isinstance(state, PropertySchema):
-            if not samples:
-                raise DataError("the local strategy needs at least one sample")
-            state = ModelState.new(state, Normalizer.fit(r.scale_out for r in samples), rng)
 
-        self.work = work = state.copy()
-        self.done = None
-        if not samples or reuse == "none":
-            reason = "no_data" if not samples else "not_trained"
-            self.done = work, FineTuneReport(0, 0, float("nan"), reason)
-            return
-        self.started = time.perf_counter()
-        if reuse == "partial-reset":
-            work.z.init(rng)
-        elif reuse == "full-reset":
-            work.f.init(rng)
-            work.z.init(rng)
-        self.f_join = _f_join(reuse, len(samples))
-        batch = encode_batch(work.schema, work.normalizer, samples)
-        codes = work.g.forward(batch.pvecs)
-        r = _assemble(work.schema, work.f.forward(batch.sfeat), codes, batch.ess_rows,
-                      batch.opt_weights)
-        self.row = work, batch.sfeat, r, batch.runtimes
+def _finetune_group(rows, f_join, epochs) -> list:
+    """Fine-tune rows ``(state, samples, reuse, seed)`` of one schema,
+    sample count and unfreeze epoch ``f_join``: set each up, then train
+    those that train as one :class:`_Stack`. Returns, per row, its
+    ``(state, report)``, or the :class:`DataError` or :class:`TrainingError`
+    its set-up or training raised, as a value. A report's ``wall_time_s``
+    counts from the start of the group's set-up until the row left.
+    """
+    started = time.perf_counter()
+    results, trained = [], []
+    for i, row in enumerate(rows):
+        try:
+            result = _set_up(*row)
+        except (DataError, TrainingError) as exc:
+            result = exc
+        else:
+            if len(result) == 4:  # a row to train, not a finished (state, report)
+                trained.append(i)
+        results.append(result)
+    if trained:
+        outcomes = _Stack([results[i] for i in trained], f_join, epochs, started).train()
+        for i, outcome in zip(trained, outcomes):
+            results[i] = outcome
+    return results
 
 
 def finetune(state: ModelState | PropertySchema, samples,
@@ -668,16 +680,17 @@ def finetune(state: ModelState | PropertySchema, samples,
 
     With zero samples (or ``reuse="none"``) the input state is returned
     unchanged together with an inference-only report whose
-    ``stopping_reason`` is ``"no_data"`` / ``"not_trained"``.
+    ``stopping_reason`` is ``"no_data"`` / ``"not_trained"``. An unknown
+    ``reuse`` raises ValueError first.
 
-    The fine-tune trains as a stack of one row (:class:`_Stack`); many
-    fine-tunes of one sample count may train as one stack instead, with
-    the same results (:func:`_finetune_rows`).
+    The fine-tune is a group of one row (:func:`_finetune_group`), its
+    ``wall_time_s`` counted from the start of its set-up; many fine-tunes
+    of one sample count may train as one stack instead, with the same
+    results (:func:`_finetune_rows`).
     """
-    start = _Start(state, samples, reuse, seed)
-    if start.done:
-        return start.done
-    [outcome] = _Stack([start.row], start.f_join, epochs, start.started).train()
+    samples = list(samples)
+    [outcome] = _finetune_group([(state, samples, reuse, seed)],
+                                _f_join(reuse, len(samples)), epochs)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -708,8 +721,10 @@ class _Stack(_RowSet):
     optimizers' moments match it. ``sfeat`` ``(S, B, 3)``, ``r``
     ``(S, B, W)`` and ``runtimes`` ``(S, B)`` are the rows' inputs. ``f``
     and ``z`` are bound over them (:class:`~jobcast.nn._Bound`), and bound
-    again whenever rows leave. Each epoch computes the residual ``y - t``
-    once: it gives both the MAE and the next epoch's Huber gradient.
+    again whenever rows leave; each pass of ``f`` writes ``r``'s first
+    ``F_DIM`` columns, and the first passes are checked as later ones are.
+    Each epoch computes the residual ``y - t`` once: it gives both the MAE
+    and the next epoch's Huber gradient.
 
     Every row takes the epoch's learning rate, and ``f`` joins every row at
     ``f_join``, so each component has one :class:`~jobcast.nn.Adam` with a
@@ -731,8 +746,8 @@ class _Stack(_RowSet):
                "runtimes")
 
     def __init__(self, rows, f_join, epochs, started):
-        """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, its
-        :class:`_Start`'s ``row``."""
+        """``rows`` holds ``(work, sfeat, r, runtimes)`` per row, as
+        :func:`_set_up` returns it."""
         self.works = [work for work, *_ in rows]
         first = self.works[0]
         seg = first.segments
@@ -755,17 +770,19 @@ class _Stack(_RowSet):
 
     def _bind(self) -> None:
         """Bind ``f`` and ``z`` over the current rows and run both forward,
-        so their arrays hold the pass the next backward pass reads."""
+        ``f``'s output into ``r``'s first ``F_DIM`` columns, so their arrays
+        hold the pass the next backward pass reads."""
         cut = self.cut
         self.views = ((self.params[:, :cut], self.grad[:, :cut]),
                       (self.params[:, cut:], self.grad[:, cut:]))
         self.f, self.z = (_Bound(TwoLayerBlock(params, *dims), x, grad)
                           for (params, grad), dims, x
                           in zip(self.views, self.dims, (self.sfeat, self.r)))
+        self.r_f, self.dr_f = self.r[..., :F_DIM], self.z.dx[..., :F_DIM]
         self.f.forward()
+        np.copyto(self.r_f, self.f.out)
         self.z.forward()
         self.y = self.z.out[..., 0]
-        self.r_f, self.dr_f = self.r[..., :F_DIM], self.z.dx[..., :F_DIM]
         self.residual, self.dy, self.abs_err = np.empty((3, *self.runtimes.shape))
         self.dout = self.dy[..., None]
         np.subtract(self.y, self.runtimes, out=self.residual)
@@ -814,8 +831,9 @@ class _Stack(_RowSet):
         """Train every row until it stops; returns ``outcomes``."""
         self._bind()
         mae, failed = self._mae(), {}
-        if not math.isfinite(np.add.reduce(self.y, axis=None)):
-            self._output_errors(failed, self.y)
+        for out in (self.f.out, self.y):  # f's first pass, then z's
+            if not math.isfinite(np.add.reduce(out, axis=None)):
+                self._output_errors(failed, out)
         self.best = self.params.copy()
         self.best_mae = mae
         self.best_epoch = np.zeros(len(mae), dtype=np.intp)
@@ -912,48 +930,32 @@ def _finetune_rows(rows, epochs: int = MAX_EPOCHS) -> list:
     :func:`finetune` takes them. Returns, per row, the ``(state, report)``
     that ``finetune(state, samples, reuse, seed, epochs)`` returns, or the
     :class:`DataError` or :class:`TrainingError` it raises, as a value; an
-    unknown reuse strategy raises ValueError before any row trains.
+    unknown reuse strategy raises ValueError before any row is set up.
 
     Rows that train with one schema, sample count and unfreeze epoch form a
     group. A group of at least ``MIN_STACK_ROWS`` rows trains as one
-    :class:`_Stack`, whose rows leave it as they stop; a smaller one calls
-    ``finetune`` row by row. Rows are independent, so every row gets the
-    bits of its own ``finetune`` call. Only a stacked row's
-    ``wall_time_s`` differs: it counts from the start of its group's
-    set-up until the row left the stack.
+    :func:`_finetune_group`, whose rows leave its stack as they stop; a
+    smaller one calls ``finetune`` row by row. Rows are independent, so
+    every row gets the bits of its own ``finetune`` call. A row's
+    ``wall_time_s`` counts from the start of its group's set-up until the
+    row left its stack.
     """
     rows = [(state, list(samples), reuse, seed) for state, samples, reuse, seed in rows]
     groups: dict = {}
     for i, (state, samples, reuse, _) in enumerate(rows):
-        if reuse not in REUSE_STRATEGIES:
-            raise ValueError(f"unknown reuse strategy {reuse!r}")
         schema = state if isinstance(state, PropertySchema) else state.schema
         key = schema, len(samples), _f_join(reuse, len(samples))
         groups.setdefault(key, []).append(i)
 
-    results: list = [None] * len(rows)
+    results: dict = {}
     for (_, _, f_join), members in groups.items():
-        if len(members) < MIN_STACK_ROWS:
-            for i in members:
-                try:
-                    results[i] = finetune(*rows[i], epochs=epochs)
-                except (DataError, TrainingError) as exc:
-                    results[i] = exc
+        if len(members) >= MIN_STACK_ROWS:
+            group = _finetune_group([rows[i] for i in members], f_join, epochs)
+            results.update(zip(members, group))
             continue
-        started = time.perf_counter()
-        stacked = []
         for i in members:
             try:
-                start = _Start(*rows[i])
+                results[i] = finetune(*rows[i], epochs=epochs)
             except (DataError, TrainingError) as exc:
                 results[i] = exc
-                continue
-            if start.done:
-                results[i] = start.done
-            else:
-                stacked.append((i, start.row))
-        if stacked:
-            outcomes = _Stack([row for _, row in stacked], f_join, epochs, started).train()
-            for (i, _), outcome in zip(stacked, outcomes):
-                results[i] = outcome
-    return results
+    return [results[i] for i in range(len(rows))]

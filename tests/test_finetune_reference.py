@@ -4,7 +4,7 @@
 (``training._Stack``), which binds each trained block's arrays once and
 then runs a fixed sequence of numpy calls per epoch. The reference below
 is one fine-tune's loop written over generic pieces: the cached block
-passes of ``cached_passes`` with their new arrays, ``huber_grad`` on every
+passes of ``cached_passes`` with their new arrays, ``huber`` on every
 epoch, and ``_mean_abs_error``. This is the one independent check of the
 engine's arithmetic. Both must agree bit for bit on every MAE they compute
 (the engine's as the ``maes`` fixture records them), on where and why they
@@ -24,7 +24,7 @@ from jobcast import evalharness, training
 from jobcast.encoding import Normalizer
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.model import F_DIM, ModelState, PropertySchema, encode_batch
-from jobcast.nn import Adam, huber_grad
+from jobcast.nn import Adam, huber
 from jobcast.synthetic import SYNTH_SCHEMA, context_records, corpus, make_contexts
 from jobcast.training import (FINETUNE_WEIGHT_DECAY, MAE_TARGET_SECONDS,
                               PATIENCE_EPOCHS, PATIENCE_TOLERANCE, FineTuneReport,
@@ -78,7 +78,7 @@ def reference_finetune(state, samples, reuse, seed, epochs):
         if epoch == f_join:
             trainers.insert(0, trainer("f"))
             _, f_cache = cached.forward(work.f, batch.sfeat)
-        dy = huber_grad(y, batch.runtimes)
+        _, dy = huber(y, batch.runtimes)
         dr = cached.backward(work.z, z_cache, dy[:, None], grad[work.segments["z"]],
                              need_dx=f_trains)
         if f_trains:
@@ -249,6 +249,14 @@ def _overflowing_f_gradient(f):
     f.w2[...] = 1.5e308
 
 
+def _infinite_f_output(f, z):
+    """f's output is +inf for every input, and z's weights on f's columns
+    are all -1, so z's first layer sits at SELU's floor and z's output stays
+    finite: only f's first pass is non-finite."""
+    f.b2[...] = np.inf
+    z.w1[..., :F_DIM] = -1.0
+
+
 def _stalled(z):
     """z's output saturates at SELU's floor for every input: its gradient
     is exactly 0, so the MAE never moves and patience runs out."""
@@ -265,12 +273,14 @@ def _stalled(z):
      "fine-tuning diverged (non-finite MAE)"),
     ("f", _overflowing_f_gradient, "full-unfreeze", TrainingError,
      "non-finite gradient for parameter 'f.w1'"),
+    ("fz", _infinite_f_output, "partial-unfreeze", NumericsError,
+     "two-layer block produced a non-finite output"),
 ])
 def test_divergence_fails_as_the_reference_and_is_excluded(block, craft, reuse, error,
                                                            message):
     state, noisy, _ = _setup()
     crafted = state.copy()
-    craft(getattr(crafted, block))
+    craft(*(getattr(crafted, c) for c in block))  # the blocks it crafts, a letter each
     samples = noisy[:2]
     with pytest.raises(TrainingError) as ours:
         finetune(crafted, samples, reuse=reuse, seed=3, epochs=EPOCHS)

@@ -23,11 +23,11 @@ from pathlib import Path
 import pytest
 
 from jobcast import cli, training
-from jobcast.errors import TrainingError
-from jobcast.model import predict_batch
+from jobcast.errors import NumericsError, TrainingError
+from jobcast.model import ModelState, predict_batch
 from jobcast.synthetic import SYNTH_SCHEMA
 from jobcast.training import MAX_EPOCHS, _finetune_rows, finetune
-from test_finetune_reference import (EPOCHS, REUSE_MODES, _nan_output,
+from test_finetune_reference import (EPOCHS, REUSE_MODES, _infinite_f_output, _nan_output,
                                      _overflowing_f_gradient, _overflowing_gradient,
                                      _overflowing_mae, _setup, _stalled, maes)
 
@@ -103,6 +103,7 @@ def test_a_row_that_stalls_leaves_on_patience(stack_every_group, maes):
     ("z", _overflowing_gradient, "partial-unfreeze"),
     ("z", _overflowing_mae, "partial-unfreeze"),
     ("f", _overflowing_f_gradient, "full-unfreeze"),
+    ("fz", _infinite_f_output, "partial-unfreeze"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_a_diverging_row_fails_as_alone_and_the_others_carry_on(stack_every_group, maes,
                                                                  block, craft, reuse):
@@ -110,14 +111,31 @@ def test_a_diverging_row_fails_as_alone_and_the_others_carry_on(stack_every_grou
     healthy rows around it in the stack equal their own runs."""
     state, noisy, _ = _setup()
     crafted = state.copy()
-    craft(getattr(crafted, block))
+    craft(*(getattr(crafted, c) for c in block))  # the blocks it crafts, a letter each
     healthy = [(start, noisy[:2], reuse, seed)
                for start, seed in itertools.product((state, SYNTH_SCHEMA), (3, 4))]
     rows = healthy[:2] + [(crafted, noisy[:2], reuse, 3)] + healthy[2:]
     got = _finetune_rows(rows, EPOCHS)
     alone = [_alone(row, EPOCHS) for row in rows]
     assert isinstance(alone[2], TrainingError)
+    if craft is _infinite_f_output:  # f's first pass fails, before any gradient
+        assert (type(got[2]), str(got[2])) == \
+            (NumericsError, "two-layer block produced a non-finite output")
     assert [_outcome(r, maes) for r in got] == [_outcome(r, maes) for r in alone]
+
+
+def test_an_unknown_strategy_fails_before_any_set_up(monkeypatch):
+    """The reuse strategy is checked before any row is set up, and before
+    finetune checks its samples: ValueError, not DataError."""
+    rows = _rows(3, "partial-unfreeze")
+    state, samples, _, seed = rows[0]
+    copies, copy = [], ModelState.copy
+    monkeypatch.setattr(ModelState, "copy", lambda self: copies.append(1) or copy(self))
+    with pytest.raises(ValueError, match="sideways"):
+        _finetune_rows(rows + [(state, samples, "sideways", seed)], EPOCHS)
+    assert copies == []
+    with pytest.raises(ValueError, match="sideways"):
+        finetune(SYNTH_SCHEMA, [], reuse="sideways")
 
 
 def _evaluate(tmp_path, name, *flags, n_train="1-3", contexts="2", max_splits="2"):

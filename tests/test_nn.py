@@ -10,7 +10,7 @@ import cached_passes as cached
 from jobcast.errors import NumericsError, TrainingError
 from jobcast.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SELU_ALPHA, SELU_LAMBDA,
                         Adam, TwoLayerBlock, _Bound, _Dropout, _split, he_init,
-                        huber_grad, huber_loss, selu)
+                        huber, selu)
 
 
 def squared_error(a, b) -> float:
@@ -107,38 +107,51 @@ class TestHeInit:
 
 class TestLosses:
     def test_huber_equal_inputs(self):
-        assert huber_loss([5.0], [5.0]) == 0.0
+        assert huber([5.0], [5.0])[0] == 0.0
 
     def test_huber_linear_region(self):
         # |e| = 2 > delta = 1: delta * (|e| - delta/2) = 1.5
-        assert huber_loss([2.0], [0.0]) == pytest.approx(1.5)
+        assert huber([2.0], [0.0])[0] == pytest.approx(1.5)
 
     def test_huber_quadratic_region(self):
-        assert huber_loss([0.5], [0.0]) == pytest.approx(0.125)
+        assert huber([0.5], [0.0])[0] == pytest.approx(0.125)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            huber_loss([1.0, 2.0], [1.0])
+            huber([1.0, 2.0], [1.0])
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = rng.normal(size=6)
             b = rng.normal(size=6)
-            assert huber_loss(a, b) > 0
-            assert huber_loss(a, a) == 0
+            assert huber(a, b)[0] > 0
+            assert huber(a, a)[0] == 0
 
     def test_huber_grad_matches_finite_difference(self):
         rng = np.random.default_rng(9)
         pred = rng.normal(size=8) * 3
         target = rng.normal(size=8) * 3
-        g = huber_grad(pred, target)
+        loss, g = huber(pred, target)
         h = 1e-6
         for i in range(8):
             bumped = pred.copy()
             bumped[i] += h
-            num = (huber_loss(bumped, target) - huber_loss(pred, target)) / h
+            num = (huber(bumped, target)[0] - loss) / h
             assert g[i] == pytest.approx(num, abs=1e-5)
+
+    def test_huber_writes_into_out_one_loss_per_row(self):
+        """A stack ``(S, B)`` gets one loss per row, and the gradient lands
+        in the ``grad`` array of ``out``."""
+        rng = np.random.default_rng(3)
+        pred, target = rng.normal(size=(2, 3, 5)) * 2
+        out = (*np.empty((3, 3, 5)), np.empty((3, 5), np.bool_), np.empty((3, 5)))
+        loss, grad = huber(pred, target, out)
+        assert grad is out[-1]
+        for row in range(3):
+            alone, dy = huber(pred[row], target[row])
+            assert loss[row] == alone
+            assert np.array_equal(grad[row], dy)
 
 
 class TestTwoLayerBlock:

@@ -107,6 +107,20 @@ class TestPretrain:
                             space=SearchSpace(sample_count=2), seed=0, epochs=40)
         assert np.isfinite(predict(state, 6, records[0].properties).runtime_seconds)
 
+    def test_two_records_train_on_one_and_validate_on_the_other(self):
+        """The held-out split takes max(1, round(20%)) records, fewer than
+        the corpus for any corpus of at least 2: each split gets one of 2."""
+        ctx = make_contexts(1, seed=5)[0]
+        records = context_records(ctx, repetitions=1, seed=5)[:2]
+        search = training._Search(records, 0, SYNTH_SCHEMA, SearchSpace().grid(), 1, 0.0)
+        train, val = search.train_batch.runtimes, search.val_batch.runtimes
+        assert len(train) == len(val) == 1
+        assert sorted([*train, *val]) == sorted(r.runtime_seconds for r in records)
+        _, log = pretrain(records, SYNTH_SCHEMA, space=SearchSpace(sample_count=1),
+                          epochs=5)
+        assert [e.status for e in log] == ["ok"]
+        assert np.isfinite(log[0].val_mae_seconds)
+
 
 class TestFinetune:
     def test_zero_samples_returns_state_unchanged(self, small_pretrained):
